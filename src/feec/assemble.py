@@ -14,14 +14,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from typing import Iterator
 
-from .combinat import multiindices
 from . import linalg
 from .extension import extend_full_generator, extend_minus_generator
-from .forms import FaceRef, PolyForm
+from .forms import FaceRef, Key, PolyForm
 from .mesh import GlobalFace, Triangulation
-from .spaces import Family, GeneratorDescriptor, SpaceKind, dim_space, enumerate_basis, membership, realize
+from .spaces import (
+    Family,
+    GeneratorDescriptor,
+    SpaceKind,
+    dim_space,
+    enumerate_basis,
+    membership,
+    rank_of,
+    realize,
+)
 
 
 @dataclass
@@ -101,46 +109,23 @@ def _trace_mismatch(
 def verify_single_valued(
     t: Triangulation, elements: list[GlobalBasisElement], k: int
 ) -> SingleValuedWitness | None:
-    """Check trace agreement on every shared face; None means all good."""
-    shared = [
-        f
-        for j in range(k, t.n)
-        for f in t.faces(j)
-        if len(f.incidence) >= 1
-    ]
+    """Check trace agreement on every shared face; None means all good.
+
+    An element can only disagree with itself on a face of one of its own
+    cells, so each element visits just those faces, in face-lattice order.
+    """
+    shared = [f for j in range(k, t.n) for f in t.faces(j) if len(f.incidence) >= 2]
+    faces_of_cell: dict[int, list[int]] = {}
+    for pos, face in enumerate(shared):
+        for ci, _ in face.incidence:
+            faces_of_cell.setdefault(ci, []).append(pos)
     for el in elements:
-        for face in shared:
-            bad = _trace_mismatch(t, el.restrictions, k, face)
+        near = sorted({pos for ci in el.restrictions for pos in faces_of_cell.get(ci, ())})
+        for pos in near:
+            bad = _trace_mismatch(t, el.restrictions, k, shared[pos])
             if bad is not None:
-                return SingleValuedWitness(el, face, bad)
+                return SingleValuedWitness(el, shared[pos], bad)
     return None
-
-
-def _cell_keys(n: int, r: int, k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    return [
-        (tuple(a), s)
-        for a in multiindices(n, r)
-        for s in combinations(range(1, n + 1), k)
-    ]
-
-
-def _stacked_vectors(
-    t: Triangulation, elements: list[GlobalBasisElement], r: int, k: int
-) -> list[list[Fraction]]:
-    keys = _cell_keys(t.n, r, k)
-    zero = Fraction(0)
-    rows = []
-    for el in elements:
-        row: list[Fraction] = []
-        for ci in range(len(t.cells)):
-            w = el.restrictions.get(ci)
-            if w is None:
-                row.extend([zero] * len(keys))
-            else:
-                w = w.lift(r)
-                row.extend(w.coeffs.get(key, zero) for key in keys)
-        rows.append(row)
-    return rows
 
 
 @dataclass
@@ -164,49 +149,74 @@ class DirectSumReport:
         return self.ok
 
 
-def verify_direct_sum(t: Triangulation, family: Family, r: int, k: int) -> DirectSumReport:
-    """Independence plus dimension match against the constrained product space."""
-    elements = assemble_basis(t, family, r, k)
-    count = len(elements)
-    expected = assembled_dimension(t, family, r, k)
-    independent = linalg.rank(_stacked_vectors(t, elements, r, k)) == count
+def _stacked_rows(elements: list[GlobalBasisElement], r: int) -> Iterator[dict[int, Fraction]]:
+    """Each element as one sparse row over (cell, canonical term) columns."""
+    columns: dict[tuple[int, Key], int] = {}
+    for el in elements:
+        yield {
+            columns.setdefault((ci, key), len(columns)): c
+            for ci, w in el.restrictions.items()
+            for key, c in w.lift(r).coeffs.items()
+        }
 
-    whole = SpaceKind(family)
-    cell_basis = [realize(d) for d in enumerate_basis(whole, FaceRef.full(t.n), r, k)]
+
+def _constraint_rows(
+    t: Triangulation, cell_basis: list[PolyForm], r: int, k: int
+) -> Iterator[dict[int, Fraction]]:
+    """Trace matching on the shared faces, one sparse row per face term and cell pair.
+
+    Column `cell * len(cell_basis) + b` is the coefficient of basis form b on
+    that cell.  Traces depend only on the local face, so each is taken once.
+    """
     per_cell = len(cell_basis)
-    ncols = per_cell * len(t.cells)
-    constraint_rows: list[list[Fraction]] = []
-    zero = Fraction(0)
+    traces: dict[FaceRef, list[PolyForm]] = {}
     for j in range(k, t.n):
         for face in t.faces(j):
-            if len(face.incidence) < 2:
-                continue
-            keys = _cell_keys(face.dim, r, k)
-            c0, fr0 = face.incidence[0]
-            base = [w.trace(fr0) for w in cell_basis]
-            for ci, fri in face.incidence[1:]:
-                other = [w.trace(fri) for w in cell_basis]
-                for key in keys:
-                    row = [zero] * ncols
-                    for b in range(per_cell):
-                        v0 = base[b].lift(r).coeffs.get(key, zero)
-                        vi = other[b].lift(r).coeffs.get(key, zero)
-                        if v0:
-                            row[c0 * per_cell + b] += v0
-                        if vi:
-                            row[ci * per_cell + b] -= vi
-                    constraint_rows.append(row)
-    constrained = ncols - linalg.rank(constraint_rows)
+            (c0, fr0), *others = face.incidence
+            for ci, fri in others:
+                rows: dict[Key, dict[int, Fraction]] = {}
+                for cell, fr, sign in ((c0, fr0, 1), (ci, fri, -1)):
+                    if fr not in traces:
+                        traces[fr] = [w.trace(fr).lift(r) for w in cell_basis]
+                    for b, tr in enumerate(traces[fr]):
+                        for key, c in tr.coeffs.items():
+                            rows.setdefault(key, {})[cell * per_cell + b] = sign * c
+                yield from rows.values()
 
-    cells_spanned = True
+
+def verify_direct_sum(
+    t: Triangulation, elements: list[GlobalBasisElement], family: Family, r: int, k: int
+) -> DirectSumReport:
+    """Independence plus dimension match against the constrained product space.
+
+    `elements` is the assembled basis of the family at degree r and order k.
+    Independence is proved cell by cell when it can be: if every element
+    touches a cell, and on every cell the restrictions of the elements
+    touching it are independent, a vanishing combination vanishes on each
+    cell and so has zero coefficients.  Otherwise the exact rank of the
+    elements stacked over all cells decides.
+    """
+    count = len(elements)
+    whole = SpaceKind(family)
     want = dim_space(whole, t.n, r, k)
-    for ci in range(len(t.cells)):
-        forms = [el.restrictions[ci] for el in elements if ci in el.restrictions]
-        from .spaces import rank_of
-
-        if rank_of(forms) != want:
-            cells_spanned = False
+    touching: list[list[PolyForm]] = [[] for _ in t.cells]
+    for el in elements:
+        for ci, w in el.restrictions.items():
+            touching[ci].append(w)
+    cells_spanned = True
+    local = all(el.restrictions for el in elements)
+    for forms in touching:
+        got = rank_of(forms)
+        if got != want:
+            cells_spanned = local = False
             break
+        local = local and got == len(forms)
+    independent = local or linalg.rank_sparse(_stacked_rows(elements, r)) == count
+
+    cell_basis = [realize(d) for d in enumerate_basis(whole, FaceRef.full(t.n), r, k)]
+    ncols = len(cell_basis) * len(t.cells)
+    constrained = ncols - linalg.rank_sparse(_constraint_rows(t, cell_basis, r, k))
+    expected = assembled_dimension(t, family, r, k)
     return DirectSumReport(count, expected, independent, constrained, cells_spanned)
 
 

@@ -10,13 +10,13 @@ import argparse
 import json
 import sys
 
-from .assemble import assemble_basis, assembled_dimension, verify_direct_sum, verify_single_valued
+from .assemble import assemble_basis, verify_direct_sum, verify_single_valued
 from .extension import extend_full_generator, extend_minus_generator
 from .forms import FaceRef
 from .mesh import MeshFormatError, load
 from .render import format_form, format_generator
 from .spaces import Family, SpaceKind, dim_space, enumerate_basis
-from .verify import SUITES, run_suites
+from .verify import SUITES, max_degree, run_suites
 
 FORMATS = ("plain", "json", "latex")
 
@@ -93,7 +93,7 @@ def decompose_payload(mesh_path: str, family: Family, r: int, k: int) -> tuple[d
     t = load(mesh_path)
     elements = assemble_basis(t, family, r, k)
     witness = verify_single_valued(t, elements, k)
-    report = verify_direct_sum(t, family, r, k)
+    report = verify_direct_sum(t, elements, family, r, k)
     counts_by_dim: dict[int, int] = {}
     groups = []
     current = None
@@ -132,7 +132,7 @@ def decompose_payload(mesh_path: str, family: Family, r: int, k: int) -> tuple[d
         "k": k,
         "mesh": {"dim": t.n, "vertices": t.num_vertices, "cells": len(t.cells)},
         "total": len(elements),
-        "expected": assembled_dimension(t, family, r, k),
+        "expected": report.expected,
         "counts_by_dim": {str(d): c for d, c in sorted(counts_by_dim.items())},
         "groups": groups,
         "verified": {"single_valued": witness is None, "direct_sum": report.ok},
@@ -283,6 +283,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify":
         if args.n < 1 or args.n > 4 or args.r < 1:
             parser.error("verification sweeps support 1 <= n <= 4 and r >= 1")
+        try:
+            max_degree()
+        except ValueError as err:
+            print(f"invalid environment: {err}", file=sys.stderr)
+            return 2
         results = run_suites(args.suite, max_n=args.n, max_r=args.r)
         failed = [res for res in results if not res.passed]
         if args.format == "json":

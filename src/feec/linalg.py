@@ -1,69 +1,90 @@
 """Exact linear algebra over the rationals.
 
-Small dense systems only.  Rank computations clear denominators and run an
-integer fraction-free elimination with per-row gcd reduction to keep entries
-small; solves stay in Fraction arithmetic.
+Every operation runs on one kernel: a fraction-free row echelon form over
+sparse integer rows (dicts from column to nonzero int).  Each input row has
+its denominators cleared and is divided by its content once on entry; each
+elimination step keeps rows primitive, so entries stay small and zero
+entries are never stored.  Dense matrices are converted row by row; sparse
+callers hand their rows to :func:`rank_sparse` directly.  Solutions are
+recovered from the echelon form by back substitution in Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Sequence
+from math import gcd, lcm
+from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
-    out = []
-    for row in rows:
-        scale = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                d = x.denominator
-                scale = scale * d // gcd(scale, d)
-        ints = [int(x * scale) if isinstance(x, Fraction) else x * scale for x in row]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        if g > 1:
-            ints = [x // g for x in ints]
-        out.append(ints)
-    return out
+def _primitive(row: Mapping[int, Fraction | int]) -> dict[int, int]:
+    """The row scaled to coprime integers, with its zero entries dropped."""
+    entries = {c: x for c, x in row.items() if x}
+    scale = lcm(*(x.denominator for x in entries.values()))
+    ints = {c: x.numerator * (scale // x.denominator) for c, x in entries.items()}
+    g = gcd(*ints.values())
+    return {c: x // g for c, x in ints.items()} if g > 1 else ints
+
+
+def _echelon(rows: Iterable[Mapping[int, Fraction | int]]) -> dict[int, dict[int, int]]:
+    """Row echelon form: pivot column -> the primitive row whose lowest column it is.
+
+    Rows are inserted one at a time; each is reduced by the pivot rows at its
+    lowest column until it vanishes or opens a new pivot.  The set of pivot
+    columns is the first (lowest-index) independent set of columns.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for raw in rows:
+        row = _primitive(raw)
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = row
+                break
+            p, f = piv[lead], row[lead]
+            g = gcd(p, f)
+            p, f = p // g, f // g
+            new = {c: p * x for c, x in row.items()}
+            for c, x in piv.items():
+                y = new.get(c, 0) - f * x
+                if y:
+                    new[c] = y
+                else:
+                    del new[c]
+            g = gcd(*new.values())
+            row = {c: x // g for c, x in new.items()} if g > 1 else new
+    return pivots
+
+
+def _back_substitute(
+    pivots: dict[int, dict[int, int]], nvars: int, rhs_cols: Sequence[int]
+) -> list[list[Fraction]]:
+    """Solutions x[var][j] for the right-hand sides in rhs_cols, free variables zero."""
+    x = [[Fraction(0)] * len(rhs_cols) for _ in range(nvars)]
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        tail = [(c, v) for c, v in row.items() if col < c < nvars]
+        x[col] = [
+            Fraction(row.get(b, 0) - sum(v * x[c][j] for c, v in tail), row[col])
+            for j, b in enumerate(rhs_cols)
+        ]
+    return x
+
+
+def _sparse(row: Sequence[Fraction | int]) -> dict[int, Fraction | int]:
+    return {c: x for c, x in enumerate(row) if x}
+
+
+def rank_sparse(rows: Iterable[Mapping[int, Fraction | int]]) -> int:
+    """Rank of the matrix given as sparse rows (column -> entry)."""
+    return len(_echelon(rows))
 
 
 def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
     """Rank of the matrix given as a sequence of rows."""
-    m = _integer_rows(rows)
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rk = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rk, len(m)):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rk], m[piv] = m[piv], m[rk]
-        p = m[rk][col]
-        for i in range(rk + 1, len(m)):
-            f = m[i][col]
-            if not f:
-                continue
-            row = [p * a - f * b for a, b in zip(m[i], m[rk])]
-            g = 0
-            for x in row:
-                g = gcd(g, x)
-            if g > 1:
-                row = [x // g for x in row]
-            m[i] = row
-        rk += 1
-        if rk == len(m):
-            break
-    return rk
+    return rank_sparse(_sparse(row) for row in rows)
 
 
 def solve(rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]) -> list[Fraction] | None:
@@ -72,39 +93,11 @@ def solve(rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int
     Underdetermined systems get free variables set to zero, so when the
     columns of A are linearly independent the solution is the unique one.
     """
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
     ncols = len(rows[0]) if rows else 0
-    pivots: list[tuple[int, int]] = []
-    rk = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rk, len(m)):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rk], m[piv] = m[piv], m[rk]
-        p = m[rk][col]
-        for i in range(rk + 1, len(m)):
-            f = m[i][col]
-            if not f:
-                continue
-            m[i] = [a - f / p * b for a, b in zip(m[i], m[rk])]
-        pivots.append((rk, col))
-        rk += 1
-        if rk == len(m):
-            break
-    for i in range(rk, len(m)):
-        if m[i][ncols]:
-            return None
-    x = [Fraction(0)] * ncols
-    for row, col in reversed(pivots):
-        s = m[row][ncols]
-        for c in range(col + 1, ncols):
-            s -= m[row][c] * x[c]
-        x[col] = s / m[row][col]
-    return x
+    pivots = _echelon({**_sparse(row), ncols: b} for row, b in zip(rows, rhs))
+    if ncols in pivots:
+        return None
+    return [xs[0] for xs in _back_substitute(pivots, ncols, [ncols])]
 
 
 def solve_columns(columns: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]) -> list[Fraction] | None:
@@ -127,19 +120,7 @@ def inverse(rows: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]] | 
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    m = [
-        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col]), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return [row[n:] for row in m]
+    pivots = _echelon({**_sparse(row), n + i: 1} for i, row in enumerate(rows))
+    if any(col >= n for col in pivots):
+        return None
+    return _back_substitute(pivots, n, range(n, 2 * n))

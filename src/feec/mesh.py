@@ -89,6 +89,7 @@ def loads(text: str) -> Triangulation:
     """Parse a mesh description from a string."""
     header = None
     cells: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
     meta: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -118,8 +119,9 @@ def loads(text: str) -> Triangulation:
             raise MeshFormatError(lineno, f"repeated vertex id in cell {ids}")
         if ids[-1] >= meta["vertices"]:
             raise MeshFormatError(lineno, f"vertex id {ids[-1]} out of range")
-        if ids in set(cells):
+        if ids in seen:
             raise MeshFormatError(lineno, f"cell {ids} appears twice")
+        seen.add(ids)
         cells.append(ids)
     if header is None:
         raise MeshFormatError(1, "empty mesh description")

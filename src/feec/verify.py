@@ -72,9 +72,24 @@ def _kind_name(kind: SpaceKind) -> str:
 # -- individual suites ---------------------------------------------------------
 
 
+def max_degree() -> int:
+    """The dimension suite's degree bound: FEEC_MAX_DEGREE, or 6 when unset.
+
+    Raises ValueError unless the setting is an integer of at least 1.
+    """
+    raw = os.environ.get("FEEC_MAX_DEGREE", "6")
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"FEEC_MAX_DEGREE must be an integer >= 1, got {raw!r}")
+    return value
+
+
 def suite_dims(max_n: int = 4, max_r: int = 3) -> Iterator[CheckResult]:
     """Dimension formulas and basis cardinalities, all four kinds."""
-    r_top = max(max_r, int(os.environ.get("FEEC_MAX_DEGREE", "6")))
+    r_top = max(max_r, max_degree())
     for n in range(1, max_n + 1):
         T = FaceRef.full(n)
         for r in range(1, r_top + 1):
@@ -247,7 +262,7 @@ def suite_decomposition(max_r: int = 3) -> Iterator[CheckResult]:
                     if witness is not None:
                         bad = f"multivalued trace on {witness.face.vertices} at k={k}"
                         break
-                    report = verify_direct_sum(mesh, family, r, k)
+                    report = verify_direct_sum(mesh, elements, family, r, k)
                     if not report.ok:
                         bad = (
                             f"k={k}: count {report.count} expected {report.expected} "

@@ -144,3 +144,53 @@ def random_polyform(rng: random.Random, n: int, k: int, r: int, nterms: int = 3)
         coeff = rng.choice([-3, -2, -1, 1, 2, 3])
         raw.append((tuple(alpha), sigma, coeff))
     return canonicalize(n, k, raw, degree=r)
+
+
+def dense_echelon(rows, ncols):
+    """Reduced row echelon form by plain Fraction Gauss-Jordan elimination.
+
+    Pivots are chosen column by column from the left, over the first ncols
+    columns only.  Returns the reduced rows and the pivot columns.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        rk = len(pivots)
+        piv = next((i for i in range(rk, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rk], m[piv] = m[piv], m[rk]
+        m[rk] = [x / m[rk][c] for x in m[rk]]
+        for i in range(len(m)):
+            if i != rk and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rk])]
+        pivots.append(c)
+    return m, pivots
+
+
+def oracle_rank(rows):
+    """Rank of a dense matrix."""
+    return len(dense_echelon(rows, len(rows[0]) if rows else 0)[1])
+
+
+def oracle_solve(rows, rhs):
+    """Solution of A x = b with free variables zero, or None when inconsistent."""
+    ncols = len(rows[0]) if rows else 0
+    m, pivots = dense_echelon([list(row) + [b] for row, b in zip(rows, rhs)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for i, c in enumerate(pivots):
+        x[c] = m[i][ncols]
+    return x
+
+
+def oracle_inverse(rows):
+    """Inverse of a square matrix, or None when singular."""
+    n = len(rows)
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    m, pivots = dense_echelon([list(row) + e for row, e in zip(rows, eye)], n)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in m]

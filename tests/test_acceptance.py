@@ -145,7 +145,7 @@ def test_criterion_06_geometric_decompositions():
                     for k in range(mesh.n + 1):
                         elements = assemble_basis(mesh, family, r, k)
                         assert verify_single_valued(mesh, elements, k) is None
-                        report = verify_direct_sum(mesh, family, r, k)
+                        report = verify_direct_sum(mesh, elements, family, r, k)
                         assert report.ok, (family, r, k, report)
         elapsed = time.monotonic() - start
         assert elapsed < 300, f"took {elapsed:.1f}s"

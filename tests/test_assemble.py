@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from feec.assemble import (
+    DirectSumReport,
     GlobalBasisElement,
     assemble_basis,
     assembled_dimension,
@@ -14,6 +15,7 @@ from feec.assemble import (
 from feec.forms import PolyForm, bary_monomial, whitney
 from feec.mesh import from_cells
 from feec.spaces import Family, dim_space, SpaceKind
+from helpers import oracle_rank
 
 TRI1 = from_cells(2, [(0, 1, 2)])
 TRI2 = from_cells(2, [(0, 1, 2), (1, 2, 3)])
@@ -77,6 +79,36 @@ def test_hand_built_discontinuity_is_caught():
     assert verify_single_valued(TRI2, [not_shared], 1) is None
 
 
+def test_first_witness_matches_exhaustive_scan():
+    def exhaustive(t, elements, k):
+        for el in elements:
+            for j in range(k, t.n):
+                for face in t.faces(j):
+                    traces = [
+                        el.restriction(ci, t.n, k).trace(fr) for ci, fr in face.incidence
+                    ]
+                    if any(tr != traces[0] for tr in traces[1:]):
+                        return el, face
+        return None
+
+    rng = random.Random(23)
+    for mesh, family, r, k in [(FAN3, Family.FULL, 2, 1), (TET2, Family.MINUS, 2, 1)]:
+        els = assemble_basis(mesh, family, r, k)
+        for _ in range(6):
+            scaled = [
+                GlobalBasisElement(el.face, el.descriptor, {
+                    ci: (rng.choice((1, 1, 1, 2)) * w) for ci, w in el.restrictions.items()
+                })
+                for el in els
+            ]
+            witness = verify_single_valued(mesh, scaled, k)
+            expected = exhaustive(mesh, scaled, k)
+            if expected is None:
+                assert witness is None
+            else:
+                assert (witness.element, witness.face) == expected
+
+
 def test_zero_trace_on_faces_not_containing_owner():
     els = assemble_basis(TRI2, Family.FULL, 2, 1)
     for el in els:
@@ -105,8 +137,41 @@ def test_zero_trace_on_faces_not_containing_owner():
     ],
 )
 def test_direct_sum_cases(mesh, family, r, k):
-    report = verify_direct_sum(mesh, family, r, k)
+    report = verify_direct_sum(mesh, assemble_basis(mesh, family, r, k), family, r, k)
     assert report.ok, report
+
+
+def _globally_independent(elements, r):
+    """Independence by the dense oracle on the elements stacked over all cells."""
+    keys = sorted({(ci, key) for el in elements for ci, w in el.restrictions.items()
+                   for key in w.lift(r).coeffs})
+    rows = [[el.restrictions[ci].lift(r).coeffs.get(key, 0) if ci in el.restrictions else 0
+             for ci, key in keys] for el in elements]
+    return oracle_rank(rows) == len(elements)
+
+
+def test_local_independence_certificate_falls_back_to_global_rank():
+    els = assemble_basis(TRI2, Family.FULL, 2, 1)
+    base = verify_direct_sum(TRI2, els, Family.FULL, 2, 1)
+    assert base.ok and _globally_independent(els, 2)
+
+    dup = verify_direct_sum(TRI2, els + [els[0]], Family.FULL, 2, 1)
+    assert not dup.independent and not _globally_independent(els + [els[0]], 2)
+    assert dup == DirectSumReport(
+        base.count + 1, base.expected, False, base.constrained_dimension, True
+    )
+
+    # agrees with a two-cell element on one cell only: dependent there, not globally
+    shared = next(el for el in els if len(el.restrictions) == 2)
+    ci = min(shared.restrictions)
+    half = GlobalBasisElement(shared.face, shared.descriptor, {ci: shared.restrictions[ci]})
+    report = verify_direct_sum(TRI2, els + [half], Family.FULL, 2, 1)
+    assert report.independent and _globally_independent(els + [half], 2)
+    assert not report.ok
+
+    # an element touching no cell is the zero form
+    empty = GlobalBasisElement(shared.face, shared.descriptor, {})
+    assert not verify_direct_sum(TRI2, els + [empty], Family.FULL, 2, 1).independent
 
 
 def test_top_order_decomposition_is_cellwise():

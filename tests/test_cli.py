@@ -139,6 +139,15 @@ def test_verify_selected_suite(capsys):
     assert all(r["passed"] for r in payload["results"])
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
+def test_verify_rejects_bad_max_degree(monkeypatch, capsys, value):
+    monkeypatch.setenv("FEEC_MAX_DEGREE", value)
+    code, out, err = run_cli(capsys, "verify", "--suite", "dims", "-n", "1", "-r", "1")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "FEEC_MAX_DEGREE" in err
+
+
 def test_verify_output_is_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "--suite", "dims", "-n", "2", "-r", "2")
     code2, out2, _ = run_cli(capsys, "verify", "--suite", "dims", "-n", "2", "-r", "2")

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
-from feec.linalg import inverse, nonsingular, rank, solve, solve_columns
+import pytest
+
+from feec.linalg import inverse, nonsingular, rank, rank_sparse, solve, solve_columns
+from helpers import oracle_inverse, oracle_rank, oracle_solve
 
 Q = Fraction
 
@@ -17,28 +20,11 @@ def test_rank_basic():
 
 def test_rank_matches_row_reduction_oracle():
     rng = random.Random(5)
-
-    def brute_rank(rows):
-        m = [[Q(x) for x in row] for row in rows]
-        rk = 0
-        cols = len(m[0]) if m else 0
-        for c in range(cols):
-            piv = next((i for i in range(rk, len(m)) if m[i][c]), None)
-            if piv is None:
-                continue
-            m[rk], m[piv] = m[piv], m[rk]
-            for i in range(len(m)):
-                if i != rk and m[i][c]:
-                    f = m[i][c] / m[rk][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[rk])]
-            rk += 1
-        return rk
-
     for _ in range(30):
         rows = [
             [Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(5)] for _ in range(4)
         ]
-        assert rank(rows) == brute_rank(rows)
+        assert rank(rows) == oracle_rank(rows)
 
 
 def test_solve():
@@ -78,3 +64,77 @@ def test_inverse_roundtrip_randomized():
             for j in range(4):
                 s = sum(m[i][t] * inv[t][j] for t in range(4))
                 assert s == (1 if i == j else 0)
+
+
+def _entry(rng):
+    return Q(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.6 else Q(0)
+
+
+def _matrix(rng, nrows, ncols, inner=None, zero_rows=0):
+    """A random matrix; with `inner` it is a product through that many columns,
+    so its rank is at most `inner`.  `zero_rows` all-zero rows are mixed in."""
+    if inner is None:
+        m = [[_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+    else:
+        left = [[_entry(rng) for _ in range(inner)] for _ in range(nrows)]
+        right = [[_entry(rng) for _ in range(ncols)] for _ in range(inner)]
+        m = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+    for _ in range(zero_rows):
+        m.insert(rng.randint(0, len(m)), [Q(0)] * ncols)
+    return m
+
+
+# (rows, columns, inner rank bound, all-zero rows)
+SHAPES = {
+    "empty": (0, 0, None, 0),
+    "one": (1, 1, None, 0),
+    "zero-rows": (2, 4, None, 3),
+    "all-zero": (0, 3, None, 4),
+    "deficient": (6, 6, 2, 0),
+    "wide": (3, 7, None, 0),
+    "tall": (7, 3, None, 0),
+    "tall-deficient": (8, 5, 3, 1),
+    "square": (5, 5, None, 0),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_kernel_matches_dense_oracle(shape):
+    nrows, ncols, inner, zero_rows = SHAPES[shape]
+    rng = random.Random(f"linalg:{shape}")
+    for _ in range(12):
+        m = _matrix(rng, nrows, ncols, inner, zero_rows)
+        rk = oracle_rank(m)
+        assert rank(m) == rk
+        # sparse rows with scattered column labels: rank ignores column order
+        labels = rng.sample(range(10 * ncols + 1), ncols)
+        assert rank_sparse({labels[c]: x for c, x in enumerate(row) if x} for row in m) == rk
+
+        x0 = [Q(rng.randint(-3, 3)) for _ in range(ncols)]
+        consistent = [sum(a * b for a, b in zip(row, x0)) for row in m]
+        got = solve(m, consistent)
+        assert got == oracle_solve(m, consistent)
+        assert got is not None and all(isinstance(x, Q) for x in got)
+        assert [sum(a * b for a, b in zip(row, got)) for row in m] == consistent
+        arbitrary = [_entry(rng) for _ in m]
+        assert solve(m, arbitrary) == oracle_solve(m, arbitrary)
+
+        if nrows + zero_rows == ncols:
+            inv = inverse(m)
+            assert inv == oracle_inverse(m)
+            assert nonsingular(m) == (rk == ncols) == (inv is not None)
+
+
+def test_inconsistent_and_singular_cases():
+    rng = random.Random(17)
+    for _ in range(10):
+        m = _matrix(rng, 6, 4, inner=2)
+        b = [Q(rng.randint(1, 5)) for _ in m]
+        if oracle_rank(m) < oracle_rank([row + [c] for row, c in zip(m, b)]):
+            assert solve(m, b) is None and oracle_solve(m, b) is None
+        sq = _matrix(rng, 4, 4, inner=3)
+        assert inverse(sq) is None and not nonsingular(sq)
+    assert solve([[0, 0]], [1]) is None
+    assert inverse([[0]]) is None
+    assert rank_sparse([]) == 0
+    assert rank_sparse([{}, {5: 0}, {3: Q(1, 2)}, {3: 2}]) == 1

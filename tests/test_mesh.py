@@ -74,8 +74,9 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(MeshFormatError) as err:
         loads("simplicial-mesh v1 dim=2 vertices=3 cells=1\n0 1 5\n")
     assert err.value.line == 2
-    with pytest.raises(MeshFormatError):
-        loads("simplicial-mesh v1 dim=2 vertices=4 cells=2\n0 1 2\n2 1 0\n")
+    with pytest.raises(MeshFormatError) as err:
+        loads("simplicial-mesh v1 dim=2 vertices=4 cells=3\n0 1 2\n# note\n1 2 3\n2 1 0\n")
+    assert err.value.line == 5 and "appears twice" in str(err.value)
     # ids are ASCII base-10 only, independent of locale or script
     with pytest.raises(MeshFormatError):
         loads("simplicial-mesh v1 dim=2 vertices=4 cells=1\n0 1 ٣\n")
