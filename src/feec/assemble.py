@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import linalg
-from .extension import extend_full_generator, extend_minus_generator
+from .extension import extend_generator
 from .forms import FaceRef, Key, PolyForm
 from .mesh import GlobalFace, Triangulation
 from .spaces import (
@@ -40,23 +40,16 @@ class GlobalBasisElement:
     descriptor: GeneratorDescriptor
     restrictions: dict[int, PolyForm]
 
-    def restriction(self, cell_index: int, n: int, k: int) -> PolyForm:
-        got = self.restrictions.get(cell_index)
-        return got if got is not None else PolyForm.zero(n, k)
-
 
 def _cell_generator(
     family: Family, desc: GeneratorDescriptor, fr: FaceRef, n: int
 ) -> PolyForm:
     """Extend a face-local generator into the cell holding the face at fr."""
     alpha = [0] * (n + 1)
-    for p, e in enumerate(desc.alpha.entries):
+    for p, e in enumerate(desc.alpha):
         alpha[fr.indices[p]] = e
-    sigma = tuple(fr.indices[s] for s in desc.sigma.values)
-    cell = FaceRef.full(n)
-    if family is Family.MINUS:
-        return extend_minus_generator(tuple(alpha), sigma, cell)
-    return extend_full_generator(tuple(alpha), sigma, fr, cell)
+    sigma = tuple(fr.indices[s] for s in desc.sigma)
+    return extend_generator(family, tuple(alpha), sigma, fr, FaceRef.full(n))
 
 
 def assemble_basis(t: Triangulation, family: Family, r: int, k: int) -> list[GlobalBasisElement]:
@@ -93,7 +86,7 @@ class SingleValuedWitness:
 
 
 def _trace_mismatch(
-    t: Triangulation, restrictions: dict[int, PolyForm], k: int, face: GlobalFace
+    restrictions: dict[int, PolyForm], k: int, face: GlobalFace
 ) -> tuple[PolyForm, PolyForm] | None:
     first: PolyForm | None = None
     for ci, fr in face.incidence:
@@ -122,7 +115,7 @@ def verify_single_valued(
     for el in elements:
         near = sorted({pos for ci in el.restrictions for pos in faces_of_cell.get(ci, ())})
         for pos in near:
-            bad = _trace_mismatch(t, el.restrictions, k, shared[pos])
+            bad = _trace_mismatch(el.restrictions, k, shared[pos])
             if bad is not None:
                 return SingleValuedWitness(el, shared[pos], bad)
     return None

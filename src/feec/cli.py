@@ -11,11 +11,11 @@ import json
 import sys
 
 from .assemble import assemble_basis, verify_direct_sum, verify_single_valued
-from .extension import extend_full_generator, extend_minus_generator
+from .extension import extend_generator
 from .forms import FaceRef
 from .mesh import MeshFormatError, load
 from .render import format_form, format_generator
-from .spaces import Family, SpaceKind, dim_space, enumerate_basis
+from .spaces import Family, SpaceKind, dim_factors, dim_space, enumerate_basis
 from .verify import SUITES, max_degree, run_suites
 
 FORMATS = ("plain", "json", "latex")
@@ -28,18 +28,9 @@ def _family(value: str) -> Family:
         raise argparse.ArgumentTypeError(f"unknown family {value!r} (use full or minus)")
 
 
-def _formula(kind: SpaceKind, n: int, r: int, k: int) -> str:
-    if kind.family is Family.FULL and not kind.zero_trace:
-        return f"C({r + n},{n})*C({n},{k})"
-    if kind.family is Family.MINUS and not kind.zero_trace:
-        return f"C({r + k - 1},{k})*C({n + r},{n - k})"
-    if kind.family is Family.FULL:
-        return f"C({r - 1},{n - k})*C({r + k},{r})"
-    return f"C({n},{k})*C({r + k - 1},{n})"
-
-
 def dim_payload(family: Family, n: int, r: int, k: int, zero_trace: bool) -> dict:
     kind = SpaceKind(family, zero_trace)
+    (a, b), (c, d) = dim_factors(kind, n, r, k)
     return {
         "command": "dim",
         "family": family.value,
@@ -48,7 +39,7 @@ def dim_payload(family: Family, n: int, r: int, k: int, zero_trace: bool) -> dic
         "k": k,
         "zero_trace": zero_trace,
         "dim": dim_space(kind, n, r, k),
-        "formula": _formula(kind, n, r, k),
+        "formula": f"C({a},{b})*C({c},{d})",
     }
 
 
@@ -61,17 +52,12 @@ def basis_payload(family: Family, n: int, r: int, k: int) -> dict:
             continue
         gens = []
         for desc in enumerate_basis(zero_kind, face, r, k):
-            alpha = list(desc.alpha.entries)
-            sigma = list(desc.sigma.values)
-            if family is Family.MINUS:
-                w = extend_minus_generator(desc.alpha.entries, desc.sigma.values, T)
-            else:
-                w = extend_full_generator(desc.alpha.entries, desc.sigma.values, face, T)
+            w = extend_generator(family, desc.alpha, desc.sigma, face, T)
             gens.append(
                 {
-                    "alpha": alpha,
-                    "sigma": sigma,
-                    "generator": format_generator(desc.alpha.entries, desc.sigma.values, family.value),
+                    "alpha": list(desc.alpha),
+                    "sigma": list(desc.sigma),
+                    "generator": format_generator(desc.alpha, desc.sigma, family.value),
                     "expression": format_form(w),
                     "latex": format_form(w, "latex"),
                 }
@@ -106,13 +92,13 @@ def decompose_payload(mesh_path: str, family: Family, r: int, k: int) -> tuple[d
         # global vertex ids instead
         verts = el.face.vertices
         alpha_global = [0] * (max(verts) + 1)
-        for p, e in enumerate(el.descriptor.alpha.entries):
+        for p, e in enumerate(el.descriptor.alpha):
             alpha_global[verts[p]] = e
-        sigma_global = tuple(verts[s] for s in el.descriptor.sigma.values)
+        sigma_global = tuple(verts[s] for s in el.descriptor.sigma)
         current["generators"].append(
             {
-                "alpha": list(el.descriptor.alpha.entries),
-                "sigma": list(el.descriptor.sigma.values),
+                "alpha": list(el.descriptor.alpha),
+                "sigma": list(el.descriptor.sigma),
                 "generator": format_generator(tuple(alpha_global), sigma_global, family.value),
             }
         )

@@ -1,12 +1,10 @@
-"""Increasing integer maps and multi-indices.
+"""Binomial coefficients and multi-index enumeration.
 
 Every enumeration in the package (alternating-form components, subsimplices,
-Bernstein monomials) is labelled by one of two kinds of combinatorial data:
-
-* an *increasing map* sigma in Sigma(j:k, l:m), i.e. a strictly increasing
-  sequence of k-j+1 integers drawn from {l, ..., m}, and
-* a *multi-index* alpha in N_0^{0:n}, the exponent vector of a barycentric
-  monomial lambda^alpha.
+Bernstein monomials) is labelled by plain integer tuples: an increasing index
+sequence sigma, drawn with `itertools.combinations` in lexicographic order,
+and a multi-index alpha in N_0^{0:n}, the exponent vector of a barycentric
+monomial lambda^alpha, enumerated here.
 
 Enumeration orders fixed here are canonical for the whole package so that
 basis listings and table output are reproducible.
@@ -14,113 +12,12 @@ basis listings and table output are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 
 def binom(a: int, b: int) -> int:
     """Binomial coefficient C(a, b), zero outside 0 <= b <= a."""
     return comb(a, b) if 0 <= b <= a else 0
-
-
-@dataclass(frozen=True)
-class IncreasingMap:
-    """A strictly increasing map {domain_lo..domain_hi} -> {range_lo..range_hi}.
-
-    The domain offset matters: maps with domain starting at 0 index
-    subsimplices (and Whitney forms), maps with domain starting at 1 index
-    wedge products of coordinate differentials.  The two families are
-    exchanged by complementation.
-    """
-
-    domain_lo: int
-    range_lo: int
-    range_hi: int
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(a >= b for a, b in zip(self.values, self.values[1:])):
-            raise ValueError(f"values not strictly increasing: {self.values}")
-        if self.values and not (
-            self.range_lo <= self.values[0] and self.values[-1] <= self.range_hi
-        ):
-            raise ValueError(
-                f"values {self.values} leave range "
-                f"[{self.range_lo}, {self.range_hi}]"
-            )
-
-    @property
-    def domain_hi(self) -> int:
-        return self.domain_lo + len(self.values) - 1
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __call__(self, i: int) -> int:
-        return self.values[i - self.domain_lo]
-
-    @property
-    def support(self) -> frozenset[int]:
-        """The range of the map."""
-        return frozenset(self.values)
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Exponent vector alpha = (alpha_0, ..., alpha_n) of lambda^alpha."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.entries or any(e < 0 for e in self.entries):
-            raise ValueError(f"multi-index entries must be >= 0: {self.entries}")
-
-    @property
-    def degree(self) -> int:
-        return sum(self.entries)
-
-    @property
-    def support(self) -> frozenset[int]:
-        """Indices with positive exponent."""
-        return frozenset(i for i, e in enumerate(self.entries) if e > 0)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> int:
-        return self.entries[i]
-
-
-def enumerate_increasing(j: int, k: int, l: int, m: int) -> list[IncreasingMap]:
-    """All of Sigma(j:k, l:m) in lexicographic order of value sequences.
-
-    An empty domain (k < j) yields the single empty map; an oversized domain
-    (k - j > m - l) yields no maps at all.
-    """
-    if k < j:
-        return [IncreasingMap(j, l, m, ())]
-    if k - j > m - l:
-        return []
-    return [
-        IncreasingMap(j, l, m, values)
-        for values in combinations(range(l, m + 1), k - j + 1)
-    ]
-
-
-def complement(sigma: IncreasingMap, n: int) -> IncreasingMap:
-    """The complementary map sigma* with range {0..n} minus the range of sigma.
-
-    Maps with domain offset 0 complement to maps with offset 1 and vice
-    versa, so complementation is an involution across the two families.
-    """
-    if sigma.values and (sigma.values[0] < 0 or sigma.values[-1] > n):
-        raise ValueError(f"values {sigma.values} not within [0, {n}]")
-    if sigma.domain_lo not in (0, 1):
-        raise ValueError(f"complement defined for domain offsets 0 and 1, got {sigma.domain_lo}")
-    used = set(sigma.values)
-    rest = tuple(i for i in range(n + 1) if i not in used)
-    return IncreasingMap(1 - sigma.domain_lo, 0, n, rest)
 
 
 def multiindices(n: int, r: int) -> list[tuple[int, ...]]:
@@ -137,13 +34,3 @@ def multiindices(n: int, r: int) -> list[tuple[int, ...]]:
     for e in range(r, -1, -1):
         out.extend((e,) + rest for rest in multiindices(n - 1, r - e))
     return out
-
-
-def enumerate_multiindices(n: int, r: int) -> list[MultiIndex]:
-    """All multi-indices over 0..n of total degree exactly r."""
-    return [MultiIndex(t) for t in multiindices(n, r)]
-
-
-def joint_support(alpha: MultiIndex, sigma: IncreasingMap) -> frozenset[int]:
-    """Union of the supports of a multi-index and an increasing map."""
-    return alpha.support | sigma.support

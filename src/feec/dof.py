@@ -35,11 +35,6 @@ class DofFunctional:
     weight: PolyForm
 
 
-def integrate_top_form(w: PolyForm) -> Fraction:
-    """Exact integral of a top-order form over its reference face."""
-    return integral_over_face(w)
-
-
 def weight_space(family: Family, d: int, r: int, k: int) -> tuple[SpaceKind, int, int]:
     """(kind, degree, order) of the weights attached to a d-face."""
     if family is Family.FULL:
@@ -122,10 +117,3 @@ def dual_extend(
             out = out + c * b
     return out
 
-
-def dof_counts_by_dimension(family: Family, n: int, r: int, k: int) -> dict[int, int]:
-    """Number of functionals attached to each face dimension."""
-    counts: dict[int, int] = {}
-    for dof in build_dofs(family, n, r, k):
-        counts[dof.face.dim] = counts.get(dof.face.dim, 0) + 1
-    return counts

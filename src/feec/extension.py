@@ -25,13 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 
 from .combinat import multiindices
 from . import linalg
 from .forms import FaceRef, PolyForm, bary_monomial, canonicalize, dlambda, psi_form, whitney
 from .spaces import (
     Family,
-    GeneratorDescriptor,
     SpaceKind,
     coefficient_vectors,
     dim_space,
@@ -137,16 +137,16 @@ def naive_full_generator(alpha: tuple[int, ...], sigma: tuple[int, ...], g: Face
     return mono if not s else mono.wedge(dlambda(g.dim, s))
 
 
-def _extend_descriptor(fam: ExtensionFamily, desc: GeneratorDescriptor, f: FaceRef, g: FaceRef) -> PolyForm:
-    alpha, sigma = desc.alpha.entries, desc.sigma.values
-    if fam.kind is FamilyKind.MINUS_BARYCENTRIC:
+def extend_generator(
+    family: Family, alpha: tuple[int, ...], sigma: tuple[int, ...], f: FaceRef, g: FaceRef
+) -> PolyForm:
+    """The family's generator on f with global indices alpha, sigma, extended to g.
+
+    For 0-forms of the full family this is the Bernstein monomial map.
+    """
+    if family is Family.MINUS:
         return extend_minus_generator(alpha, sigma, g)
-    if fam.kind is FamilyKind.FULL_PSI:
-        return extend_full_generator(alpha, sigma, f, g)
-    if fam.kind is FamilyKind.BERNSTEIN_0FORM:
-        a, _ = _global_to_target(alpha, (), g)
-        return bary_monomial(g.dim, a)
-    raise ValueError(f"{fam.kind} has no generator-level extension")
+    return extend_full_generator(alpha, sigma, f, g)
 
 
 # -- form-level extension -------------------------------------------------------
@@ -169,7 +169,7 @@ def _extend_by_basis(
     out = PolyForm.zero(g.dim, k)
     for c, desc in zip(coords, enumerate_basis(kind, f, r, k)):
         if c:
-            out = out + c * _extend_descriptor(fam, desc, f, g)
+            out = out + c * extend_generator(fam.space_family, desc.alpha, desc.sigma, f, g)
     return out
 
 
@@ -233,6 +233,7 @@ def check_consistency(fam: ExtensionFamily, h: FaceRef) -> ConsistencyResult:
     top = FaceRef.full(h.dim)
     faces = top.all_subfaces()
     kind = fam.space_kind
+    family = fam.space_family
     descriptor_level = fam.kind in (
         FamilyKind.MINUS_BARYCENTRIC,
         FamilyKind.FULL_PSI,
@@ -244,13 +245,13 @@ def check_consistency(fam: ExtensionFamily, h: FaceRef) -> ConsistencyResult:
             fg = f.intersect(g)
             for desc in basis:
                 if descriptor_level:
-                    lhs = _extend_descriptor(fam, desc, f, top).trace(g)
-                    support = desc.alpha.support | desc.sigma.support
+                    lhs = extend_generator(family, desc.alpha, desc.sigma, f, top).trace(g)
+                    support = {i for i, e in enumerate(desc.alpha) if e} | set(desc.sigma)
                     # the restricted generator survives only when the whole
                     # index support fits and the order does not exceed the
                     # intersection dimension
                     if fg is not None and support <= set(fg.indices) and fam.k <= fg.dim:
-                        rhs = _extend_descriptor(fam, desc, fg, g)
+                        rhs = extend_generator(family, desc.alpha, desc.sigma, fg, g)
                     else:
                         rhs = PolyForm.zero(g.dim, fam.k)
                 else:
@@ -301,9 +302,7 @@ def _constant_contraction_rows(
     n = w.n
     k = w.k
     values: list[Fraction] = []
-    out_keys = sorted(
-        tuple(s) for s in _increasing_tuples(k - 1, n)
-    )
+    out_keys = list(combinations(range(1, n + 1), k - 1))
     for l in face.complement_indices:
         for alpha_local in multiindices(face.dim, r):
             alpha = [0] * (n + 1)
@@ -326,14 +325,6 @@ def _constant_contraction_rows(
             contracted = slice_form.contract(alpha, l)
             values.extend(contracted.coeffs.get(((0,) * (n + 1), key), Fraction(0)) for key in out_keys)
     return values
-
-
-def _increasing_tuples(k: int, n: int):
-    from itertools import combinations
-
-    if k < 0:
-        return []
-    return list(combinations(range(1, n + 1), k))
 
 
 def vanishing_order_check(w: PolyForm, face: FaceRef, r: int) -> VanishingOrder:
@@ -373,7 +364,7 @@ def characterization_equality(family: Family, face: FaceRef, r: int, k: int) -> 
     kind = SpaceKind(family)
     big_forms = [realize(d).lift(r) for d in enumerate_basis(kind, T, r, k)]
     keep = set(face.indices)
-    sigmas = _increasing_tuples(k, n)
+    sigmas = list(combinations(range(1, n + 1), k))
     bad_keys = [
         (tuple(a), s)
         for a in multiindices(n, r)
@@ -393,10 +384,7 @@ def characterization_equality(family: Family, face: FaceRef, r: int, k: int) -> 
         return False
     extended = []
     for desc in enumerate_basis(kind, face, r, k):
-        if family is Family.FULL:
-            w = extend_full_generator(desc.alpha.entries, desc.sigma.values, face, T)
-        else:
-            w = extend_minus_generator(desc.alpha.entries, desc.sigma.values, T)
+        w = extend_generator(family, desc.alpha, desc.sigma, face, T)
         level = vanishing_order_check(w, face, r)
         if level is VanishingOrder.NEITHER:
             return False

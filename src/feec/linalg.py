@@ -15,8 +15,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-Rational = Fraction
-
 
 def _primitive(row: Mapping[int, Fraction | int]) -> dict[int, int]:
     """The row scaled to coprime integers, with its zero entries dropped."""

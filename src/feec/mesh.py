@@ -17,7 +17,7 @@ Ids are base-10 non-negative integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
 
 from .forms import FaceRef
 
@@ -67,22 +67,33 @@ class Triangulation:
                 raise ValueError(f"cell {cell} appears twice")
             seen.add(cell)
 
+    @cached_property
+    def _lattice(self) -> tuple[tuple[GlobalFace, ...], ...]:
+        """The j-faces for j = 0..n, each level ordered by vertex tuple.
+
+        Built once per triangulation; incidence lists follow cell order.
+        """
+        found: list[dict[tuple[int, ...], list[tuple[int, FaceRef]]]] = [
+            {} for _ in range(self.n + 1)
+        ]
+        local = FaceRef.full(self.n).all_subfaces()
+        for ci, cell in enumerate(self.cells):
+            for fr in local:
+                key = tuple(cell[v] for v in fr.indices)
+                found[fr.dim].setdefault(key, []).append((ci, fr))
+        return tuple(
+            tuple(GlobalFace(key, tuple(level[key])) for key in sorted(level)) for level in found
+        )
+
     def faces(self, j: int) -> list[GlobalFace]:
         """All distinct j-faces with incidence data, ordered by vertex tuple."""
         if j < 0 or j > self.n:
             raise ValueError(f"face dimension {j} outside 0..{self.n}")
-        found: dict[tuple[int, ...], list[tuple[int, FaceRef]]] = {}
-        for ci, cell in enumerate(self.cells):
-            for verts in combinations(range(self.n + 1), j + 1):
-                key = tuple(cell[v] for v in verts)
-                found.setdefault(key, []).append((ci, FaceRef(self.n, verts)))
-        return [
-            GlobalFace(key, tuple(found[key])) for key in sorted(found)
-        ]
+        return list(self._lattice[j])
 
     def all_faces(self) -> list[GlobalFace]:
         """The whole face lattice, by increasing dimension then vertex tuple."""
-        return [f for j in range(self.n + 1) for f in self.faces(j)]
+        return [f for level in self._lattice for f in level]
 
 
 def loads(text: str) -> Triangulation:

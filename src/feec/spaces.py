@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 
-from .combinat import IncreasingMap, MultiIndex, binom, multiindices
+from .combinat import binom, multiindices
 from . import linalg
 from .forms import FaceRef, PolyForm, bary_monomial, dlambda, whitney
 
@@ -42,32 +43,33 @@ MINUS_ZERO = SpaceKind(Family.MINUS, zero_trace=True)
 class GeneratorDescriptor:
     """A basis/spanning generator lambda^alpha d lambda_sigma or lambda^alpha phi_sigma.
 
-    Indices are global with respect to the parent simplex of `face`; the
-    realized form lives in the face's own coordinates.
+    `alpha` is the exponent tuple over all vertices of the parent simplex of
+    `face` and `sigma` the increasing tuple of vertex indices, both global;
+    the realized form lives in the face's own coordinates.
     """
 
-    alpha: MultiIndex
-    sigma: IncreasingMap
+    alpha: tuple[int, ...]
+    sigma: tuple[int, ...]
     family: Family
     face: FaceRef
+
+
+def dim_factors(kind: SpaceKind, n: int, r: int, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The binomial pairs (a, b), (c, d) of the dimension formula C(a, b) * C(c, d)."""
+    if kind.family is Family.FULL:
+        return ((r - 1, n - k), (r + k, r)) if kind.zero_trace else ((r + n, n), (n, k))
+    return ((n, k), (r + k - 1, n)) if kind.zero_trace else ((r + k - 1, k), (n + r, n - k))
 
 
 def dim_space(kind: SpaceKind, n: int, r: int, k: int) -> int:
     """Dimension of the space on an n-simplex; out-of-range degrees give 0."""
     if k < 0 or k > n or n < 0:
         return 0
-    if kind.family is Family.FULL and not kind.zero_trace:
-        return binom(r + n, n) * binom(n, k) if r >= 0 else 0
-    if kind.family is Family.MINUS and not kind.zero_trace:
-        return binom(r + k - 1, k) * binom(n + r, n - k) if r >= 1 else 0
-    if kind.family is Family.FULL:
-        if r < 0:
-            return 0
-        if r == 0:
-            # constants: only the volume form has (vacuously) vanishing trace
-            return 1 if k == n else 0
-        return binom(r - 1, n - k) * binom(r + k, r)
-    return binom(n, k) * binom(r + k - 1, n) if r >= 1 else 0
+    if kind == FULL_ZERO and r == 0:
+        # constants: only the volume form has (vacuously) vanishing trace
+        return 1 if k == n else 0
+    (a, b), (c, d) = dim_factors(kind, n, r, k)
+    return binom(a, b) * binom(c, d)
 
 
 def _sigma_descriptors(kind: SpaceKind, face: FaceRef, k: int) -> list[tuple[int, ...]]:
@@ -76,8 +78,6 @@ def _sigma_descriptors(kind: SpaceKind, face: FaceRef, k: int) -> list[tuple[int
         return [()]
     if arity > face.dim + 1:
         return []
-    from itertools import combinations
-
     return list(combinations(face.indices, arity))
 
 
@@ -100,7 +100,6 @@ def _enumerate(
     mono_deg = r - 1 if kind.family is Family.MINUS else r
     if mono_deg < 0:
         return []
-    domain_lo = 0 if kind.family is Family.MINUS else 1
     iface = set(face.indices)
     out: list[GeneratorDescriptor] = []
     for sigma in _sigma_descriptors(kind, face, k):
@@ -117,14 +116,7 @@ def _enumerate(
                 continue
             if basis_only and not _basis_condition(kind, face, tuple(alpha), sigma):
                 continue
-            out.append(
-                GeneratorDescriptor(
-                    MultiIndex(tuple(alpha)),
-                    IncreasingMap(domain_lo, 0, n, sigma),
-                    kind.family,
-                    face,
-                )
-            )
+            out.append(GeneratorDescriptor(tuple(alpha), sigma, kind.family, face))
     return out
 
 
@@ -147,8 +139,8 @@ def realize(g: GeneratorDescriptor) -> PolyForm:
     """The generator as a canonical form in its face's own coordinates."""
     face = g.face
     m = face.dim
-    local_alpha = tuple(g.alpha.entries[i] for i in face.indices)
-    local_sigma = tuple(face.position(s) for s in g.sigma.values)
+    local_alpha = tuple(g.alpha[i] for i in face.indices)
+    local_sigma = tuple(face.position(s) for s in g.sigma)
     mono = bary_monomial(m, local_alpha)
     if g.family is Family.MINUS:
         return mono.wedge(whitney(m, local_sigma))

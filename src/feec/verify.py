@@ -11,11 +11,12 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from . import linalg
 from .assemble import assemble_basis, verify_direct_sum, verify_single_valued
-from .combinat import binom, enumerate_increasing
+from .combinat import binom, multiindices
 from .dof import build_dofs, pairing_matrix, weight_space
 from .extension import (
     ExtensionFamily,
@@ -29,6 +30,10 @@ from .extension import (
 from .forms import FaceRef, PolyForm, bary_monomial, canonicalize, dlambda, whitney
 from .mesh import Triangulation, from_cells
 from .spaces import (
+    FULL,
+    FULL_ZERO,
+    MINUS,
+    MINUS_ZERO,
     Family,
     SpaceKind,
     basis_forms,
@@ -39,12 +44,7 @@ from .spaces import (
     realize,
 )
 
-ALL_KINDS = (
-    SpaceKind(Family.FULL),
-    SpaceKind(Family.MINUS),
-    SpaceKind(Family.FULL, True),
-    SpaceKind(Family.MINUS, True),
-)
+ALL_KINDS = (FULL, MINUS, FULL_ZERO, MINUS_ZERO)
 
 
 @dataclass
@@ -75,15 +75,16 @@ def _kind_name(kind: SpaceKind) -> str:
 def max_degree() -> int:
     """The dimension suite's degree bound: FEEC_MAX_DEGREE, or 6 when unset.
 
-    Raises ValueError unless the setting is an integer of at least 1.
+    Raises ValueError unless the setting is an integer from 1 to 12; the
+    suite's cost grows steeply with the bound.
     """
     raw = os.environ.get("FEEC_MAX_DEGREE", "6")
     try:
         value = int(raw)
     except ValueError:
         value = 0
-    if value < 1:
-        raise ValueError(f"FEEC_MAX_DEGREE must be an integer >= 1, got {raw!r}")
+    if not 1 <= value <= 12:
+        raise ValueError(f"FEEC_MAX_DEGREE must be an integer from 1 to 12, got {raw!r}")
     return value
 
 
@@ -95,8 +96,8 @@ def suite_dims(max_n: int = 4, max_r: int = 3) -> Iterator[CheckResult]:
         for r in range(1, r_top + 1):
             bad = ""
             for k in range(n + 1):
-                full = dim_space(SpaceKind(Family.FULL), n, r, k)
-                minus = dim_space(SpaceKind(Family.MINUS), n, r, k)
+                full = dim_space(FULL, n, r, k)
+                minus = dim_space(MINUS, n, r, k)
                 if full != binom(r + n, n) * binom(n, k):
                     bad = f"full dimension off at k={k}"
                 if minus != binom(r + k - 1, k) * binom(n + r, n - k):
@@ -191,8 +192,7 @@ def suite_whitney(max_n: int = 4) -> Iterator[CheckResult]:
     for n in range(2, max_n + 1):
         bad = ""
         for k in range(1, n + 1):
-            for sigma in enumerate_increasing(0, k, 0, n):
-                vals = sigma.values
+            for vals in combinations(range(n + 1), k + 1):
                 total = PolyForm.zero(n, k - 1)
                 for j in range(k + 1):
                     lam = bary_monomial(n, tuple(1 if i == vals[j] else 0 for i in range(n + 1)))
@@ -200,8 +200,7 @@ def suite_whitney(max_n: int = 4) -> Iterator[CheckResult]:
                 if not total.is_zero:
                     bad = f"alternating sum nonzero for {vals}"
         for k in range(0, n):
-            for sigma in enumerate_increasing(0, k, 0, n):
-                vals = sigma.values
+            for vals in combinations(range(n + 1), k + 1):
                 dls = dlambda(n, vals)
                 total = PolyForm.zero(n, k + 1)
                 for j in range(n + 1):
@@ -305,13 +304,9 @@ def suite_dof(max_n: int = 3, max_r: int = 3) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
         for r in range(1, max_r + 1):
             for k in range(n + 1):
-                if dim_space(SpaceKind(Family.FULL, True), n, r, k) != dim_space(
-                    SpaceKind(Family.MINUS), n, r + k - n, n - k
-                ):
+                if dim_space(FULL_ZERO, n, r, k) != dim_space(MINUS, n, r + k - n, n - k):
                     bad = f"full/reduced duality dims n={n} r={r} k={k}"
-                if dim_space(SpaceKind(Family.MINUS, True), n, r, k) != dim_space(
-                    SpaceKind(Family.FULL), n, r + k - n - 1, n - k
-                ):
+                if dim_space(MINUS_ZERO, n, r, k) != dim_space(FULL, n, r + k - n - 1, n - k):
                     bad = f"reduced/full duality dims n={n} r={r} k={k}"
     yield CheckResult("dof", "duality dimensions", not bad, bad)
 
@@ -353,8 +348,6 @@ def suite_bernstein(max_r: int = 4) -> Iterator[CheckResult]:
         for r in range(1, max_r + 1):
             elements = assemble_basis(mesh, Family.FULL, r, 0)
             expected: dict[tuple[int, ...], list[PolyForm]] = {}
-            from .combinat import multiindices
-
             for alpha in multiindices(n, r):
                 support = tuple(i for i, e in enumerate(alpha) if e)
                 expected.setdefault(support, []).append(bary_monomial(n, alpha))
@@ -414,7 +407,9 @@ def run_suites(
             kwargs = dict(max_n=min(max_n, 4), max_r=min(max_r, 4), samples=samples)
         elif name == "whitney":
             kwargs = dict(max_n=min(max_n + 1, 4))
-        elif name in ("consistency", "decomposition"):
+        elif name == "consistency":
+            kwargs = dict(max_r=min(max_r, 3), dual_r=min(max_r, 2))
+        elif name == "decomposition":
             kwargs = dict(max_r=min(max_r, 3))
         elif name in ("dof", "characterization"):
             kwargs = dict(max_n=min(max_n, 3), max_r=min(max_r, 3))

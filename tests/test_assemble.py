@@ -85,7 +85,8 @@ def test_first_witness_matches_exhaustive_scan():
             for j in range(k, t.n):
                 for face in t.faces(j):
                     traces = [
-                        el.restriction(ci, t.n, k).trace(fr) for ci, fr in face.incidence
+                        el.restrictions.get(ci, PolyForm.zero(t.n, k)).trace(fr)
+                        for ci, fr in face.incidence
                     ]
                     if any(tr != traces[0] for tr in traces[1:]):
                         return el, face

@@ -139,13 +139,30 @@ def test_verify_selected_suite(capsys):
     assert all(r["passed"] for r in payload["results"])
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", "", "13", "1000000"])
 def test_verify_rejects_bad_max_degree(monkeypatch, capsys, value):
     monkeypatch.setenv("FEEC_MAX_DEGREE", value)
     code, out, err = run_cli(capsys, "verify", "--suite", "dims", "-n", "1", "-r", "1")
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "FEEC_MAX_DEGREE" in err
+
+
+def test_verify_accepts_max_degree_cap(monkeypatch, capsys):
+    monkeypatch.setenv("FEEC_MAX_DEGREE", "12")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "dims", "-n", "1", "-r", "1")
+    assert code == 0
+    assert "n=1 r=12" in out and "n=1 r=13" not in out
+
+
+def test_verify_consistency_honors_r(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "consistency", "-n", "1", "-r", "1", "--format", "json"
+    )
+    assert code == 0
+    labels = [res["case"] for res in json.loads(out)["results"]]
+    assert "dual-full r=1 k=0" in labels and "naive control fails" in labels
+    assert not any("r=2" in label for label in labels)
 
 
 def test_verify_output_is_deterministic(capsys):

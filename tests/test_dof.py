@@ -1,4 +1,4 @@
-from fractions import Fraction
+from collections import Counter
 
 import pytest
 
@@ -7,14 +7,12 @@ from feec.dof import (
     DofFunctional,
     apply_dof,
     build_dofs,
-    dof_counts_by_dimension,
     dual_extend,
-    integrate_top_form,
     pairing_matrix,
     weight_space,
 )
 from feec.extension import extend_bernstein, extend_minus, extend_minus_generator
-from feec.forms import FaceRef, PolyForm, bary_monomial, dlambda, whitney
+from feec.forms import FaceRef, PolyForm, bary_monomial, whitney
 from feec.spaces import (
     Family,
     SpaceKind,
@@ -23,31 +21,21 @@ from feec.spaces import (
     enumerate_basis,
 )
 
-Q = Fraction
 
-
-def test_integrate_top_form_examples():
-    assert integrate_top_form(bary_monomial(1, (1, 1)).wedge(dlambda(1, (1,)))) == Q(1, 6)
-    assert integrate_top_form(dlambda(1, (1,))) == Q(1)
-    assert integrate_top_form(dlambda(2, (1, 2))) == Q(1, 2)
-    with pytest.raises(ValueError):
-        integrate_top_form(dlambda(2, (1,)))
+def dof_counts(family, n, r, k):
+    return Counter(d.face.dim for d in build_dofs(family, n, r, k))
 
 
 def test_build_dofs_counts_low_order():
     dofs = build_dofs(Family.FULL, 2, 1, 1)
-    counts = dof_counts_by_dimension(Family.FULL, 2, 1, 1)
-    assert counts == {1: 6}
+    assert dof_counts(Family.FULL, 2, 1, 1) == {1: 6}
     assert len(dofs) == dim_space(SpaceKind(Family.FULL), 2, 1, 1) == 6
-    counts = dof_counts_by_dimension(Family.MINUS, 2, 1, 1)
-    assert counts == {1: 3}
+    assert dof_counts(Family.MINUS, 2, 1, 1) == {1: 3}
 
 
 def test_build_dofs_top_order_is_interior():
-    counts = dof_counts_by_dimension(Family.FULL, 2, 2, 2)
-    assert set(counts) == {2}
-    counts = dof_counts_by_dimension(Family.MINUS, 3, 2, 3)
-    assert set(counts) == {3}
+    assert set(dof_counts(Family.FULL, 2, 2, 2)) == {2}
+    assert set(dof_counts(Family.MINUS, 3, 2, 3)) == {3}
 
 
 def test_dof_totals_and_group_sizes():
@@ -129,7 +117,7 @@ def test_block_triangularity():
         if face.dim < k:
             continue
         for desc in enumerate_basis(zero_kind, face, r, k):
-            w = extend_minus_generator(desc.alpha.entries, desc.sigma.values, T)
+            w = extend_minus_generator(desc.alpha, desc.sigma, T)
             for dof in dofs:
                 if not dof.face.contains(face):
                     assert apply_dof(dof, w) == 0

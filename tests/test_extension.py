@@ -13,6 +13,7 @@ from feec.extension import (
     extend_bernstein,
     extend_full,
     extend_full_generator,
+    extend_generator,
     extend_minus,
     extend_minus_generator,
     extend_naive,
@@ -94,11 +95,11 @@ def test_extension_trace_roundtrip_sweep():
             for r in (1, 2):
                 for k in range(0, face.dim + 1):
                     for desc in enumerate_basis(SpaceKind(Family.MINUS), face, r, k):
-                        w = extend_minus_generator(desc.alpha.entries, desc.sigma.values, T)
+                        w = extend_minus_generator(desc.alpha, desc.sigma, T)
                         assert w.trace(face) == realize(desc)
                     for desc in enumerate_basis(SpaceKind(Family.FULL), face, r, k):
                         w = extend_full_generator(
-                            desc.alpha.entries, desc.sigma.values, face, T
+                            desc.alpha, desc.sigma, face, T
                         )
                         assert w.trace(face) == realize(desc)
 
@@ -111,10 +112,7 @@ def test_extended_zero_trace_forms_vanish_on_unrelated_faces():
         for f in T.all_subfaces():
             for k in range(1, f.dim + 1):
                 for desc in enumerate_basis(kind, f, 2, k):
-                    if family is Family.MINUS:
-                        w = extend_minus_generator(desc.alpha.entries, desc.sigma.values, T)
-                    else:
-                        w = extend_full_generator(desc.alpha.entries, desc.sigma.values, f, T)
+                    w = extend_generator(family, desc.alpha, desc.sigma, f, T)
                     for g in T.all_subfaces():
                         if not g.contains(f):
                             assert w.trace(g).is_zero

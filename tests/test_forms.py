@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import pytest
 
-from feec.combinat import enumerate_increasing, multiindices
+from feec.combinat import multiindices
 from feec.forms import (
     FaceRef,
     PolyForm,
@@ -200,11 +201,11 @@ def test_whitney_examples():
 def test_whitney_trace_characterization():
     for n in (2, 3):
         for k in range(n + 1):
-            for sigma in enumerate_increasing(0, k, 0, n):
-                w = whitney(n, sigma.values)
+            for sigma in combinations(range(n + 1), k + 1):
+                w = whitney(n, sigma)
                 for face in FaceRef.full(n).subfaces(k):
                     tr = w.trace(face)
-                    if face.indices == sigma.values:
+                    if face.indices == sigma:
                         assert tr == dlambda(k, tuple(range(1, k + 1)))
                     else:
                         assert tr.is_zero
@@ -214,8 +215,7 @@ def test_whitney_identity_and_partition():
     # alternating-sum identity over subsimplex boundaries
     for n in (2, 3, 4):
         for k in range(1, n + 1):
-            for sigma in enumerate_increasing(0, k, 0, n):
-                vals = sigma.values
+            for vals in combinations(range(n + 1), k + 1):
                 total = PolyForm.zero(n, k - 1)
                 for j in range(k + 1):
                     rest = vals[:j] + vals[j + 1 :]
@@ -227,8 +227,7 @@ def test_whitney_identity_and_partition():
 def test_partition_identity_sums_to_differential():
     for n in (2, 3, 4):
         for k in range(0, n):
-            for sigma in enumerate_increasing(0, k, 0, n):
-                vals = sigma.values
+            for vals in combinations(range(n + 1), k + 1):
                 dls = dlambda(n, vals)
                 total = PolyForm.zero(n, k + 1)
                 for j in range(n + 1):
@@ -245,9 +244,9 @@ def test_koszul_whitney_identity():
     # its constant part at the origin vertex
     for n in (2, 3, 4):
         for k in range(0, n):
-            for sigma in enumerate_increasing(0, k, 0, n):
-                dls = dlambda(n, sigma.values)
-                w = whitney(n, sigma.values)
+            for sigma in combinations(range(n + 1), k + 1):
+                dls = dlambda(n, sigma)
+                w = whitney(n, sigma)
                 assert dls.koszul() == w - w.eval_at_vertex(0)
 
 
@@ -290,11 +289,9 @@ def test_psi_trace_recovers_face_differential():
                     for p, e in zip(face.indices, alpha_local):
                         alpha[p] = e
                     for k in range(1, face.dim + 1):
-                        for sigma in enumerate_increasing(1, k, 0, n):
-                            if not sigma.support <= set(face.indices):
-                                continue
-                            w = psi_form(tuple(alpha), face, sigma.values)
-                            local = tuple(face.position(s) for s in sigma.values)
+                        for sigma in combinations(face.indices, k):
+                            w = psi_form(tuple(alpha), face, sigma)
+                            local = tuple(face.position(s) for s in sigma)
                             assert w.trace(face) == dlambda(face.dim, local)
 
 

@@ -47,6 +47,25 @@ def test_fan_incidence_counts():
     assert len(vertex0.incidence) == 3
 
 
+def test_lattice_is_built_once_in_cell_order():
+    # cells listed out of vertex order: incidence must follow the cell list
+    t = from_cells(2, [(1, 2, 3), (0, 2, 3), (0, 1, 2)])
+    levels = [t.faces(j) for j in range(3)]
+    assert t.all_faces() == [f for level in levels for f in level]
+    for level in levels:
+        assert [f.vertices for f in level] == sorted(f.vertices for f in level)
+        for face in level:
+            cells = [ci for ci, _ in face.incidence]
+            assert cells == sorted(cells)
+    assert [ci for ci, _ in next(f for f in levels[0] if f.vertices == (2,)).incidence] == [0, 1, 2]
+    # one lattice per triangulation: later calls share the same face objects,
+    # and a caller editing its list does not change the mesh
+    assert [len(level) for level in levels] == [4, 6, 3]
+    levels[1].clear()
+    assert all(a is b for a, b in zip(t.faces(0), levels[0]))
+    assert len(t.faces(1)) == 6
+
+
 def test_face_count_bound():
     t = loads(TWO_TRIANGLES)
     for j in range(3):
