@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterator
 
 from . import linalg
@@ -41,15 +42,22 @@ class GlobalBasisElement:
     restrictions: dict[int, PolyForm]
 
 
+@cache
 def _cell_generator(
-    family: Family, desc: GeneratorDescriptor, fr: FaceRef, n: int
+    family: Family, alpha: tuple[int, ...], sigma: tuple[int, ...], fr: FaceRef
 ) -> PolyForm:
-    """Extend a face-local generator into the cell holding the face at fr."""
-    alpha = [0] * (n + 1)
-    for p, e in enumerate(desc.alpha):
-        alpha[fr.indices[p]] = e
-    sigma = tuple(fr.indices[s] for s in desc.sigma)
-    return extend_generator(family, tuple(alpha), sigma, fr, FaceRef.full(n))
+    """Extend a face-local generator into the cell holding the face at fr.
+
+    The result depends only on the face-local labels and the local face, so
+    it is built once per process and shared by every mesh face and cell
+    that asks for it; callers must not mutate it.
+    """
+    n = fr.n
+    cell_alpha = [0] * (n + 1)
+    for p, e in enumerate(alpha):
+        cell_alpha[fr.indices[p]] = e
+    cell_sigma = tuple(fr.indices[s] for s in sigma)
+    return extend_generator(family, tuple(cell_alpha), cell_sigma, fr, FaceRef.full(n))
 
 
 def assemble_basis(t: Triangulation, family: Family, r: int, k: int) -> list[GlobalBasisElement]:
@@ -59,14 +67,17 @@ def assemble_basis(t: Triangulation, family: Family, r: int, k: int) -> list[Glo
     if k < 0 or k > t.n:
         raise ValueError(f"form order {k} outside 0..{t.n}")
     zero_kind = SpaceKind(family, zero_trace=True)
+    descriptors = {
+        j: enumerate_basis(zero_kind, FaceRef.full(j), r, k) for j in range(k, t.n + 1)
+    }
     out: list[GlobalBasisElement] = []
     for face in t.all_faces():
         if face.dim < k:
             continue
-        local = FaceRef.full(face.dim)
-        for desc in enumerate_basis(zero_kind, local, r, k):
+        for desc in descriptors[face.dim]:
             restrictions = {
-                ci: _cell_generator(family, desc, fr, t.n) for ci, fr in face.incidence
+                ci: _cell_generator(family, desc.alpha, desc.sigma, fr)
+                for ci, fr in face.incidence
             }
             out.append(GlobalBasisElement(face, desc, restrictions))
     return out
@@ -228,6 +239,8 @@ def decompose(
     current = {ci: piecewise.get(ci, PolyForm.zero(n, k)) for ci in range(len(t.cells))}
     components: dict[tuple[int, ...], PolyForm] = {}
     for j in range(k, n + 1):
+        local = FaceRef.full(j)
+        descriptors = enumerate_basis(zero_kind, local, r, k)
         for face in t.faces(j):
             c0, fr0 = face.incidence[0]
             mu = current[c0].trace(fr0)
@@ -236,19 +249,17 @@ def decompose(
                     raise ValueError(f"traces on face {face.vertices} are not single-valued")
             if mu.is_zero:
                 continue
-            local = FaceRef.full(face.dim)
             coords = membership(mu, zero_kind, local, r, k)
             if coords is None:
                 raise ValueError(
                     f"trace on face {face.vertices} leaves the zero-trace subspace"
                 )
             components[face.vertices] = mu
-            descriptors = enumerate_basis(zero_kind, local, r, k)
             for ci, fri in face.incidence:
                 piece = PolyForm.zero(n, k)
                 for c, desc in zip(coords, descriptors):
                     if c:
-                        piece = piece + c * _cell_generator(family, desc, fri, n)
+                        piece = piece + c * _cell_generator(family, desc.alpha, desc.sigma, fri)
                 current[ci] = current[ci] - piece
     for ci, w in current.items():
         if not w.is_zero:

@@ -233,6 +233,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "dim":
         if not (0 <= args.k <= args.n):
             parser.error(f"need 0 <= k <= n, got k={args.k} n={args.n}")
+        if args.r < 0:
+            parser.error(f"need r >= 0, got r={args.r}")
         payload = dim_payload(args.family, args.n, args.r, args.k, args.zero_trace)
         print(render_dim(payload, args.format))
         return 0

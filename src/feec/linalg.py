@@ -80,6 +80,11 @@ def rank_sparse(rows: Iterable[Mapping[int, Fraction | int]]) -> int:
     return len(_echelon(rows))
 
 
+def pivot_columns(rows: Iterable[Mapping[int, Fraction | int]]) -> list[int]:
+    """The lowest-index independent set of columns of the sparse rows, ascending."""
+    return sorted(_echelon(rows))
+
+
 def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
     """Rank of the matrix given as a sequence of rows."""
     return rank_sparse(_sparse(row) for row in rows)
@@ -96,15 +101,6 @@ def solve(rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int
     if ncols in pivots:
         return None
     return [xs[0] for xs in _back_substitute(pivots, ncols, [ncols])]
-
-
-def solve_columns(columns: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]) -> list[Fraction] | None:
-    """Solve for coefficients expressing rhs in the span of the given columns."""
-    if not columns:
-        return [] if not any(rhs) else None
-    nrows = len(columns[0])
-    rows = [[col[i] for col in columns] for i in range(nrows)]
-    return solve(rows, rhs)
 
 
 def nonsingular(rows: Sequence[Sequence[Fraction | int]]) -> bool:

@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .combinat import binom, multiindices
 from . import linalg
-from .forms import FaceRef, PolyForm, bary_monomial, dlambda, whitney
+from .forms import FaceRef, Key, PolyForm, bary_monomial, dlambda, whitney
 
 
 class Family(str, Enum):
@@ -178,19 +179,55 @@ def rank_of(forms: list[PolyForm]) -> int:
     return linalg.rank(rows)
 
 
+@cache
+def _basis_table(
+    kind: SpaceKind, m: int, r: int, k: int, degree: int
+) -> tuple[list[PolyForm], list[Key], list[list[Fraction]]]:
+    """The basis on an m-face stored at `degree`, its pivot keys, and its inverse there.
+
+    The realized basis depends only on the face dimension, not on where the
+    face sits: generators and the basis condition are stated in vertex order,
+    which the face's own coordinates keep.  The pivot keys are the
+    lowest-index independent key columns, so the basis restricted to them is
+    square and nonsingular.  Built once per process for each argument tuple.
+    """
+    basis = [b.lift(degree) for b in basis_forms(kind, FaceRef.full(m), r, k)]
+    keys = sorted(set().union(*(b.coeffs for b in basis)))
+    column = {key: i for i, key in enumerate(keys)}
+    pivots = linalg.pivot_columns({column[key]: c for key, c in b.coeffs.items()} for b in basis)
+    pivot_keys = [keys[p] for p in pivots]
+    inverse = None
+    if len(pivot_keys) == len(basis):
+        inverse = linalg.inverse([[b.coeffs.get(key, 0) for b in basis] for key in pivot_keys])
+    if inverse is None:
+        raise ArithmeticError(f"dependent basis for {kind} r={r} k={k} on dim {m}")
+    return basis, pivot_keys, inverse
+
+
 def membership(
     w: PolyForm, kind: SpaceKind, face: FaceRef, r: int, k: int
 ) -> list[Fraction] | None:
     """Coordinates of w in the basis of the space, or None when outside it.
 
-    The form must be expressed in the face's own coordinates.
+    The form must be expressed in the face's own coordinates.  Candidate
+    coordinates come from w's coefficients on the pivot keys; they are
+    accepted only if the basis combination rebuilds w exactly.
     """
     if w.n != face.dim:
         raise ValueError(f"form lives on dimension {w.n}, face has dimension {face.dim}")
     if not w.is_zero and w.k != k:
         raise ValueError(f"form order {w.k} does not match k={k}")
-    basis = basis_forms(kind, face, r, k)
-    if not basis:
-        return [] if w.is_zero else None
-    vectors = coefficient_vectors(basis + [w])
-    return linalg.solve_columns(vectors[:-1], vectors[-1])
+    degree = max(r, w.r)
+    basis, pivot_keys, inverse = _basis_table(kind, face.dim, r, k, degree)
+    target = w.lift(degree).coeffs
+    zero = Fraction(0)
+    rhs = [target.get(key, zero) for key in pivot_keys]
+    coords = [sum((a * b for a, b in zip(row, rhs) if b), zero) for row in inverse]
+    rebuilt: dict[Key, Fraction] = {}
+    for c, b in zip(coords, basis):
+        if c:
+            for key, v in b.coeffs.items():
+                rebuilt[key] = rebuilt.get(key, zero) + c * v
+    if {key: v for key, v in rebuilt.items() if v} != target:
+        return None
+    return coords

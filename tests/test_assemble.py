@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -14,7 +15,7 @@ from feec.assemble import (
 )
 from feec.forms import PolyForm, bary_monomial, whitney
 from feec.mesh import from_cells
-from feec.spaces import Family, dim_space, SpaceKind
+from feec.spaces import Family, SpaceKind, dim_space, realize
 from helpers import oracle_rank
 
 TRI1 = from_cells(2, [(0, 1, 2)])
@@ -251,3 +252,78 @@ def test_assemble_validates_arguments():
         assemble_basis(TRI1, Family.MINUS, 0, 1)
     with pytest.raises(ValueError):
         assemble_basis(TRI1, Family.MINUS, 1, 5)
+
+
+def _shuffled_grid(rng, dim, m):
+    """Freudenthal (2-D) or Kuhn (3-D) triangulation of an m^dim grid, vertex ids shuffled."""
+    side = m + 1
+    ids = list(range(side**dim))
+    rng.shuffle(ids)
+
+    def vid(p):
+        out = 0
+        for x in p:
+            out = out * side + x
+        return ids[out]
+
+    cells = []
+    for corner in product(range(m), repeat=dim):
+        for order in permutations(range(dim)):
+            p = list(corner)
+            path = [vid(p)]
+            for axis in order:
+                p[axis] += 1
+                path.append(vid(p))
+            cells.append(tuple(path))
+    rng.shuffle(cells)
+    return from_cells(dim, cells)
+
+
+def _member(elements, coeffs, n, k):
+    piecewise = {}
+    for c, el in zip(coeffs, elements):
+        for ci, w in el.restrictions.items():
+            piecewise[ci] = piecewise.get(ci, PolyForm.zero(n, k)) + c * w
+    return piecewise
+
+
+def test_peel_roundtrip_on_random_meshes():
+    rng = random.Random(67)
+    meshes = [_shuffled_grid(rng, 2, 2), _shuffled_grid(rng, 3, 1)]
+    for mesh in meshes:
+        n = mesh.n
+        for family in (Family.MINUS, Family.FULL):
+            for r in (1, 2):
+                for k in range(n + 1):
+                    els = assemble_basis(mesh, family, r, k)
+                    coeffs = [rng.choice((0, 0, -2, -1, 1, 3)) for _ in els]
+                    parts = decompose(mesh, family, r, k, _member(els, coeffs, n, k))
+                    expected = {}
+                    for c, el in zip(coeffs, els):
+                        if c:
+                            piece = c * realize(el.descriptor)
+                            face = el.face.vertices
+                            expected[face] = expected[face] + piece if face in expected else piece
+                    assert set(parts) == set(expected)
+                    assert all(parts[f] == w for f, w in expected.items())
+
+                    if k == n:
+                        continue  # top-order forms have no traces to disagree
+                    shared = next(el for el in els if len(el.face.incidence) >= 2)
+                    ci = shared.face.incidence[0][0]
+                    broken = _member(els, coeffs, n, k)
+                    broken[ci] = broken[ci] + shared.restrictions[ci]
+                    with pytest.raises(ValueError):
+                        decompose(mesh, family, r, k, broken)
+
+
+def test_cached_restrictions_are_not_mutated():
+    mesh = from_cells(2, [(0, 2, 4), (1, 2, 4), (1, 3, 4)])
+    for family, r, k in [(Family.MINUS, 2, 1), (Family.FULL, 2, 0)]:
+        els = assemble_basis(mesh, family, r, k)
+        before = [{ci: dict(w.coeffs) for ci, w in el.restrictions.items()} for el in els]
+        coeffs = [(i % 5) - 2 for i in range(len(els))]
+        decompose(mesh, family, r, k, _member(els, coeffs, 2, k))
+        assert [{ci: dict(w.coeffs) for ci, w in el.restrictions.items()} for el in els] == before
+        again = assemble_basis(mesh, family, r, k)
+        assert [el.restrictions for el in again] == [el.restrictions for el in els]

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from feec.cli import basis_payload, main, render_json
 from feec.spaces import Family
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TWO_TRIANGLES = """\
 simplicial-mesh v1 dim=2 vertices=4 cells=2
@@ -59,6 +65,23 @@ def test_bad_arguments_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["basis", "--family", "full", "-n", "2", "-r", "0", "-k", "1"])
     assert err.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["dim", "--family", "minus", "-n", "2", "-r", "-3", "-k", "1"])
+    assert err.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.splitlines()[-1] == "feec: error: need r >= 0, got r=-3"
+
+
+def test_python_m_feec_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    argv = [sys.executable, "-m", "feec", "dim", "--family", "minus", "-n", "2", "-k", "1"]
+    bad = subprocess.run(argv + ["-r", "-1"], env=env, capture_output=True, text=True)
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert "need r >= 0" in bad.stderr
+    good = subprocess.run(argv + ["-r", "1"], env=env, capture_output=True, text=True)
+    assert good.returncode == 0 and good.stdout.startswith("dim P1-Lambda1 on a 2-simplex = 3")
 
 
 def test_basis_command_plain(capsys):

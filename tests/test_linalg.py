@@ -3,8 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from feec.linalg import inverse, nonsingular, rank, rank_sparse, solve, solve_columns
-from helpers import oracle_inverse, oracle_rank, oracle_solve
+from feec.linalg import (
+    inverse,
+    nonsingular,
+    pivot_columns,
+    rank,
+    rank_sparse,
+    solve,
+)
+from helpers import dense_echelon, oracle_inverse, oracle_rank, oracle_solve
 
 Q = Fraction
 
@@ -33,15 +40,6 @@ def test_solve():
     assert solve([[1, 1], [1, 1]], [1, 2]) is None
     x = solve([[1, 1], [1, 1]], [2, 2])
     assert x is not None and x[0] + x[1] == 2
-
-
-def test_solve_columns():
-    cols = [[1, 0, 1], [0, 1, 1]]
-    x = solve_columns(cols, [2, 3, 5])
-    assert x == [Q(2), Q(3)]
-    assert solve_columns(cols, [1, 1, 3]) is None
-    assert solve_columns([], [0, 0]) == []
-    assert solve_columns([], [1]) is None
 
 
 def test_inverse():
@@ -109,6 +107,8 @@ def test_kernel_matches_dense_oracle(shape):
         # sparse rows with scattered column labels: rank ignores column order
         labels = rng.sample(range(10 * ncols + 1), ncols)
         assert rank_sparse({labels[c]: x for c, x in enumerate(row) if x} for row in m) == rk
+        pivots = pivot_columns({c: x for c, x in enumerate(row) if x} for row in m)
+        assert pivots == dense_echelon(m, ncols)[1]
 
         x0 = [Q(rng.randint(-3, 3)) for _ in range(ncols)]
         consistent = [sum(a * b for a, b in zip(row, x0)) for row in m]

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from feec import spaces
 from feec.combinat import binom, multiindices
 from feec.forms import FaceRef, PolyForm, bary_monomial, dlambda, whitney
 from feec.spaces import (
@@ -22,6 +23,7 @@ from feec.spaces import (
     rank_of,
     realize,
 )
+from helpers import from_polyform, oracle_solve, random_polyform
 
 Q = Fraction
 
@@ -269,3 +271,82 @@ def test_membership_shape_checks():
     T = FaceRef.full(2)
     with pytest.raises(ValueError):
         membership(dlambda(1, (1,)), FULL, T, 1, 1)
+
+
+def _oracle_coordinates(basis, w):
+    """Coordinates of w in the basis by dense elimination in the oracle's normal form."""
+    vectors = [from_polyform(b) for b in basis]
+    target = from_polyform(w)
+    keys = sorted(set(target).union(*vectors))
+    rows = [[v.get(key, Q(0)) for v in vectors] for key in keys]
+    return oracle_solve(rows, [target.get(key, Q(0)) for key in keys])
+
+
+def test_membership_matches_dense_oracle():
+    rng = random.Random(59)
+    empty_bases = 0
+    for kind in ALL_KINDS:
+        for m in range(4):
+            for r in range(4):
+                for k in range(m + 1):
+                    # any m-face of a simplex of dimension m..3 carries the same basis
+                    face = rng.choice(FaceRef.full(rng.randint(m, 3)).subfaces(m))
+                    basis = basis_forms(kind, face, r, k)
+                    assert membership(PolyForm.zero(m, k), kind, face, r, k) == [0] * len(basis)
+                    if not basis:
+                        empty_bases += 1
+                        assert membership(dlambda(m, tuple(range(1, k + 1))), kind, face, r, k) is None
+                        continue
+                    outside = None
+                    for _ in range(20):
+                        extra = random_polyform(rng, m, k, r + 1)
+                        if _oracle_coordinates(basis, extra) is None:
+                            outside = extra
+                            break
+                    assert outside is not None or m == 0
+                    coeffs = [rng.randint(-3, 3) for _ in basis]
+                    w = sum((c * b for c, b in zip(coeffs, basis)), PolyForm.zero(m, k))
+                    assert _oracle_coordinates(basis, w) == coeffs
+                    assert membership(w, kind, face, r, k) == coeffs
+                    assert membership(w.lift(r + 1), kind, face, r, k) == coeffs
+                    if outside is not None:
+                        assert _oracle_coordinates(basis, w + outside) is None
+                        assert membership(w + outside, kind, face, r, k) is None
+    assert empty_bases > 0
+
+
+def test_realized_basis_depends_only_on_face_dimension():
+    for n in range(5):
+        for face in FaceRef.full(n).all_subfaces():
+            reference = FaceRef.full(face.dim)
+            for kind in ALL_KINDS:
+                for r in range(3):
+                    for k in range(face.dim + 1):
+                        assert basis_forms(kind, face, r, k) == basis_forms(kind, reference, r, k)
+
+
+def test_membership_refuses_a_dependent_basis(monkeypatch):
+    T = FaceRef.full(2)
+    w = whitney(2, (0, 1))
+    assert membership(w, MINUS, T, 1, 1) is not None
+
+    def doubled(kind, face, r, k):
+        return 2 * basis_forms(kind, face, r, k)
+
+    monkeypatch.setattr(spaces, "basis_forms", doubled)
+    spaces._basis_table.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError):
+            membership(w, MINUS, T, 1, 1)
+    finally:
+        spaces._basis_table.cache_clear()
+
+
+def test_membership_results_are_not_shared_between_calls():
+    T = FaceRef.full(2)
+    w = whitney(2, (0, 1)) + 3 * whitney(2, (1, 2))
+    first = membership(w, MINUS, T, 1, 1)
+    expected = list(first)
+    first[0] += 7
+    first.append(Q(1))
+    assert membership(w, MINUS, T, 1, 1) == expected
