@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Iterator
 
 from . import linalg
-from .extension import extend_generator
+from .extension import placed_combination, placed_generator
 from .forms import FaceRef, Key, PolyForm
 from .mesh import GlobalFace, Triangulation
 from .spaces import (
@@ -42,24 +41,6 @@ class GlobalBasisElement:
     restrictions: dict[int, PolyForm]
 
 
-@cache
-def _cell_generator(
-    family: Family, alpha: tuple[int, ...], sigma: tuple[int, ...], fr: FaceRef
-) -> PolyForm:
-    """Extend a face-local generator into the cell holding the face at fr.
-
-    The result depends only on the face-local labels and the local face, so
-    it is built once per process and shared by every mesh face and cell
-    that asks for it; callers must not mutate it.
-    """
-    n = fr.n
-    cell_alpha = [0] * (n + 1)
-    for p, e in enumerate(alpha):
-        cell_alpha[fr.indices[p]] = e
-    cell_sigma = tuple(fr.indices[s] for s in sigma)
-    return extend_generator(family, tuple(cell_alpha), cell_sigma, fr, FaceRef.full(n))
-
-
 def assemble_basis(t: Triangulation, family: Family, r: int, k: int) -> list[GlobalBasisElement]:
     """The assembled basis, one element per zero-trace generator per face."""
     if r < 1:
@@ -76,7 +57,7 @@ def assemble_basis(t: Triangulation, family: Family, r: int, k: int) -> list[Glo
             continue
         for desc in descriptors[face.dim]:
             restrictions = {
-                ci: _cell_generator(family, desc.alpha, desc.sigma, fr)
+                ci: placed_generator(family, desc.alpha, desc.sigma, fr)
                 for ci, fr in face.incidence
             }
             out.append(GlobalBasisElement(face, desc, restrictions))
@@ -153,12 +134,11 @@ class DirectSumReport:
         return self.ok
 
 
-def _stacked_rows(elements: list[GlobalBasisElement], r: int) -> Iterator[dict[int, Fraction]]:
+def _stacked_rows(elements: list[GlobalBasisElement], r: int) -> Iterator[linalg.Row]:
     """Each element as one sparse row over (cell, canonical term) columns."""
-    columns: dict[tuple[int, Key], int] = {}
     for el in elements:
         yield {
-            columns.setdefault((ci, key), len(columns)): c
+            (ci, key): c
             for ci, w in el.restrictions.items()
             for key, c in w.lift(r).coeffs.items()
         }
@@ -256,11 +236,7 @@ def decompose(
                 )
             components[face.vertices] = mu
             for ci, fri in face.incidence:
-                piece = PolyForm.zero(n, k)
-                for c, desc in zip(coords, descriptors):
-                    if c:
-                        piece = piece + c * _cell_generator(family, desc.alpha, desc.sigma, fri)
-                current[ci] = current[ci] - piece
+                current[ci] = current[ci] - placed_combination(coords, descriptors, fri, k)
     for ci, w in current.items():
         if not w.is_zero:
             raise ValueError(f"nonzero residual on cell {ci} after peeling")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .forms import FaceRef, PolyForm, integral_over_face
+from .forms import FaceRef, PolyForm, combination, integral_over_face
 from .spaces import Family, SpaceKind, basis_forms, enumerate_basis, realize
 
 
@@ -100,20 +100,11 @@ def dual_extend(
     m = h.dim
     f_in_h = h.to_local(f)
     dofs, basis, inverse = _dual_solver(family, m, r, k)
-    rhs: list[Fraction] = []
-    for dof in dofs:
-        if f_in_h.contains(dof.face):
-            g_in_f = f_in_h.to_local(dof.face)
-            tr = mu.trace(g_in_f)
-            rhs.append(
-                Fraction(0) if tr.is_zero else integral_over_face(tr.wedge(dof.weight))
-            )
-        else:
-            rhs.append(Fraction(0))
-    out = PolyForm.zero(m, k)
-    for row, b in zip(inverse, basis):
-        c = sum((v * t for v, t in zip(row, rhs)), Fraction(0))
-        if c:
-            out = out + c * b
-    return out
-
+    # moments on faces outside f are zero and drop out of every coordinate
+    moments = [
+        (i, apply_dof(DofFunctional(f_in_h.to_local(dof.face), dof.weight), mu))
+        for i, dof in enumerate(dofs)
+        if f_in_h.contains(dof.face)
+    ]
+    coords = [sum((row[i] * v for i, v in moments if v), Fraction(0)) for row in inverse]
+    return combination(m, k, zip(coords, basis))

@@ -25,13 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .combinat import multiindices
 from . import linalg
-from .forms import FaceRef, PolyForm, bary_monomial, canonicalize, dlambda, psi_form, whitney
+from .forms import FaceRef, PolyForm, bary_monomial, canonicalize, combination, dlambda, psi_form, whitney
 from .spaces import (
     Family,
+    GeneratorDescriptor,
     SpaceKind,
     coefficient_vectors,
     dim_space,
@@ -42,7 +44,6 @@ from .spaces import (
 
 
 class FamilyKind(Enum):
-    BERNSTEIN_0FORM = "bernstein"
     MINUS_BARYCENTRIC = "minus"
     FULL_PSI = "full"
     DUAL_DOF = "dual"
@@ -59,8 +60,6 @@ class ExtensionFamily:
     family: Family | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is FamilyKind.BERNSTEIN_0FORM and self.k != 0:
-            raise ValueError("the Bernstein family extends 0-forms only")
         if self.kind is FamilyKind.DUAL_DOF and self.family is None:
             raise ValueError("the degree-of-freedom family needs a primal family")
 
@@ -93,20 +92,6 @@ def _global_to_target(alpha: tuple[int, ...], sigma: tuple[int, ...], g: FaceRef
         a[p] = alpha[i]
     s = tuple(g.position(i) for i in sigma)
     return tuple(a), s
-
-
-def _relabel_form(mu: PolyForm, f: FaceRef, g: FaceRef) -> PolyForm:
-    """Reinterpret an f-local canonical form on g by vertex correspondence."""
-    if not g.contains(f):
-        raise ValueError(f"{f.indices} is not a subface of {g.indices}")
-    gpos = [g.position(i) for i in f.indices]
-    raw = []
-    for alpha, sigma, c in mu.terms():
-        a = [0] * (g.dim + 1)
-        for p, e in enumerate(alpha):
-            a[gpos[p]] = e
-        raw.append((tuple(a), tuple(gpos[s] for s in sigma), c))
-    return canonicalize(g.dim, mu.k, raw, degree=mu.r)
 
 
 # -- generator-level extension (exact on every spanning generator) -------------
@@ -149,58 +134,89 @@ def extend_generator(
     return extend_full_generator(alpha, sigma, f, g)
 
 
+@cache
+def placed_generator(
+    family: Family, alpha: tuple[int, ...], sigma: tuple[int, ...], fr: FaceRef
+) -> PolyForm:
+    """Extend a face-local generator into the simplex holding the face at fr.
+
+    The result depends only on the face-local labels and the local face, so
+    it is built once per process and shared by every mesh face, cell and
+    extension that asks for it; callers must not mutate it.
+    """
+    n = fr.n
+    cell_alpha = [0] * (n + 1)
+    for p, e in enumerate(alpha):
+        cell_alpha[fr.indices[p]] = e
+    cell_sigma = tuple(fr.indices[s] for s in sigma)
+    return extend_generator(family, tuple(cell_alpha), cell_sigma, fr, FaceRef.full(n))
+
+
+def placed_combination(
+    coords: list[Fraction], descriptors: list[GeneratorDescriptor], fr: FaceRef, k: int
+) -> PolyForm:
+    """Sum of c * generator over coordinates and face-local descriptors, placed at fr."""
+    terms = (
+        (c, placed_generator(desc.family, desc.alpha, desc.sigma, fr))
+        for c, desc in zip(coords, descriptors)
+        if c
+    )
+    return combination(fr.n, k, terms)
+
+
 # -- form-level extension -------------------------------------------------------
 
 
-def extend_bernstein(p: PolyForm, f: FaceRef, g: FaceRef, r: int | None = None) -> PolyForm:
+def extend_bernstein(p: PolyForm, f: FaceRef, g: FaceRef) -> PolyForm:
     """Extend a polynomial on f by mapping each barycentric monomial across."""
     if p.k != 0 and not p.is_zero:
         raise ValueError("Bernstein extension applies to 0-forms")
-    return _relabel_form(p, f, g)
+    return extend_naive(p, f, g)
 
 
 def _extend_by_basis(
-    mu: PolyForm, f: FaceRef, g: FaceRef, r: int, k: int, fam: ExtensionFamily
+    mu: PolyForm, f: FaceRef, g: FaceRef, r: int, k: int, kind: SpaceKind
 ) -> PolyForm:
-    kind = fam.space_kind
     coords = membership(mu, kind, f, r, k)
     if coords is None:
         raise ValueError(f"form is not a member of the degree-{r} space on {f.indices}")
-    out = PolyForm.zero(g.dim, k)
-    for c, desc in zip(coords, enumerate_basis(kind, f, r, k)):
-        if c:
-            out = out + c * extend_generator(fam.space_family, desc.alpha, desc.sigma, f, g)
-    return out
+    descriptors = enumerate_basis(kind, FaceRef.full(f.dim), r, k)
+    return placed_combination(coords, descriptors, g.to_local(f), k)
 
 
 def extend_minus(mu: PolyForm, f: FaceRef, g: FaceRef, r: int, k: int) -> PolyForm:
     """Whitney-generator extension of a member of the reduced space on f."""
-    fam = ExtensionFamily(FamilyKind.MINUS_BARYCENTRIC, r, k)
-    return _extend_by_basis(mu, f, g, r, k, fam)
+    return _extend_by_basis(mu, f, g, r, k, SpaceKind(Family.MINUS))
 
 
 def extend_full(mu: PolyForm, f: FaceRef, g: FaceRef, r: int, k: int) -> PolyForm:
     """Corrected-differential extension of a member of the full space on f."""
-    fam = ExtensionFamily(FamilyKind.FULL_PSI, r, k)
-    return _extend_by_basis(mu, f, g, r, k, fam)
+    return _extend_by_basis(mu, f, g, r, k, SpaceKind(Family.FULL))
 
 
 def extend_naive(mu: PolyForm, f: FaceRef, g: FaceRef) -> PolyForm:
-    """Relabel the canonical representation of mu from f into g (negative control)."""
-    return _relabel_form(mu, f, g)
+    """Reinterpret the f-local form mu on g by vertex correspondence (negative control)."""
+    if not g.contains(f):
+        raise ValueError(f"{f.indices} is not a subface of {g.indices}")
+    gpos = [g.position(i) for i in f.indices]
+    raw = []
+    for alpha, sigma, c in mu.terms():
+        a = [0] * (g.dim + 1)
+        for p, e in enumerate(alpha):
+            a[gpos[p]] = e
+        raw.append((tuple(a), tuple(gpos[s] for s in sigma), c))
+    return canonicalize(g.dim, mu.k, raw, degree=mu.r)
 
 
 def extend_form(fam: ExtensionFamily, mu: PolyForm, f: FaceRef, g: FaceRef) -> PolyForm:
     """Dispatch to the family's extension of an arbitrary space member."""
-    if fam.kind is FamilyKind.BERNSTEIN_0FORM:
-        return extend_bernstein(mu, f, g)
     if fam.kind is FamilyKind.NAIVE_FULL:
         return extend_naive(mu, f, g)
     if fam.kind is FamilyKind.DUAL_DOF:
         from .dof import dual_extend
 
         return dual_extend(fam.space_family, mu, f, g, fam.r, fam.k)
-    return _extend_by_basis(mu, f, g, fam.r, fam.k, fam)
+    return _extend_by_basis(mu, f, g, fam.r, fam.k, fam.space_kind)
 
 
 # -- the compatibility law ------------------------------------------------------
@@ -234,11 +250,7 @@ def check_consistency(fam: ExtensionFamily, h: FaceRef) -> ConsistencyResult:
     faces = top.all_subfaces()
     kind = fam.space_kind
     family = fam.space_family
-    descriptor_level = fam.kind in (
-        FamilyKind.MINUS_BARYCENTRIC,
-        FamilyKind.FULL_PSI,
-        FamilyKind.BERNSTEIN_0FORM,
-    )
+    descriptor_level = fam.kind in (FamilyKind.MINUS_BARYCENTRIC, FamilyKind.FULL_PSI)
     for f in faces:
         basis = enumerate_basis(kind, f, fam.r, fam.k)
         for g in faces:

@@ -426,6 +426,29 @@ class PolyForm:
         return PolyForm(self.n, self.k, 0, coeffs)
 
 
+def combination(n: int, k: int, terms: Iterable[tuple[Scalar | int, PolyForm]]) -> PolyForm:
+    """The k-form sum of c * w over the (c, w) terms, built in one coefficient dict.
+
+    Every term is lifted to the largest storage degree among the live ones;
+    zero coefficients and zero forms contribute nothing.  Raises ValueError
+    when a form has another shape.
+    """
+    live: list[tuple[Scalar | int, PolyForm]] = []
+    for c, w in terms:
+        if w.n != n or (w.k != k and not w.is_zero):
+            raise ValueError(f"cannot combine a {w.k}-form on dim {w.n} into a {k}-form on dim {n}")
+        if c and w.coeffs:
+            live.append((c, w))
+    if not live:
+        return PolyForm.zero(n, k)
+    r = max(w.r for _, w in live)
+    coeffs: dict[Key, Scalar] = {}
+    for c, w in live:
+        for key, v in (w.coeffs if w.r == r else w.lift(r).coeffs).items():
+            coeffs[key] = coeffs.get(key, 0) + c * v
+    return PolyForm(n, k, r, {key: v for key, v in coeffs.items() if v})
+
+
 # -- named constructors -------------------------------------------------------
 
 

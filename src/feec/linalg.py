@@ -1,22 +1,27 @@
 """Exact linear algebra over the rationals.
 
 Every operation runs on one kernel: a fraction-free row echelon form over
-sparse integer rows (dicts from column to nonzero int).  Each input row has
-its denominators cleared and is divided by its content once on entry; each
-elimination step keeps rows primitive, so entries stay small and zero
-entries are never stored.  Dense matrices are converted row by row; sparse
-callers hand their rows to :func:`rank_sparse` directly.  Solutions are
-recovered from the echelon form by back substitution in Fraction arithmetic.
+sparse integer rows (dicts from column label to nonzero int).  Labels may
+be any comparable hashables, such as the canonical keys of a form; "lowest"
+means least label.  Each input row has its denominators cleared and is
+divided by its content once on entry; each elimination step keeps rows
+primitive, so entries stay small and zero entries are never stored.  Dense
+matrices are converted row by row, labelled by column index; sparse callers
+hand their rows to :func:`rank_sparse` or :func:`pivot_columns` directly.
+Solutions are recovered from the echelon form by back substitution in
+Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
+
+Row = Mapping[Any, Fraction | int]
 
 
-def _primitive(row: Mapping[int, Fraction | int]) -> dict[int, int]:
+def _primitive(row: Row) -> dict[Any, int]:
     """The row scaled to coprime integers, with its zero entries dropped."""
     entries = {c: x for c, x in row.items() if x}
     scale = lcm(*(x.denominator for x in entries.values()))
@@ -25,14 +30,14 @@ def _primitive(row: Mapping[int, Fraction | int]) -> dict[int, int]:
     return {c: x // g for c, x in ints.items()} if g > 1 else ints
 
 
-def _echelon(rows: Iterable[Mapping[int, Fraction | int]]) -> dict[int, dict[int, int]]:
+def _echelon(rows: Iterable[Row]) -> dict[Any, dict[Any, int]]:
     """Row echelon form: pivot column -> the primitive row whose lowest column it is.
 
     Rows are inserted one at a time; each is reduced by the pivot rows at its
     lowest column until it vanishes or opens a new pivot.  The set of pivot
-    columns is the first (lowest-index) independent set of columns.
+    columns is the first (lowest-label) independent set of columns.
     """
-    pivots: dict[int, dict[int, int]] = {}
+    pivots: dict[Any, dict[Any, int]] = {}
     for raw in rows:
         row = _primitive(raw)
         while row:
@@ -75,13 +80,13 @@ def _sparse(row: Sequence[Fraction | int]) -> dict[int, Fraction | int]:
     return {c: x for c, x in enumerate(row) if x}
 
 
-def rank_sparse(rows: Iterable[Mapping[int, Fraction | int]]) -> int:
+def rank_sparse(rows: Iterable[Row]) -> int:
     """Rank of the matrix given as sparse rows (column -> entry)."""
     return len(_echelon(rows))
 
 
-def pivot_columns(rows: Iterable[Mapping[int, Fraction | int]]) -> list[int]:
-    """The lowest-index independent set of columns of the sparse rows, ascending."""
+def pivot_columns(rows: Iterable[Row]) -> list[Any]:
+    """The lowest-label independent set of columns of the sparse rows, ascending."""
     return sorted(_echelon(rows))
 
 

@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .combinat import binom, multiindices
 from . import linalg
-from .forms import FaceRef, Key, PolyForm, bary_monomial, dlambda, whitney
+from .forms import FaceRef, Key, PolyForm, bary_monomial, combination, dlambda, whitney
 
 
 class Family(str, Enum):
@@ -98,6 +98,10 @@ def _enumerate(
     n = face.n
     if k < 0 or k > face.dim:
         return []
+    if kind == FULL_ZERO and r == 0:
+        # constants: only the volume form has (vacuously) vanishing trace
+        volume = GeneratorDescriptor((0,) * (n + 1), face.indices[1:], Family.FULL, face)
+        return [volume] if k == face.dim else []
     mono_deg = r - 1 if kind.family is Family.MINUS else r
     if mono_deg < 0:
         return []
@@ -188,14 +192,11 @@ def _basis_table(
     The realized basis depends only on the face dimension, not on where the
     face sits: generators and the basis condition are stated in vertex order,
     which the face's own coordinates keep.  The pivot keys are the
-    lowest-index independent key columns, so the basis restricted to them is
+    least independent key columns in key order, so the basis restricted to them is
     square and nonsingular.  Built once per process for each argument tuple.
     """
     basis = [b.lift(degree) for b in basis_forms(kind, FaceRef.full(m), r, k)]
-    keys = sorted(set().union(*(b.coeffs for b in basis)))
-    column = {key: i for i, key in enumerate(keys)}
-    pivots = linalg.pivot_columns({column[key]: c for key, c in b.coeffs.items()} for b in basis)
-    pivot_keys = [keys[p] for p in pivots]
+    pivot_keys = linalg.pivot_columns(b.coeffs for b in basis)
     inverse = None
     if len(pivot_keys) == len(basis):
         inverse = linalg.inverse([[b.coeffs.get(key, 0) for b in basis] for key in pivot_keys])
@@ -223,11 +224,6 @@ def membership(
     zero = Fraction(0)
     rhs = [target.get(key, zero) for key in pivot_keys]
     coords = [sum((a * b for a, b in zip(row, rhs) if b), zero) for row in inverse]
-    rebuilt: dict[Key, Fraction] = {}
-    for c, b in zip(coords, basis):
-        if c:
-            for key, v in b.coeffs.items():
-                rebuilt[key] = rebuilt.get(key, zero) + c * v
-    if {key: v for key, v in rebuilt.items() if v} != target:
+    if combination(face.dim, k, zip(coords, basis)).coeffs != target:
         return None
     return coords

@@ -381,6 +381,21 @@ SUITES: dict[str, Callable[..., Iterable[CheckResult]]] = {
     "bernstein": suite_bernstein,
 }
 
+# Each suite's keyword arguments from the sweep bounds (max_n, max_r, samples),
+# clamped to the suite's documented limits.
+SUITE_BOUNDS: dict[str, Callable[[int, int, int], dict[str, int]]] = {
+    "dims": lambda n, r, s: dict(max_n=min(n, 4), max_r=r),
+    "ranks": lambda n, r, s: dict(max_n=min(n, 3), max_r=min(r, 4)),
+    "identities": lambda n, r, s: dict(max_n=min(n, 4), max_r=min(r, 4), samples=s),
+    "homotopy": lambda n, r, s: dict(max_n=min(n, 4), max_r=min(r, 4), samples=s),
+    "whitney": lambda n, r, s: dict(max_n=min(n + 1, 4)),
+    "consistency": lambda n, r, s: dict(max_r=min(r, 3), dual_r=min(r, 2)),
+    "decomposition": lambda n, r, s: dict(max_r=min(r, 3)),
+    "dof": lambda n, r, s: dict(max_n=min(n, 3), max_r=min(r, 3)),
+    "characterization": lambda n, r, s: dict(max_n=min(n, 3), max_r=min(r, 3)),
+    "bernstein": lambda n, r, s: dict(max_r=min(r + 1, 4)),
+}
+
 
 def run_suites(
     names: list[str] | None = None,
@@ -390,30 +405,10 @@ def run_suites(
 ) -> list[CheckResult]:
     """Run the selected suites (all by default) with the given sweep bounds.
 
-    Bounds are clamped per suite to the documented limits; the dimension
-    suite additionally honors FEEC_MAX_DEGREE.
+    Bounds are clamped per suite by SUITE_BOUNDS; the dimension suite
+    additionally honors FEEC_MAX_DEGREE.  An unknown name raises KeyError.
     """
-    chosen = list(SUITES) if not names else names
     results: list[CheckResult] = []
-    for name in chosen:
-        fn = SUITES.get(name)
-        if fn is None:
-            raise KeyError(name)
-        if name == "dims":
-            kwargs = dict(max_n=min(max_n, 4), max_r=max_r)
-        elif name == "ranks":
-            kwargs = dict(max_n=min(max_n, 3), max_r=min(max_r, 4))
-        elif name in ("identities", "homotopy"):
-            kwargs = dict(max_n=min(max_n, 4), max_r=min(max_r, 4), samples=samples)
-        elif name == "whitney":
-            kwargs = dict(max_n=min(max_n + 1, 4))
-        elif name == "consistency":
-            kwargs = dict(max_r=min(max_r, 3), dual_r=min(max_r, 2))
-        elif name == "decomposition":
-            kwargs = dict(max_r=min(max_r, 3))
-        elif name in ("dof", "characterization"):
-            kwargs = dict(max_n=min(max_n, 3), max_r=min(max_r, 3))
-        else:
-            kwargs = dict(max_r=min(max_r + 1, 4))
-        results.extend(fn(**kwargs))
+    for name in names or list(SUITES):
+        results.extend(SUITES[name](**SUITE_BOUNDS[name](max_n, max_r, samples)))
     return results

@@ -10,6 +10,7 @@ from feec.cli import basis_payload, main, render_json
 from feec.spaces import Family
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+CLI_GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
 
 TWO_TRIANGLES = """\
 simplicial-mesh v1 dim=2 vertices=4 cells=2
@@ -186,6 +187,7 @@ def test_verify_consistency_honors_r(capsys):
     labels = [res["case"] for res in json.loads(out)["results"]]
     assert "dual-full r=1 k=0" in labels and "naive control fails" in labels
     assert not any("r=2" in label for label in labels)
+    assert out == (CLI_GOLDEN / "verify-consistency-n1-r1.json").read_text()
 
 
 def test_verify_output_is_deterministic(capsys):

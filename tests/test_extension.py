@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from feec.forms import FaceRef, bary_monomial, canonicalize, dlambda, whitney
+from feec.forms import FaceRef, PolyForm, bary_monomial, canonicalize, dlambda, whitney
 from feec.extension import (
     ExtensionFamily,
     FamilyKind,
@@ -86,6 +86,25 @@ def test_extend_full_identity_and_representative_independence():
     )
     assert zero.is_zero
     assert extend_full(zero, edge, T, 2, 1).is_zero
+
+
+@pytest.mark.parametrize("family", [Family.MINUS, Family.FULL])
+def test_form_extension_is_the_generator_sum_on_the_tetrahedron(family):
+    extend = extend_minus if family is Family.MINUS else extend_full
+    rng = random.Random(f"extend:{family.value}")
+    T = FaceRef.full(3)
+    for g in T.all_subfaces():
+        for f in g.all_subfaces():
+            for r in (1, 2):
+                for k in range(f.dim + 1):
+                    mu = PolyForm.zero(f.dim, k)
+                    expected = PolyForm.zero(g.dim, k)
+                    for desc in enumerate_basis(SpaceKind(family), f, r, k):
+                        c = rng.randint(-2, 2)
+                        mu = mu + c * realize(desc)
+                        generator = extend_generator(family, desc.alpha, desc.sigma, f, g)
+                        expected = expected + c * generator
+                    assert extend(mu, f, g, r, k) == expected
 
 
 def test_extension_trace_roundtrip_sweep():

@@ -11,6 +11,7 @@ from feec.forms import (
     PolyForm,
     bary_monomial,
     canonicalize,
+    combination,
     dlambda,
     integral_over_face,
     one,
@@ -432,3 +433,33 @@ def test_derivative_against_oracle_derivative():
             for _ in range(8):
                 w = random_polyform(rng, n, k, rng.randint(1, 3))
                 assert from_polyform(w.d()) == oracle_d(from_polyform(w))
+
+
+def test_combination_matches_chained_addition():
+    rng = random.Random(61)
+    for n in (1, 2, 3):
+        for k in range(n + 1):
+            for _ in range(10):
+                terms = [(1, PolyForm.zero(n, k))]
+                for _ in range(rng.randint(0, 5)):
+                    c = Q(rng.randint(-3, 3), rng.randint(1, 3))
+                    w = random_polyform(rng, n, k, rng.randint(0, 3))
+                    terms.append((c, w))
+                    if rng.random() < 0.3:
+                        # the same term again at a higher storage degree, cancelling it
+                        terms.append((-c, w.lift(w.r + 1)))
+                rng.shuffle(terms)
+                oracle = PolyForm.zero(n, k)
+                for c, w in terms:
+                    oracle = oracle + c * w
+                got = combination(n, k, terms)
+                assert got == oracle
+                assert from_polyform(got) == from_polyform(oracle)
+                live = [w.r for c, w in terms if c and not w.is_zero]
+                assert got.is_zero or got.r == max(live)
+    assert combination(2, 1, []) == PolyForm.zero(2, 1)
+    assert combination(2, 1, [(3, PolyForm.zero(2, 2))]).is_zero
+    with pytest.raises(ValueError):
+        combination(2, 1, [(1, dlambda(3, (1,)))])
+    with pytest.raises(ValueError):
+        combination(2, 1, [(1, dlambda(2, (1, 2)))])

@@ -11,7 +11,10 @@ Under `golden/cli/`:
 * `basis-<family>-n<n>-r<r>-k<k>.<format>` is the stdout of `feec basis
   --family <family> -n <n> -r <r> -k <k> --format <format>`;
 * `verify-n2-r2.json` is the stdout of `feec verify -n 2 -r 2 --format json`
-  with every suite but `consistency` selected.
+  with every suite but `consistency` selected;
+* `verify-consistency-n1-r1.json` is the stdout of `feec verify --suite
+  consistency -n 1 -r 1 --format json`, compared in `test_cli.py` by the
+  test that already makes that run.
 """
 
 import io

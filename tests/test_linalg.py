@@ -109,6 +109,11 @@ def test_kernel_matches_dense_oracle(shape):
         assert rank_sparse({labels[c]: x for c, x in enumerate(row) if x} for row in m) == rk
         pivots = pivot_columns({c: x for c, x in enumerate(row) if x} for row in m)
         assert pivots == dense_echelon(m, ncols)[1]
+        # tuple labels ordered like the columns: pivots come back as labels
+        keys = sorted(rng.sample([(c, (b,)) for c in range(ncols) for b in range(3)], ncols))
+        assert rank_sparse({keys[c]: x for c, x in enumerate(row) if x} for row in m) == rk
+        by_key = pivot_columns({keys[c]: x for c, x in enumerate(row) if x} for row in m)
+        assert by_key == [keys[p] for p in pivots]
 
         x0 = [Q(rng.randint(-3, 3)) for _ in range(ncols)]
         consistent = [sum(a * b for a, b in zip(row, x0)) for row in m]

@@ -127,7 +127,7 @@ def test_rank_examples():
 def test_basis_and_spanning_ranks(n):
     T = FaceRef.full(n)
     for kind in ALL_KINDS:
-        for r in range(1, 4):
+        for r in range(0, 4):
             for k in range(n + 1):
                 dim = dim_space(kind, n, r, k)
                 basis = enumerate_basis(kind, T, r, k)

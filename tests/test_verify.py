@@ -1,6 +1,6 @@
 import pytest
 
-from feec.verify import CheckResult, SUITES, builtin_meshes, run_suites
+from feec.verify import CheckResult, SUITE_BOUNDS, SUITES, builtin_meshes, run_suites
 
 
 def test_builtin_meshes_shapes():
@@ -50,5 +50,6 @@ def test_all_suites_registered():
         "characterization",
         "bernstein",
     }
+    assert set(SUITE_BOUNDS) == set(SUITES)
     r = CheckResult("x", "y", True)
     assert r.passed and r.detail == ""
