@@ -271,6 +271,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify":
         if args.n < 1 or args.n > 4 or args.r < 1:
             parser.error("verification sweeps support 1 <= n <= 4 and r >= 1")
+        if args.r > 12:
+            parser.error(f"verification sweeps support r <= 12, as FEEC_MAX_DEGREE does, got r={args.r}")
         try:
             max_degree()
         except ValueError as err:

@@ -73,21 +73,25 @@ def pairing_matrix(dofs: list[DofFunctional], forms: list[PolyForm]) -> list[lis
     return [[apply_dof(d, w) for w in forms] for d in dofs]
 
 
-_solver_cache: dict[tuple[Family, int, int, int], tuple[list[DofFunctional], list[PolyForm], list[list[Fraction]]]] = {}
+_solver_cache: dict[tuple[Family, int, int, int], tuple[list[DofFunctional], list[PolyForm]]] = {}
 
 
-def _dual_solver(family: Family, m: int, r: int, k: int):
+def _dual_basis(family: Family, m: int, r: int, k: int) -> tuple[list[DofFunctional], list[PolyForm]]:
+    """The functionals on the m-simplex and the forms dual to them, built once per process.
+
+    dual[i] = sum_j inverse[j][i] * basis[j] has moment 1 against functional
+    i and 0 against every other one.
+    """
     key = (family, m, r, k)
     got = _solver_cache.get(key)
     if got is None:
         dofs = build_dofs(family, m, r, k)
         basis = basis_forms(SpaceKind(family), FaceRef.full(m), r, k)
-        matrix = pairing_matrix(dofs, basis)
-        inverse = linalg.inverse(matrix)
+        inverse = linalg.inverse(pairing_matrix(dofs, basis))
         if inverse is None:
             raise ArithmeticError(f"singular pairing for {family} r={r} k={k} on dim {m}")
-        got = (dofs, basis, inverse)
-        _solver_cache[key] = got
+        dual = [combination(m, k, zip((row[i] for row in inverse), basis)) for i in range(len(dofs))]
+        got = _solver_cache[key] = (dofs, dual)
     return got
 
 
@@ -97,14 +101,12 @@ def dual_extend(
     """The unique form on h matching mu's moments inside f and zero elsewhere."""
     if not h.contains(f):
         raise ValueError(f"{f.indices} is not a subface of {h.indices}")
-    m = h.dim
     f_in_h = h.to_local(f)
-    dofs, basis, inverse = _dual_solver(family, m, r, k)
-    # moments on faces outside f are zero and drop out of every coordinate
-    moments = [
-        (i, apply_dof(DofFunctional(f_in_h.to_local(dof.face), dof.weight), mu))
-        for i, dof in enumerate(dofs)
+    dofs, dual = _dual_basis(family, h.dim, r, k)
+    # moments on faces outside f are zero and drop out
+    moments = (
+        (apply_dof(DofFunctional(f_in_h.to_local(dof.face), dof.weight), mu), w)
+        for dof, w in zip(dofs, dual)
         if f_in_h.contains(dof.face)
-    ]
-    coords = [sum((row[i] * v for i, v in moments if v), Fraction(0)) for row in inverse]
-    return combination(m, k, zip(coords, basis))
+    )
+    return combination(h.dim, k, moments)

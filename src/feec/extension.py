@@ -9,6 +9,8 @@ differential d lambda_i is replaced by
 
 so that the image depends only on the form and not on its barycentric
 representation.  A fourth family extends by matching degrees of freedom.
+All three are linear, so each extends a member through its basis
+coordinates on the face and a cached table of the images of that basis.
 A deliberately naive family, which maps d lambda_sigma to itself without
 the correction, is kept as a negative control: it is a right inverse of
 the trace but fails the compatibility law checked here.
@@ -30,11 +32,13 @@ from itertools import combinations
 
 from .combinat import multiindices
 from . import linalg
-from .forms import FaceRef, PolyForm, bary_monomial, canonicalize, combination, dlambda, psi_form, whitney
+from .dof import dual_extend
+from .forms import FaceRef, PolyForm, bary_monomial, canonicalize, combination, psi_form, whitney
 from .spaces import (
     Family,
     GeneratorDescriptor,
     SpaceKind,
+    basis_forms,
     coefficient_vectors,
     dim_space,
     enumerate_basis,
@@ -62,6 +66,8 @@ class ExtensionFamily:
     def __post_init__(self) -> None:
         if self.kind is FamilyKind.DUAL_DOF and self.family is None:
             raise ValueError("the degree-of-freedom family needs a primal family")
+        if self.kind is FamilyKind.FULL_PSI and self.r == 0 and self.k >= 1:
+            raise ValueError("the corrected-differential extension needs r >= 1 for k >= 1")
 
     @property
     def space_family(self) -> Family:
@@ -113,13 +119,6 @@ def extend_full_generator(
         return mono
     f_in_g = g.to_local(f)
     return mono.wedge(psi_form(a, f_in_g, s))
-
-
-def naive_full_generator(alpha: tuple[int, ...], sigma: tuple[int, ...], g: FaceRef) -> PolyForm:
-    """The uncorrected image lambda^alpha d lambda_sigma on g (negative control)."""
-    a, s = _global_to_target(alpha, sigma, g)
-    mono = bary_monomial(g.dim, a)
-    return mono if not s else mono.wedge(dlambda(g.dim, s))
 
 
 def extend_generator(
@@ -174,24 +173,14 @@ def extend_bernstein(p: PolyForm, f: FaceRef, g: FaceRef) -> PolyForm:
     return extend_naive(p, f, g)
 
 
-def _extend_by_basis(
-    mu: PolyForm, f: FaceRef, g: FaceRef, r: int, k: int, kind: SpaceKind
-) -> PolyForm:
-    coords = membership(mu, kind, f, r, k)
-    if coords is None:
-        raise ValueError(f"form is not a member of the degree-{r} space on {f.indices}")
-    descriptors = enumerate_basis(kind, FaceRef.full(f.dim), r, k)
-    return placed_combination(coords, descriptors, g.to_local(f), k)
-
-
 def extend_minus(mu: PolyForm, f: FaceRef, g: FaceRef, r: int, k: int) -> PolyForm:
     """Whitney-generator extension of a member of the reduced space on f."""
-    return _extend_by_basis(mu, f, g, r, k, SpaceKind(Family.MINUS))
+    return extend_form(ExtensionFamily(FamilyKind.MINUS_BARYCENTRIC, r, k), mu, f, g)
 
 
 def extend_full(mu: PolyForm, f: FaceRef, g: FaceRef, r: int, k: int) -> PolyForm:
     """Corrected-differential extension of a member of the full space on f."""
-    return _extend_by_basis(mu, f, g, r, k, SpaceKind(Family.FULL))
+    return extend_form(ExtensionFamily(FamilyKind.FULL_PSI, r, k), mu, f, g)
 
 
 def extend_naive(mu: PolyForm, f: FaceRef, g: FaceRef) -> PolyForm:
@@ -208,15 +197,33 @@ def extend_naive(mu: PolyForm, f: FaceRef, g: FaceRef) -> PolyForm:
     return canonicalize(g.dim, mu.k, raw, degree=mu.r)
 
 
+@cache
+def _images(fam: ExtensionFamily, fr: FaceRef) -> tuple[PolyForm, ...]:
+    """The family's images of the reference basis on an fr.dim-face placed at fr.
+
+    A linear extension is fixed by these images.  Built once per process for
+    each family and local face; callers must not mutate them.
+    """
+    kind, r, k = fam.space_kind, fam.r, fam.k
+    reference = FaceRef.full(fr.dim)
+    if fam.kind is FamilyKind.DUAL_DOF:
+        top = FaceRef.full(fr.n)
+        return tuple(dual_extend(fam.space_family, b, fr, top, r, k) for b in basis_forms(kind, reference, r, k))
+    return tuple(placed_generator(d.family, d.alpha, d.sigma, fr) for d in enumerate_basis(kind, reference, r, k))
+
+
 def extend_form(fam: ExtensionFamily, mu: PolyForm, f: FaceRef, g: FaceRef) -> PolyForm:
-    """Dispatch to the family's extension of an arbitrary space member."""
+    """The family's extension of a space member on f to g.
+
+    Every family but the naive control is linear, so mu's coordinates in the
+    basis on f weight the images of that basis.
+    """
     if fam.kind is FamilyKind.NAIVE_FULL:
         return extend_naive(mu, f, g)
-    if fam.kind is FamilyKind.DUAL_DOF:
-        from .dof import dual_extend
-
-        return dual_extend(fam.space_family, mu, f, g, fam.r, fam.k)
-    return _extend_by_basis(mu, f, g, fam.r, fam.k, fam.space_kind)
+    coords = membership(mu, fam.space_kind, f, fam.r, fam.k)
+    if coords is None:
+        raise ValueError(f"form is not a member of the degree-{fam.r} space on {f.indices}")
+    return combination(g.dim, fam.k, zip(coords, _images(fam, g.to_local(f))))
 
 
 # -- the compatibility law ------------------------------------------------------
@@ -244,38 +251,24 @@ def check_consistency(fam: ExtensionFamily, h: FaceRef) -> ConsistencyResult:
     """Verify the compatibility law on every basis element, all face pairs in h.
 
     Works in the local coordinates of h, so h may itself be a proper face of
-    a larger simplex.
+    a larger simplex.  Each basis member of f is extended to h once; only its
+    trace depends on g.
     """
     top = FaceRef.full(h.dim)
     faces = top.all_subfaces()
-    kind = fam.space_kind
-    family = fam.space_family
-    descriptor_level = fam.kind in (FamilyKind.MINUS_BARYCENTRIC, FamilyKind.FULL_PSI)
     for f in faces:
-        basis = enumerate_basis(kind, f, fam.r, fam.k)
+        members = basis_forms(fam.space_kind, f, fam.r, fam.k)
+        extended = [extend_form(fam, mu, f, top) for mu in members]
         for g in faces:
             fg = f.intersect(g)
-            for desc in basis:
-                if descriptor_level:
-                    lhs = extend_generator(family, desc.alpha, desc.sigma, f, top).trace(g)
-                    support = {i for i, e in enumerate(desc.alpha) if e} | set(desc.sigma)
-                    # the restricted generator survives only when the whole
-                    # index support fits and the order does not exceed the
-                    # intersection dimension
-                    if fg is not None and support <= set(fg.indices) and fam.k <= fg.dim:
-                        rhs = extend_generator(family, desc.alpha, desc.sigma, fg, g)
-                    else:
-                        rhs = PolyForm.zero(g.dim, fam.k)
+            for mu, ext in zip(members, extended):
+                lhs = ext.trace(g)
+                if fg is None:
+                    rhs = PolyForm.zero(g.dim, fam.k)
                 else:
-                    mu = realize(desc)
-                    lhs = extend_form(fam, mu, f, top).trace(g)
-                    if fg is None:
-                        rhs = PolyForm.zero(g.dim, fam.k)
-                    else:
-                        restricted = mu.trace(f.to_local(fg))
-                        rhs = extend_form(fam, restricted, fg, g)
+                    rhs = extend_form(fam, mu.trace(f.to_local(fg)), fg, g)
                 if lhs != rhs:
-                    return ConsistencyResult(False, ConsistencyWitness(f, g, realize(desc), lhs, rhs))
+                    return ConsistencyResult(False, ConsistencyWitness(f, g, mu, lhs, rhs))
     return ConsistencyResult(True)
 
 
@@ -286,9 +279,8 @@ def naive_representative_discrepancy() -> PolyForm:
     -lambda_1 lambda_2 d lambda_2 are the same form, but their uncorrected
     images on the triangle differ; the difference is returned.
     """
-    T = FaceRef.full(2)
-    img_a = naive_full_generator((0, 1, 1), (1,), T)
-    img_b = -1 * naive_full_generator((0, 1, 1), (2,), T)
+    img_a = canonicalize(2, 1, [((0, 1, 1), (1,), 1)])
+    img_b = canonicalize(2, 1, [((0, 1, 1), (2,), -1)])
     return img_a - img_b
 
 

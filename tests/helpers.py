@@ -127,6 +127,61 @@ def oracle_d(a):
     return out
 
 
+def _add_into(out, key, c):
+    out[key] = out.get(key, Fraction(0)) + c
+    if not out[key]:
+        del out[key]
+
+
+def oracle_koszul(a, origin=0):
+    """Contraction with the position field x - x_origin, dehomogenized.
+
+    Vertex 0 sits at the coordinate origin and vertex i > 0 at the unit
+    vector e_i, so the field's j-th component is lambda_j - [j == origin].
+    """
+    out = {}
+    for (expo, sigma), c in a.items():
+        for pos, j in enumerate(sigma):
+            signed = -c if pos % 2 else c
+            rest = sigma[:pos] + sigma[pos + 1 :]
+            raised = tuple(e + (i + 1 == j) for i, e in enumerate(expo))
+            _add_into(out, (raised, rest), signed)
+            if j == origin:
+                _add_into(out, (expo, rest), -signed)
+    return out
+
+
+def oracle_trace(a, n, face):
+    """Pullback onto the face with increasing vertices `face`, in its own coordinates.
+
+    The face coordinates mu_1..mu_m map affinely to
+    x = x_{v_0} + sum_p mu_p (x_{v_p} - x_{v_0}) with vertex i > 0 at e_i and
+    vertex 0 at the origin; each x_j and d x_j is substituted and the
+    products are expanded with oracle_wedge.
+    """
+    m = len(face) - 1
+    zero = (0,) * m
+    unit = [tuple(int(q == p) for q in range(m)) for p in range(m)]
+    x, dx = {}, {}
+    for j in range(1, n + 1):
+        slopes = [int(face[p + 1] == j) - int(face[0] == j) for p in range(m)]
+        x[j] = {(unit[p], ()): Fraction(s) for p, s in enumerate(slopes) if s}
+        if face[0] == j:
+            x[j][(zero, ())] = Fraction(1)
+        dx[j] = {(zero, (p + 1,)): Fraction(s) for p, s in enumerate(slopes) if s}
+    out = {}
+    for (expo, sigma), c in a.items():
+        term = {(zero, ()): c}
+        for j, e in enumerate(expo, start=1):
+            for _ in range(e):
+                term = oracle_wedge(term, x[j])
+        for j in sigma:
+            term = oracle_wedge(term, dx[j])
+        for key, v in term.items():
+            _add_into(out, key, v)
+    return out
+
+
 def random_polyform(rng: random.Random, n: int, k: int, r: int, nterms: int = 3):
     """A random canonical form with small integer coefficients."""
     from feec.forms import canonicalize

@@ -72,6 +72,13 @@ def test_bad_arguments_exit_2(capsys):
     assert err.value.code == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.splitlines()[-1] == "feec: error: need r >= 0, got r=-3"
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--suite", "dims", "-r", "13"])
+    assert err.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.splitlines()[-1] == (
+        "feec: error: verification sweeps support r <= 12, as FEEC_MAX_DEGREE does, got r=13"
+    )
 
 
 def test_python_m_feec_runs_the_cli():

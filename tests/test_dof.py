@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -12,7 +13,7 @@ from feec.dof import (
     weight_space,
 )
 from feec.extension import extend_bernstein, extend_minus, extend_minus_generator
-from feec.forms import FaceRef, PolyForm, bary_monomial, whitney
+from feec.forms import FaceRef, PolyForm, bary_monomial, combination, whitney
 from feec.spaces import (
     Family,
     SpaceKind,
@@ -104,6 +105,25 @@ def test_dual_extension_is_a_right_inverse():
         mu = realize(desc)
         w = dual_extend(Family.FULL, mu, face, T, 2, 1)
         assert w.trace(face) == mu
+
+
+@pytest.mark.parametrize("family", [Family.FULL, Family.MINUS])
+def test_dual_extension_moments_match_inside_f_and_vanish_elsewhere(family):
+    rng = random.Random(f"dual-moments:{family.value}")
+    for n in (2, 3):
+        T = FaceRef.full(n)
+        for r in (1, 2):
+            for k in range(n + 1):
+                dofs = build_dofs(family, n, r, k)
+                for f in T.all_subfaces():
+                    basis = basis_forms(SpaceKind(family), FaceRef.full(f.dim), r, k)
+                    mu = combination(f.dim, k, ((rng.choice([-2, -1, 1, 2]), b) for b in basis))
+                    w = dual_extend(family, mu, f, T, r, k)
+                    for dof in dofs:
+                        expected = 0
+                        if f.contains(dof.face):
+                            expected = apply_dof(DofFunctional(f.to_local(dof.face), dof.weight), mu)
+                        assert apply_dof(dof, w) == expected, (family, n, r, k, f, dof.face)
 
 
 def test_block_triangularity():

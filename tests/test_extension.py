@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from feec.forms import FaceRef, PolyForm, bary_monomial, canonicalize, dlambda, whitney
+from feec.dof import dual_extend
+from feec.forms import FaceRef, PolyForm, bary_monomial, canonicalize, dlambda, one, whitney
 from feec.extension import (
     ExtensionFamily,
     FamilyKind,
@@ -11,6 +12,7 @@ from feec.extension import (
     characterization_equality,
     check_consistency,
     extend_bernstein,
+    extend_form,
     extend_full,
     extend_full_generator,
     extend_generator,
@@ -23,6 +25,7 @@ from feec.extension import (
 from feec.spaces import FULL, MINUS, Family, SpaceKind, basis_forms, enumerate_basis, realize
 
 Q = Fraction
+PRIMAL_KINDS = {Family.MINUS: FamilyKind.MINUS_BARYCENTRIC, Family.FULL: FamilyKind.FULL_PSI}
 
 
 def test_extend_minus_whitney_example():
@@ -88,10 +91,14 @@ def test_extend_full_identity_and_representative_independence():
     assert extend_full(zero, edge, T, 2, 1).is_zero
 
 
-@pytest.mark.parametrize("family", [Family.MINUS, Family.FULL])
-def test_form_extension_is_the_generator_sum_on_the_tetrahedron(family):
+@pytest.mark.parametrize("label", ["minus", "full", "dual-minus", "dual-full"])
+def test_form_extension_is_the_generator_sum_on_the_tetrahedron(label):
+    # the dual family's oracle is dual_extend applied to the member directly
+    dual = label.startswith("dual-")
+    family = Family(label.removeprefix("dual-"))
+    kind = FamilyKind.DUAL_DOF if dual else PRIMAL_KINDS[family]
     extend = extend_minus if family is Family.MINUS else extend_full
-    rng = random.Random(f"extend:{family.value}")
+    rng = random.Random(f"extend:{label}")
     T = FaceRef.full(3)
     for g in T.all_subfaces():
         for f in g.all_subfaces():
@@ -104,7 +111,23 @@ def test_form_extension_is_the_generator_sum_on_the_tetrahedron(family):
                         mu = mu + c * realize(desc)
                         generator = extend_generator(family, desc.alpha, desc.sigma, f, g)
                         expected = expected + c * generator
-                    assert extend(mu, f, g, r, k) == expected
+                    if dual:
+                        expected = dual_extend(family, mu, f, g, r, k)
+                    else:
+                        assert extend(mu, f, g, r, k) == expected
+                    assert extend_form(ExtensionFamily(kind, r, k, family), mu, f, g) == expected
+
+
+def test_full_extension_of_forms_needs_positive_degree():
+    edge = FaceRef(2, (0, 1))
+    T = FaceRef.full(2)
+    message = "the corrected-differential extension needs r >= 1 for k >= 1"
+    with pytest.raises(ValueError, match=message):
+        extend_full(dlambda(1, (1,)), edge, T, 0, 1)
+    with pytest.raises(ValueError, match=message):
+        ExtensionFamily(FamilyKind.FULL_PSI, 0, 1)
+    # constants are the degree-0 members of the 0-form space and still extend
+    assert extend_full(one(1), edge, T, 0, 0) == one(2)
 
 
 def test_extension_trace_roundtrip_sweep():
@@ -142,8 +165,6 @@ def test_extend_bernstein_examples():
     T = FaceRef.full(2)
     p = bary_monomial(1, (2, 0))
     assert extend_bernstein(p, edge, T) == bary_monomial(2, (0, 2, 0))
-    from feec.forms import one
-
     assert extend_bernstein(one(1), edge, T) == one(2)
 
 
@@ -190,6 +211,11 @@ def test_naive_family_fails_consistency():
     assert not res.ok
     assert res.witness is not None
     assert res.witness.lhs != res.witness.rhs
+    # the first failure in visiting order (f, then g, then basis member)
+    assert (res.witness.f, res.witness.g) == (FaceRef(2, (0, 1)), FaceRef(2, (1, 2)))
+    assert res.witness.mu == bary_monomial(1, (0, 2)).wedge(dlambda(1, (1,)))
+    assert res.witness.lhs == -bary_monomial(1, (2, 0)).wedge(dlambda(1, (1,)))
+    assert res.witness.rhs.is_zero
     # yet the naive map is a right inverse of the trace on its own face
     edge = FaceRef(2, (1, 2))
     mu = bary_monomial(1, (1, 1)).wedge(dlambda(1, (1,)))

@@ -19,7 +19,15 @@ from feec.forms import (
     psi_one_form,
     whitney,
 )
-from helpers import from_polyform, oracle_d, oracle_equal, oracle_wedge, random_polyform
+from helpers import (
+    from_polyform,
+    oracle_d,
+    oracle_equal,
+    oracle_koszul,
+    oracle_trace,
+    oracle_wedge,
+    random_polyform,
+)
 
 Q = Fraction
 
@@ -433,6 +441,30 @@ def test_derivative_against_oracle_derivative():
             for _ in range(8):
                 w = random_polyform(rng, n, k, rng.randint(1, 3))
                 assert from_polyform(w.d()) == oracle_d(from_polyform(w))
+
+
+def test_koszul_against_oracle_contraction():
+    rng = random.Random(59)
+    for n in (1, 2, 3):
+        for k in range(n + 1):
+            for r in range(4):
+                for _ in range(2):
+                    w = random_polyform(rng, n, k, r)
+                    for origin in range(n + 1):
+                        got = from_polyform(w.koszul(origin))
+                        assert got == oracle_koszul(from_polyform(w), origin), (n, k, r, origin)
+
+
+def test_trace_against_oracle_pullback():
+    rng = random.Random(67)
+    for n in (1, 2, 3):
+        for k in range(n + 1):
+            for r in range(4):
+                for _ in range(2):
+                    w = random_polyform(rng, n, k, r)
+                    for face in FaceRef.full(n).all_subfaces():
+                        got = from_polyform(w.trace(face))
+                        assert got == oracle_trace(from_polyform(w), n, face.indices), (n, k, r, face)
 
 
 def test_combination_matches_chained_addition():

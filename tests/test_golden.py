@@ -14,7 +14,11 @@ Under `golden/cli/`:
   with every suite but `consistency` selected;
 * `verify-consistency-n1-r1.json` is the stdout of `feec verify --suite
   consistency -n 1 -r 1 --format json`, compared in `test_cli.py` by the
-  test that already makes that run.
+  test that already makes that run;
+* `verify-consistency.json` is the stdout of `feec verify --suite
+  consistency --format json` at the default bounds, compared by a CI step
+  (`.github/workflows/tests.yml`) rather than here, to keep the test run
+  short.
 """
 
 import io
