@@ -13,12 +13,11 @@ product of the cell spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from . import linalg
 from .extension import placed_combination, placed_generator
-from .forms import FaceRef, Key, PolyForm
+from .forms import FaceRef, Key, PolyForm, Scalar
 from .mesh import GlobalFace, Triangulation
 from .spaces import (
     Family,
@@ -146,7 +145,7 @@ def _stacked_rows(elements: list[GlobalBasisElement], r: int) -> Iterator[linalg
 
 def _constraint_rows(
     t: Triangulation, cell_basis: list[PolyForm], r: int, k: int
-) -> Iterator[dict[int, Fraction]]:
+) -> Iterator[dict[int, Scalar]]:
     """Trace matching on the shared faces, one sparse row per face term and cell pair.
 
     Column `cell * len(cell_basis) + b` is the coefficient of basis form b on
@@ -158,7 +157,7 @@ def _constraint_rows(
         for face in t.faces(j):
             (c0, fr0), *others = face.incidence
             for ci, fri in others:
-                rows: dict[Key, dict[int, Fraction]] = {}
+                rows: dict[Key, dict[int, Scalar]] = {}
                 for cell, fr, sign in ((c0, fr0, 1), (ci, fri, -1)):
                     if fr not in traces:
                         traces[fr] = [w.trace(fr).lift(r) for w in cell_basis]

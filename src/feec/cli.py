@@ -90,16 +90,14 @@ def decompose_payload(mesh_path: str, family: Family, r: int, k: int) -> tuple[d
             groups.append(current)
         # descriptor indices are positions within the face; label with the
         # global vertex ids instead
-        verts = el.face.vertices
-        alpha_global = [0] * (max(verts) + 1)
-        for p, e in enumerate(el.descriptor.alpha):
-            alpha_global[verts[p]] = e
-        sigma_global = tuple(verts[s] for s in el.descriptor.sigma)
+        desc = el.descriptor
         current["generators"].append(
             {
-                "alpha": list(el.descriptor.alpha),
-                "sigma": list(el.descriptor.sigma),
-                "generator": format_generator(tuple(alpha_global), sigma_global, family.value),
+                "alpha": list(desc.alpha),
+                "sigma": list(desc.sigma),
+                "generator": format_generator(
+                    desc.alpha, desc.sigma, family.value, labels=el.face.vertices
+                ),
             }
         )
     ok = witness is None and report.ok

@@ -20,10 +20,9 @@ increasing vertex order; only the exact rational values matter here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
-from .forms import FaceRef, PolyForm, combination, integral_over_face
+from .forms import FaceRef, PolyForm, Scalar, combination, integral_over_face
 from .spaces import Family, SpaceKind, basis_forms, enumerate_basis, realize
 
 
@@ -56,17 +55,17 @@ def build_dofs(family: Family, n: int, r: int, k: int) -> list[DofFunctional]:
     return out
 
 
-def apply_dof(dof: DofFunctional, w: PolyForm) -> Fraction:
+def apply_dof(dof: DofFunctional, w: PolyForm) -> Scalar:
     """Evaluate the functional on a form over the dof's parent simplex."""
     if w.n != dof.face.n:
         raise ValueError(f"form lives on dimension {w.n}, functional on {dof.face.n}")
     tr = w.trace(dof.face)
     if tr.is_zero:
-        return Fraction(0)
+        return 0
     return integral_over_face(tr.wedge(dof.weight))
 
 
-def pairing_matrix(dofs: list[DofFunctional], forms: list[PolyForm]) -> list[list[Fraction]]:
+def pairing_matrix(dofs: list[DofFunctional], forms: list[PolyForm]) -> list[list[Scalar]]:
     """Matrix of functional values, one row per functional."""
     if len(dofs) != len(forms):
         raise ValueError(f"{len(dofs)} functionals against {len(forms)} forms")

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
 from .combinat import multiindices
 from . import linalg
 from .dof import dual_extend
-from .forms import FaceRef, PolyForm, bary_monomial, canonicalize, combination, psi_form, whitney
+from .forms import FaceRef, PolyForm, Scalar, bary_monomial, canonicalize, combination, psi_form, whitney
 from .spaces import (
     Family,
     GeneratorDescriptor,
@@ -152,7 +151,7 @@ def placed_generator(
 
 
 def placed_combination(
-    coords: list[Fraction], descriptors: list[GeneratorDescriptor], fr: FaceRef, k: int
+    coords: list[Scalar], descriptors: list[GeneratorDescriptor], fr: FaceRef, k: int
 ) -> PolyForm:
     """Sum of c * generator over coordinates and face-local descriptors, placed at fr."""
     terms = (
@@ -296,7 +295,7 @@ def _face_supported(w: PolyForm, face: FaceRef) -> bool:
 
 def _constant_contraction_rows(
     w: PolyForm, face: FaceRef, r: int
-) -> list[Fraction]:
+) -> list[Scalar]:
     """Values of the reduced order-r+ functionals on a degree-r form.
 
     For each opposite vertex l and each face-supported exponent alpha of
@@ -305,7 +304,7 @@ def _constant_contraction_rows(
     """
     n = w.n
     k = w.k
-    values: list[Fraction] = []
+    values: list[Scalar] = []
     out_keys = list(combinations(range(1, n + 1), k - 1))
     for l in face.complement_indices:
         for alpha_local in multiindices(face.dim, r):
@@ -324,10 +323,10 @@ def _constant_contraction_rows(
                 },
             )
             if slice_form.is_zero:
-                values.extend([Fraction(0)] * len(out_keys))
+                values.extend([0] * len(out_keys))
                 continue
             contracted = slice_form.contract(alpha, l)
-            values.extend(contracted.coeffs.get(((0,) * (n + 1), key), Fraction(0)) for key in out_keys)
+            values.extend(contracted.coeffs.get(((0,) * (n + 1), key), 0) for key in out_keys)
     return values
 
 
@@ -378,7 +377,7 @@ def characterization_equality(family: Family, face: FaceRef, r: int, k: int) -> 
     with_contractions = family is Family.FULL and k >= 1 and len(keep) < n + 1
     rows = []
     for w in big_forms:
-        row = [w.coeffs.get(key, Fraction(0)) for key in bad_keys]
+        row = [w.coeffs.get(key, 0) for key in bad_keys]
         if with_contractions:
             row.extend(_constant_contraction_rows(w, face, r))
         rows.append(row)

@@ -9,7 +9,11 @@ d lambda_n).  The surviving generators lambda^alpha d lambda_sigma with
 independent, so two forms are equal exactly when their stored coefficient
 dictionaries agree (after homogenizing to a common degree).
 
-All coefficients are `fractions.Fraction`; nothing here ever touches floats.
+Coefficients are exact rationals, `int` or `Fraction`, never float: an
+integral value is an `int`, so forms built from integer data stay integer
+under every operation here.  Denominators come only from integrals, from the
+alpha_i / |alpha| weights of the corrected differentials, and from inverses;
+an inexact scalar (float, Decimal, complex) raises TypeError.
 """
 
 from __future__ import annotations
@@ -18,14 +22,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
+from numbers import Rational
 from typing import Iterable, Iterator
 
 from .combinat import multiindices
 
-Scalar = Fraction
+# An exact rational: int when integral, Fraction only when a denominator appears.
+Scalar = int | Fraction
 
 # A raw term: (exponent tuple over 0..n, differential index sequence, coefficient).
-RawTerm = tuple[tuple[int, ...], tuple[int, ...], "Scalar | int"]
+RawTerm = tuple[tuple[int, ...], tuple[int, ...], Scalar]
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
 
@@ -127,6 +133,13 @@ def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...]
     return tuple(out), sign
 
 
+def _exact(c: object) -> Scalar:
+    """c as an int when integral, else as a Fraction; TypeError when c is not rational."""
+    if not isinstance(c, Rational):
+        raise TypeError(f"coefficients must be exact rationals (int or Fraction), got {c!r}")
+    return c.numerator if c.denominator == 1 else Fraction(c)
+
+
 def canonicalize(n: int, k: int, terms: Iterable[RawTerm], degree: int | None = None) -> PolyForm:
     """Build the canonical form of a raw sum of lambda^alpha d lambda_sigma terms.
 
@@ -137,7 +150,8 @@ def canonicalize(n: int, k: int, terms: Iterable[RawTerm], degree: int | None = 
     flat: list[tuple[tuple[int, ...], tuple[int, ...], Scalar]] = []
     max_deg = 0
     for alpha, sigma, c in terms:
-        c = Fraction(c)
+        if type(c) is not int:
+            c = _exact(c)
         if not c:
             continue
         if len(alpha) != n + 1 or any(e < 0 for e in alpha):
@@ -175,7 +189,7 @@ def canonicalize(n: int, k: int, terms: Iterable[RawTerm], degree: int | None = 
             raise ValueError(f"monomial degree {sum(alpha)} exceeds target {degree}")
         if deficit == 0:
             key = (alpha, sig)
-            coeffs[key] = coeffs.get(key, Fraction(0)) + c
+            coeffs[key] = coeffs.get(key, 0) + c
             continue
         for beta in multiindices(n, deficit):
             w = 1
@@ -184,7 +198,7 @@ def canonicalize(n: int, k: int, terms: Iterable[RawTerm], degree: int | None = 
                 w *= comb(rem, e)
                 rem -= e
             key = (tuple(a + b for a, b in zip(alpha, beta)), sig)
-            coeffs[key] = coeffs.get(key, Fraction(0)) + c * w
+            coeffs[key] = coeffs.get(key, 0) + c * w
     coeffs = {key: v for key, v in coeffs.items() if v}
     return PolyForm(n, k, degree, coeffs)
 
@@ -252,7 +266,7 @@ class PolyForm:
         a, b = self.lift(r), other.lift(r)
         coeffs = dict(a.coeffs)
         for key, c in b.coeffs.items():
-            v = coeffs.get(key, Fraction(0)) + c
+            v = coeffs.get(key, 0) + c
             if v:
                 coeffs[key] = v
             else:
@@ -265,8 +279,8 @@ class PolyForm:
     def __sub__(self, other: PolyForm) -> PolyForm:
         return self + (-other)
 
-    def __mul__(self, scalar: Scalar | int) -> PolyForm:
-        c = Fraction(scalar)
+    def __mul__(self, scalar: Scalar) -> PolyForm:
+        c = _exact(scalar)
         if not c:
             return PolyForm.zero(self.n, self.k)
         return PolyForm(self.n, self.k, self.r, {key: v * c for key, v in self.coeffs.items()})
@@ -310,7 +324,7 @@ class PolyForm:
                     continue
                 sig, sign = merged
                 key = (tuple(x + y for x, y in zip(a1, a2)), sig)
-                v = coeffs.get(key, Fraction(0)) + c1 * c2 * sign
+                v = coeffs.get(key, 0) + c1 * c2 * sign
                 if v:
                     coeffs[key] = v
                 else:
@@ -426,15 +440,17 @@ class PolyForm:
         return PolyForm(self.n, self.k, 0, coeffs)
 
 
-def combination(n: int, k: int, terms: Iterable[tuple[Scalar | int, PolyForm]]) -> PolyForm:
+def combination(n: int, k: int, terms: Iterable[tuple[Scalar, PolyForm]]) -> PolyForm:
     """The k-form sum of c * w over the (c, w) terms, built in one coefficient dict.
 
     Every term is lifted to the largest storage degree among the live ones;
     zero coefficients and zero forms contribute nothing.  Raises ValueError
-    when a form has another shape.
+    when a form has another shape and TypeError for an inexact coefficient.
     """
-    live: list[tuple[Scalar | int, PolyForm]] = []
+    live: list[tuple[Scalar, PolyForm]] = []
     for c, w in terms:
+        if type(c) is not int:
+            c = _exact(c)
         if w.n != n or (w.k != k and not w.is_zero):
             raise ValueError(f"cannot combine a {w.k}-form on dim {w.n} into a {k}-form on dim {n}")
         if c and w.coeffs:
@@ -454,7 +470,7 @@ def combination(n: int, k: int, terms: Iterable[tuple[Scalar | int, PolyForm]]) 
 
 def one(n: int) -> PolyForm:
     """The constant 0-form 1."""
-    return PolyForm(n, 0, 0, {((0,) * (n + 1), ()): Fraction(1)})
+    return PolyForm(n, 0, 0, {((0,) * (n + 1), ()): 1})
 
 
 def bary_monomial(n: int, alpha: tuple[int, ...]) -> PolyForm:
@@ -499,7 +515,7 @@ def psi_one_form(alpha: tuple[int, ...], face: FaceRef, i: int) -> PolyForm:
     if any(alpha[m] and m not in set(face.indices) for m in range(n + 1)):
         raise ValueError(f"support of {alpha} leaves face {face.indices}")
     zero_alpha = (0,) * (n + 1)
-    raw: list[RawTerm] = [(zero_alpha, (i,), Fraction(1))]
+    raw: list[RawTerm] = [(zero_alpha, (i,), 1)]
     w = Fraction(alpha[i], deg)
     if w:
         raw.extend((zero_alpha, (j,), -w) for j in face.indices)
@@ -523,7 +539,7 @@ def integral_over_face(w: PolyForm) -> Scalar:
     d = w.n
     if w.k != d:
         raise ValueError(f"integrand must have order {d}, got {w.k}")
-    total = Fraction(0)
+    total: Scalar = 0
     top = tuple(range(1, d + 1))
     for (beta, sigma), c in w.coeffs.items():
         assert sigma == top

@@ -8,8 +8,8 @@ divided by its content once on entry; each elimination step keeps rows
 primitive, so entries stay small and zero entries are never stored.  Dense
 matrices are converted row by row, labelled by column index; sparse callers
 hand their rows to :func:`rank_sparse` or :func:`pivot_columns` directly.
-Solutions are recovered from the echelon form by back substitution in
-Fraction arithmetic.
+Solutions are recovered from the echelon form by back substitution; an
+entry is an int when it is integral and a Fraction only otherwise.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Any, Iterable, Mapping, Sequence
 
-Row = Mapping[Any, Fraction | int]
+Scalar = int | Fraction
+Row = Mapping[Any, Scalar]
 
 
 def _primitive(row: Row) -> dict[Any, int]:
@@ -61,22 +62,28 @@ def _echelon(rows: Iterable[Row]) -> dict[Any, dict[Any, int]]:
     return pivots
 
 
+def _quotient(num: Scalar, den: int) -> Scalar:
+    """num / den, as an int when it divides exactly."""
+    q, rem = divmod(num, den)
+    return q if not rem else Fraction(num, den)
+
+
 def _back_substitute(
     pivots: dict[int, dict[int, int]], nvars: int, rhs_cols: Sequence[int]
-) -> list[list[Fraction]]:
+) -> list[list[Scalar]]:
     """Solutions x[var][j] for the right-hand sides in rhs_cols, free variables zero."""
-    x = [[Fraction(0)] * len(rhs_cols) for _ in range(nvars)]
+    x: list[list[Scalar]] = [[0] * len(rhs_cols) for _ in range(nvars)]
     for col in sorted(pivots, reverse=True):
         row = pivots[col]
         tail = [(c, v) for c, v in row.items() if col < c < nvars]
         x[col] = [
-            Fraction(row.get(b, 0) - sum(v * x[c][j] for c, v in tail), row[col])
+            _quotient(row.get(b, 0) - sum(v * x[c][j] for c, v in tail), row[col])
             for j, b in enumerate(rhs_cols)
         ]
     return x
 
 
-def _sparse(row: Sequence[Fraction | int]) -> dict[int, Fraction | int]:
+def _sparse(row: Sequence[Scalar]) -> dict[int, Scalar]:
     return {c: x for c, x in enumerate(row) if x}
 
 
@@ -90,12 +97,12 @@ def pivot_columns(rows: Iterable[Row]) -> list[Any]:
     return sorted(_echelon(rows))
 
 
-def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
+def rank(rows: Sequence[Sequence[Scalar]]) -> int:
     """Rank of the matrix given as a sequence of rows."""
     return rank_sparse(_sparse(row) for row in rows)
 
 
-def solve(rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]) -> list[Fraction] | None:
+def solve(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> list[Scalar] | None:
     """Solve A x = b exactly; returns None if inconsistent.
 
     Underdetermined systems get free variables set to zero, so when the
@@ -108,13 +115,13 @@ def solve(rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int
     return [xs[0] for xs in _back_substitute(pivots, ncols, [ncols])]
 
 
-def nonsingular(rows: Sequence[Sequence[Fraction | int]]) -> bool:
+def nonsingular(rows: Sequence[Sequence[Scalar]]) -> bool:
     """Whether a square matrix has full rank."""
     n = len(rows)
     return all(len(r) == n for r in rows) and rank(rows) == n
 
 
-def inverse(rows: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]] | None:
+def inverse(rows: Sequence[Sequence[Scalar]]) -> list[list[Scalar]] | None:
     """Exact inverse of a square matrix, or None when singular."""
     n = len(rows)
     if any(len(r) != n for r in rows):

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
-    from .forms import PolyForm
+    from .forms import PolyForm, Scalar
 
 
-def _coeff_prefix(c: Fraction, style: str) -> str:
+def _coeff_prefix(c: Scalar, style: str) -> str:
     mag = -c if c < 0 else c
     if mag == 1:
         body = ""
@@ -20,11 +19,15 @@ def _coeff_prefix(c: Fraction, style: str) -> str:
     return body
 
 
-def format_monomial(alpha: tuple[int, ...], style: str = "plain") -> str:
+def format_monomial(
+    alpha: tuple[int, ...], style: str = "plain", labels: Sequence[int] | None = None
+) -> str:
+    """lambda^alpha, with lambda_i named labels[i] (default i)."""
     parts = []
-    for i, e in enumerate(alpha):
+    for p, e in enumerate(alpha):
         if e == 0:
             continue
+        i = p if labels is None else labels[p]
         if style == "latex":
             parts.append(f"\\lambda_{{{i}}}" + (f"^{{{e}}}" if e > 1 else ""))
         else:
@@ -69,10 +72,16 @@ def format_form(w: PolyForm, style: str = "plain") -> str:
 
 
 def format_generator(
-    alpha: tuple[int, ...], sigma: tuple[int, ...], family: str, style: str = "plain"
+    alpha: tuple[int, ...],
+    sigma: tuple[int, ...],
+    family: str,
+    style: str = "plain",
+    labels: Sequence[int] | None = None,
 ) -> str:
-    """Render a basis generator lambda^alpha (d lambda_sigma | phi_sigma)."""
-    mono = format_monomial(alpha, style)
+    """Render lambda^alpha (d lambda_sigma | phi_sigma); vertex p is named labels[p] if given."""
+    if labels is not None:
+        sigma = tuple(labels[s] for s in sigma)
+    mono = format_monomial(alpha, style, labels)
     if family == "minus":
         idx = "".join(str(s) for s in sigma)
         tail = f"\\phi_{{{idx}}}" if style == "latex" else f"phi_{idx}"

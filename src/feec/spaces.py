@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
 from .combinat import binom, multiindices
 from . import linalg
-from .forms import FaceRef, Key, PolyForm, bary_monomial, combination, dlambda, whitney
+from .forms import FaceRef, Key, PolyForm, Scalar, bary_monomial, combination, dlambda, whitney
 
 
 class Family(str, Enum):
@@ -159,7 +158,7 @@ def basis_forms(kind: SpaceKind, face: FaceRef, r: int, k: int) -> list[PolyForm
     return [realize(g) for g in enumerate_basis(kind, face, r, k)]
 
 
-def coefficient_vectors(forms: list[PolyForm]) -> list[list[Fraction]]:
+def coefficient_vectors(forms: list[PolyForm]) -> list[list[Scalar]]:
     """Coefficient rows of the given forms over the union of canonical keys.
 
     All forms are first homogenized to one common degree so that the rows
@@ -173,8 +172,7 @@ def coefficient_vectors(forms: list[PolyForm]) -> list[list[Fraction]]:
     r = max(w.r for w in forms)
     lifted = [w.lift(r) for w in forms]
     keys = sorted(set().union(*(w.coeffs.keys() for w in lifted)))
-    zero = Fraction(0)
-    return [[w.coeffs.get(key, zero) for key in keys] for w in lifted]
+    return [[w.coeffs.get(key, 0) for key in keys] for w in lifted]
 
 
 def rank_of(forms: list[PolyForm]) -> int:
@@ -186,7 +184,7 @@ def rank_of(forms: list[PolyForm]) -> int:
 @cache
 def _basis_table(
     kind: SpaceKind, m: int, r: int, k: int, degree: int
-) -> tuple[list[PolyForm], list[Key], list[list[Fraction]]]:
+) -> tuple[list[PolyForm], list[Key], list[list[Scalar]]]:
     """The basis on an m-face stored at `degree`, its pivot keys, and its inverse there.
 
     The realized basis depends only on the face dimension, not on where the
@@ -207,7 +205,7 @@ def _basis_table(
 
 def membership(
     w: PolyForm, kind: SpaceKind, face: FaceRef, r: int, k: int
-) -> list[Fraction] | None:
+) -> list[Scalar] | None:
     """Coordinates of w in the basis of the space, or None when outside it.
 
     The form must be expressed in the face's own coordinates.  Candidate
@@ -221,9 +219,8 @@ def membership(
     degree = max(r, w.r)
     basis, pivot_keys, inverse = _basis_table(kind, face.dim, r, k, degree)
     target = w.lift(degree).coeffs
-    zero = Fraction(0)
-    rhs = [target.get(key, zero) for key in pivot_keys]
-    coords = [sum((a * b for a, b in zip(row, rhs) if b), zero) for row in inverse]
+    rhs = [target.get(key, 0) for key in pivot_keys]
+    coords = [sum(a * b for a, b in zip(row, rhs) if b) for row in inverse]
     if combination(face.dim, k, zip(coords, basis)).coeffs != target:
         return None
     return coords

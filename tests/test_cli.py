@@ -143,6 +143,25 @@ def test_decompose_command(tmp_path, capsys):
     assert sum(by_dim.values()) == payload["total"]
 
 
+def test_decompose_labels_generators_with_large_vertex_ids(tmp_path, capsys):
+    # generator labels come from the face's vertex ids, not from a list as
+    # long as the largest id
+    big = 10**20
+    mesh = tmp_path / "big.mesh"
+    mesh.write_text(f"simplicial-mesh v1 dim=2 vertices={big + 2} cells=2\n0 1 {big}\n1 {big} {big + 1}\n")
+    code, out, err = run_cli(
+        capsys, "decompose", "--mesh", str(mesh), "--family", "full", "-r", "2", "-k", "1",
+        "--format", "json",
+    )
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["verified"] == {"single_valued": True, "direct_sum": True}
+    edge = next(g for g in payload["groups"] if g["face"] == [1, big])
+    assert [gen["generator"] for gen in edge["generators"]] == [
+        f"l{big}^2 dl1", f"l1^2 dl{big}", f"l1*l{big} dl{big}",
+    ]
+
+
 def test_decompose_error_paths(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "decompose", "--mesh", str(tmp_path / "none.mesh"), "--family", "minus",

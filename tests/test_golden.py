@@ -16,7 +16,9 @@ Under `golden/cli/`:
   consistency -n 1 -r 1 --format json`, compared in `test_cli.py` by the
   test that already makes that run;
 * `verify-consistency.json` is the stdout of `feec verify --suite
-  consistency --format json` at the default bounds, compared by a CI step
+  consistency --format json` at the default bounds, and `verify-default.json`
+  the stdout of `feec verify --format json` at the default bounds (every
+  suite, n = 3, r = 3); both are compared by CI steps
   (`.github/workflows/tests.yml`) rather than here, to keep the test run
   short.
 """

@@ -16,6 +16,11 @@ from helpers import dense_echelon, oracle_inverse, oracle_rank, oracle_solve
 Q = Fraction
 
 
+def _int_when_integral(values) -> bool:
+    """Solution entries are int when integral and Fraction otherwise."""
+    return all(type(x) is (int if x.denominator == 1 else Q) for x in values)
+
+
 def test_rank_basic():
     assert rank([[1, 2], [2, 4]]) == 1
     assert rank([[1, 0], [0, 1]]) == 2
@@ -119,14 +124,17 @@ def test_kernel_matches_dense_oracle(shape):
         consistent = [sum(a * b for a, b in zip(row, x0)) for row in m]
         got = solve(m, consistent)
         assert got == oracle_solve(m, consistent)
-        assert got is not None and all(isinstance(x, Q) for x in got)
+        assert got is not None and _int_when_integral(got)
         assert [sum(a * b for a, b in zip(row, got)) for row in m] == consistent
         arbitrary = [_entry(rng) for _ in m]
-        assert solve(m, arbitrary) == oracle_solve(m, arbitrary)
+        got = solve(m, arbitrary)
+        assert got == oracle_solve(m, arbitrary)
+        assert got is None or _int_when_integral(got)
 
         if nrows + zero_rows == ncols:
             inv = inverse(m)
             assert inv == oracle_inverse(m)
+            assert inv is None or all(_int_when_integral(row) for row in inv)
             assert nonsingular(m) == (rk == ncols) == (inv is not None)
 
 
