@@ -148,7 +148,9 @@ def test_decompose_labels_generators_with_large_vertex_ids(tmp_path, capsys):
     # long as the largest id
     big = 10**20
     mesh = tmp_path / "big.mesh"
-    mesh.write_text(f"simplicial-mesh v1 dim=2 vertices={big + 2} cells=2\n0 1 {big}\n1 {big} {big + 1}\n")
+    mesh.write_text(
+        f"simplicial-mesh v1 dim=2 vertices={big + 2} cells=2\n0 1 {big}\n1 {big} {big + 1}\n"
+    )
     code, out, err = run_cli(
         capsys, "decompose", "--mesh", str(mesh), "--family", "full", "-r", "2", "-k", "1",
         "--format", "json",

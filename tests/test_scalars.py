@@ -102,8 +102,9 @@ def test_values_with_denominators_are_exact():
     inv = linalg.inverse(rows)
     assert x is not None and inv is not None
     assert all(exact(v) for v in x) and all(exact(v) for row in inv for v in row)
-    assert linalg.inverse([[1, 2], [0, 1]]) == [[1, -2], [0, 1]]
-    assert all(type(v) is int for row in linalg.inverse([[1, 2], [0, 1]]) for v in row)
+    unimodular = linalg.inverse([[1, 2], [0, 1]])
+    assert unimodular == [[1, -2], [0, 1]]
+    assert all(type(v) is int for row in unimodular for v in row)
 
 
 @pytest.mark.parametrize("c", INEXACT, ids=lambda c: type(c).__name__)
