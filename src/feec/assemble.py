@@ -16,18 +16,18 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import linalg
-from .extension import placed_combination, placed_generator
-from .forms import FaceRef, Key, PolyForm, Scalar
+from .extension import placed_basis
+from .forms import FaceRef, Key, PolyForm, Scalar, combination
 from .mesh import GlobalFace, Triangulation
 from .spaces import (
     Family,
     GeneratorDescriptor,
     SpaceKind,
+    basis_forms,
     dim_space,
     enumerate_basis,
     membership,
     rank_of,
-    realize,
 )
 
 
@@ -54,12 +54,9 @@ def assemble_basis(t: Triangulation, family: Family, r: int, k: int) -> list[Glo
     for face in t.all_faces():
         if face.dim < k:
             continue
-        for desc in descriptors[face.dim]:
-            restrictions = {
-                ci: placed_generator(family, desc.alpha, desc.sigma, fr)
-                for ci, fr in face.incidence
-            }
-            out.append(GlobalBasisElement(face, desc, restrictions))
+        placed = [(ci, placed_basis(zero_kind, r, k, fr)) for ci, fr in face.incidence]
+        for i, desc in enumerate(descriptors[face.dim]):
+            out.append(GlobalBasisElement(face, desc, {ci: forms[i] for ci, forms in placed}))
     return out
 
 
@@ -196,7 +193,7 @@ def verify_direct_sum(
         local = local and got == len(forms)
     independent = local or linalg.rank_sparse(_stacked_rows(elements, r)) == count
 
-    cell_basis = [realize(d) for d in enumerate_basis(whole, FaceRef.full(t.n), r, k)]
+    cell_basis = basis_forms(whole, FaceRef.full(t.n), r, k)
     ncols = len(cell_basis) * len(t.cells)
     constrained = ncols - linalg.rank_sparse(_constraint_rows(t, cell_basis, r, k))
     expected = assembled_dimension(t, family, r, k)
@@ -219,7 +216,6 @@ def decompose(
     components: dict[tuple[int, ...], PolyForm] = {}
     for j in range(k, n + 1):
         local = FaceRef.full(j)
-        descriptors = enumerate_basis(zero_kind, local, r, k)
         for face in t.faces(j):
             c0, fr0 = face.incidence[0]
             mu = current[c0].trace(fr0)
@@ -235,7 +231,8 @@ def decompose(
                 )
             components[face.vertices] = mu
             for ci, fri in face.incidence:
-                current[ci] = current[ci] - placed_combination(coords, descriptors, fri, k)
+                correction = combination(n, k, zip(coords, placed_basis(zero_kind, r, k, fri)))
+                current[ci] = current[ci] - correction
     for ci, w in current.items():
         if not w.is_zero:
             raise ValueError(f"nonzero residual on cell {ci} after peeling")

@@ -11,7 +11,7 @@ import json
 import sys
 
 from .assemble import assemble_basis, verify_direct_sum, verify_single_valued
-from .extension import extend_generator
+from .extension import placed_basis
 from .forms import FaceRef
 from .mesh import MeshFormatError, load
 from .render import format_form, format_generator
@@ -45,14 +45,12 @@ def dim_payload(family: Family, n: int, r: int, k: int, zero_trace: bool) -> dic
 
 def basis_payload(family: Family, n: int, r: int, k: int) -> dict:
     zero_kind = SpaceKind(family, zero_trace=True)
-    T = FaceRef.full(n)
     groups = []
-    for face in T.all_subfaces():
+    for face in FaceRef.full(n).all_subfaces():
         if face.dim < k:
             continue
         gens = []
-        for desc in enumerate_basis(zero_kind, face, r, k):
-            w = extend_generator(family, desc.alpha, desc.sigma, face, T)
+        for desc, w in zip(enumerate_basis(zero_kind, face, r, k), placed_basis(zero_kind, r, k, face)):
             gens.append(
                 {
                     "alpha": list(desc.alpha),

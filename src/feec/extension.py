@@ -1,19 +1,19 @@
 """Extension operators from a face to a containing face, and their laws.
 
-Three computable families are provided: the Bernstein monomial map for
-0-forms, the Whitney-generator map for the reduced family, and the
-corrected-differential map for the full family, where each face
-differential d lambda_i is replaced by
+Three linear families are provided: the Whitney-generator map for the
+reduced family; the corrected-differential map for the full family, which
+is the Bernstein monomial map on 0-forms and otherwise replaces each face
+differential d lambda_i by
 
     psi_i = d lambda_i - (alpha_i / |alpha|) * sum_{j in I(f)} d lambda_j
 
 so that the image depends only on the form and not on its barycentric
-representation.  A fourth family extends by matching degrees of freedom.
-All three are linear, so each extends a member through its basis
-coordinates on the face and a cached table of the images of that basis.
-A deliberately naive family, which maps d lambda_sigma to itself without
-the correction, is kept as a negative control: it is a right inverse of
-the trace but fails the compatibility law checked here.
+representation; and the moment family, which extends by matching degrees
+of freedom.  Each extends a member through its basis coordinates on the
+face and a cached table of the images of that basis.  A deliberately naive
+map, which takes d lambda_sigma to itself without the correction, is kept
+as a negative control: it is a right inverse of the trace but fails the
+compatibility law checked here.
 
 The compatibility law for a family E is
 
@@ -35,14 +35,12 @@ from .dof import dual_extend
 from .forms import FaceRef, PolyForm, Scalar, bary_monomial, canonicalize, combination, psi_form, whitney
 from .spaces import (
     Family,
-    GeneratorDescriptor,
     SpaceKind,
     basis_forms,
-    coefficient_vectors,
     dim_space,
     enumerate_basis,
     membership,
-    realize,
+    rank_of,
 )
 
 
@@ -133,33 +131,18 @@ def extend_generator(
 
 
 @cache
-def placed_generator(
-    family: Family, alpha: tuple[int, ...], sigma: tuple[int, ...], fr: FaceRef
-) -> PolyForm:
-    """Extend a face-local generator into the simplex holding the face at fr.
+def placed_basis(kind: SpaceKind, r: int, k: int, fr: FaceRef) -> tuple[PolyForm, ...]:
+    """A face basis extended into the simplex that holds the face at fr.
 
-    The result depends only on the face-local labels and the local face, so
-    it is built once per process and shared by every mesh face, cell and
-    extension that asks for it; callers must not mutate it.
+    The basis is that of the reference fr.dim-face, in enumeration order.  It
+    depends only on the space and the local face, so it is built once per
+    process and shared by every caller; callers must not mutate it.
     """
-    n = fr.n
-    cell_alpha = [0] * (n + 1)
-    for p, e in enumerate(alpha):
-        cell_alpha[fr.indices[p]] = e
-    cell_sigma = tuple(fr.indices[s] for s in sigma)
-    return extend_generator(family, tuple(cell_alpha), cell_sigma, fr, FaceRef.full(n))
-
-
-def placed_combination(
-    coords: list[Scalar], descriptors: list[GeneratorDescriptor], fr: FaceRef, k: int
-) -> PolyForm:
-    """Sum of c * generator over coordinates and face-local descriptors, placed at fr."""
-    terms = (
-        (c, placed_generator(desc.family, desc.alpha, desc.sigma, fr))
-        for c, desc in zip(coords, descriptors)
-        if c
+    top = FaceRef.full(fr.n)
+    return tuple(
+        extend_generator(d.family, fr.place(d.alpha), tuple(fr.indices[s] for s in d.sigma), fr, top)
+        for d in enumerate_basis(kind, FaceRef.full(fr.dim), r, k)
     )
-    return combination(fr.n, k, terms)
 
 
 # -- form-level extension -------------------------------------------------------
@@ -186,13 +169,8 @@ def extend_naive(mu: PolyForm, f: FaceRef, g: FaceRef) -> PolyForm:
     """Reinterpret the f-local form mu on g by vertex correspondence (negative control)."""
     if not g.contains(f):
         raise ValueError(f"{f.indices} is not a subface of {g.indices}")
-    gpos = [g.position(i) for i in f.indices]
-    raw = []
-    for alpha, sigma, c in mu.terms():
-        a = [0] * (g.dim + 1)
-        for p, e in enumerate(alpha):
-            a[gpos[p]] = e
-        raw.append((tuple(a), tuple(gpos[s] for s in sigma), c))
+    fl = g.to_local(f)
+    raw = [(fl.place(alpha), tuple(fl.indices[s] for s in sigma), c) for alpha, sigma, c in mu.terms()]
     return canonicalize(g.dim, mu.k, raw, degree=mu.r)
 
 
@@ -204,11 +182,11 @@ def _images(fam: ExtensionFamily, fr: FaceRef) -> tuple[PolyForm, ...]:
     each family and local face; callers must not mutate them.
     """
     kind, r, k = fam.space_kind, fam.r, fam.k
-    reference = FaceRef.full(fr.dim)
     if fam.kind is FamilyKind.DUAL_DOF:
         top = FaceRef.full(fr.n)
-        return tuple(dual_extend(fam.space_family, b, fr, top, r, k) for b in basis_forms(kind, reference, r, k))
-    return tuple(placed_generator(d.family, d.alpha, d.sigma, fr) for d in enumerate_basis(kind, reference, r, k))
+        basis = basis_forms(kind, FaceRef.full(fr.dim), r, k)
+        return tuple(dual_extend(fam.space_family, b, fr, top, r, k) for b in basis)
+    return placed_basis(kind, r, k, fr)
 
 
 def extend_form(fam: ExtensionFamily, mu: PolyForm, f: FaceRef, g: FaceRef) -> PolyForm:
@@ -308,10 +286,7 @@ def _constant_contraction_rows(
     out_keys = list(combinations(range(1, n + 1), k - 1))
     for l in face.complement_indices:
         for alpha_local in multiindices(face.dim, r):
-            alpha = [0] * (n + 1)
-            for p, e in zip(face.indices, alpha_local):
-                alpha[p] = e
-            alpha = tuple(alpha)
+            alpha = face.place(alpha_local)
             slice_form = PolyForm(
                 n,
                 k,
@@ -365,7 +340,7 @@ def characterization_equality(family: Family, face: FaceRef, r: int, k: int) -> 
     n = face.n
     T = FaceRef.full(n)
     kind = SpaceKind(family)
-    big_forms = [realize(d).lift(r) for d in enumerate_basis(kind, T, r, k)]
+    big_forms = [b.lift(r) for b in basis_forms(kind, T, r, k)]
     keep = set(face.indices)
     sigmas = list(combinations(range(1, n + 1), k))
     bad_keys = [
@@ -385,14 +360,11 @@ def characterization_equality(family: Family, face: FaceRef, r: int, k: int) -> 
     expected = dim_space(kind, face.dim, r, k)
     if kernel_dim != expected:
         return False
-    extended = []
-    for desc in enumerate_basis(kind, face, r, k):
-        w = extend_generator(family, desc.alpha, desc.sigma, face, T)
+    extended = placed_basis(kind, r, k, face)
+    for w in extended:
         level = vanishing_order_check(w, face, r)
         if level is VanishingOrder.NEITHER:
             return False
         if family is Family.FULL and level is not VanishingOrder.ORDER_R_PLUS:
             return False
-        extended.append(w)
-    rows = coefficient_vectors(extended)
-    return linalg.rank(rows) == expected
+    return rank_of(extended) == expected

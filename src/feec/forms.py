@@ -79,6 +79,13 @@ class FaceRef:
             raise ValueError(f"{sub} is not a subface of {self}")
         return FaceRef(self.dim, tuple(self.position(i) for i in sub.indices))
 
+    def place(self, alpha: Iterable[int]) -> tuple[int, ...]:
+        """A face-local exponent tuple as one over the parent's n + 1 vertices."""
+        out = [0] * (self.n + 1)
+        for i, e in zip(self.indices, alpha):
+            out[i] = e
+        return tuple(out)
+
     def subfaces(self, j: int) -> list[FaceRef]:
         """All j-dimensional subfaces, in lexicographic vertex order."""
         return [FaceRef(self.n, c) for c in combinations(self.indices, j + 1)]

@@ -35,6 +35,13 @@ def _is_id(token: str) -> bool:
     return bool(token) and all("0" <= ch <= "9" for ch in token)
 
 
+def _number(lineno: int, token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:  # longer than the interpreter's integer-string limit
+        raise MeshFormatError(lineno, f"number of {len(token)} digits is too long") from None
+
+
 @dataclass(frozen=True)
 class GlobalFace:
     """A face of the mesh with its (cell, local face) incidence list."""
@@ -114,7 +121,9 @@ def loads(text: str) -> Triangulation:
                 key, _, value = item.partition("=")
                 if key not in ("dim", "vertices", "cells") or not _is_id(value):
                     raise MeshFormatError(lineno, f"bad header field {item!r}")
-                meta[key] = int(value)
+                if key in meta:
+                    raise MeshFormatError(lineno, f"repeated header field {key!r}")
+                meta[key] = _number(lineno, value)
             missing = {"dim", "vertices", "cells"} - meta.keys()
             if missing:
                 raise MeshFormatError(lineno, f"header missing {sorted(missing)}")
@@ -125,7 +134,7 @@ def loads(text: str) -> Triangulation:
             raise MeshFormatError(
                 lineno, f"expected {meta['dim'] + 1} non-negative vertex ids"
             )
-        ids = tuple(sorted(int(f) for f in fields))
+        ids = tuple(sorted(_number(lineno, f) for f in fields))
         if len(set(ids)) != len(ids):
             raise MeshFormatError(lineno, f"repeated vertex id in cell {ids}")
         if ids[-1] >= meta["vertices"]:

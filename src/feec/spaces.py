@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import combinations
+from typing import Iterable
 
 from .combinat import binom, multiindices
 from . import linalg
@@ -109,18 +110,16 @@ def _enumerate(
     for sigma in _sigma_descriptors(kind, face, k):
         sig_support = set(sigma)
         for local_alpha in multiindices(face.dim, mono_deg):
-            alpha = [0] * (n + 1)
-            for p, e in zip(face.indices, local_alpha):
-                alpha[p] = e
+            alpha = face.place(local_alpha)
             support = {i for i, e in enumerate(alpha) if e} | sig_support
             if kind.zero_trace:
                 if support != iface:
                     continue
             elif not support <= iface:
                 continue
-            if basis_only and not _basis_condition(kind, face, tuple(alpha), sigma):
+            if basis_only and not _basis_condition(kind, face, alpha, sigma):
                 continue
-            out.append(GeneratorDescriptor(tuple(alpha), sigma, kind.family, face))
+            out.append(GeneratorDescriptor(alpha, sigma, kind.family, face))
     return out
 
 
@@ -158,27 +157,20 @@ def basis_forms(kind: SpaceKind, face: FaceRef, r: int, k: int) -> list[PolyForm
     return [realize(g) for g in enumerate_basis(kind, face, r, k)]
 
 
-def coefficient_vectors(forms: list[PolyForm]) -> list[list[Scalar]]:
-    """Coefficient rows of the given forms over the union of canonical keys.
+def rank_of(forms: Iterable[PolyForm]) -> int:
+    """Rank of a list of forms as vectors of canonical coefficients.
 
-    All forms are first homogenized to one common degree so that the rows
-    are comparable entry by entry.
+    The forms are homogenized to one common degree, so that equal keys
+    name the same coefficient.
     """
-    if not forms:
-        return []
-    shapes = {(w.n, w.k) for w in forms if not w.is_zero}
+    live = [w for w in forms if not w.is_zero]
+    shapes = {(w.n, w.k) for w in live}
     if len(shapes) > 1:
         raise ValueError(f"forms of mixed shape: {shapes}")
-    r = max(w.r for w in forms)
-    lifted = [w.lift(r) for w in forms]
-    keys = sorted(set().union(*(w.coeffs.keys() for w in lifted)))
-    return [[w.coeffs.get(key, 0) for key in keys] for w in lifted]
-
-
-def rank_of(forms: list[PolyForm]) -> int:
-    """Rank of a list of forms as vectors of canonical coefficients."""
-    rows = coefficient_vectors([w for w in forms if not w.is_zero])
-    return linalg.rank(rows)
+    r = max((w.r for w in live), default=0)
+    lifted = [w.lift(r).coeffs for w in live]
+    keys = sorted(set().union(*lifted))
+    return linalg.rank([[c.get(key, 0) for key in keys] for c in lifted])
 
 
 @cache

@@ -120,7 +120,7 @@ def suite_ranks(max_n: int = 3, max_r: int = 4) -> Iterator[CheckResult]:
                 bad = ""
                 for k in range(n + 1):
                     dim = dim_space(kind, n, r, k)
-                    basis = [realize(g) for g in enumerate_basis(kind, T, r, k)]
+                    basis = basis_forms(kind, T, r, k)
                     if len(basis) != dim or rank_of(basis) != dim:
                         bad = f"basis rank off at k={k}"
                         break

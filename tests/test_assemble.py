@@ -13,6 +13,7 @@ from feec.assemble import (
     verify_direct_sum,
     verify_single_valued,
 )
+from feec.extension import placed_basis
 from feec.forms import PolyForm, bary_monomial, whitney
 from feec.mesh import from_cells
 from feec.spaces import Family, SpaceKind, dim_space, realize
@@ -327,3 +328,21 @@ def test_cached_restrictions_are_not_mutated():
         assert [{ci: dict(w.coeffs) for ci, w in el.restrictions.items()} for el in els] == before
         again = assemble_basis(mesh, family, r, k)
         assert [el.restrictions for el in again] == [el.restrictions for el in els]
+
+
+def test_restrictions_are_the_placed_basis_table():
+    # every mesh face reads one shared table per local face, not copies of it
+    for mesh in (FAN3, TET2):
+        for family in Family:
+            zero_kind = SpaceKind(family, zero_trace=True)
+            for r in (1, 2):
+                for k in range(mesh.n + 1):
+                    by_face = {}
+                    for el in assemble_basis(mesh, family, r, k):
+                        by_face.setdefault(el.face.vertices, []).append(el)
+                    for face in mesh.all_faces():
+                        els = by_face.get(face.vertices, [])
+                        for ci, fr in face.incidence:
+                            table = placed_basis(zero_kind, r, k, fr)
+                            assert len(els) == len(table)
+                            assert all(el.restrictions[ci] is w for el, w in zip(els, table))

@@ -20,9 +20,10 @@ from feec.extension import (
     extend_minus_generator,
     extend_naive,
     naive_representative_discrepancy,
+    placed_basis,
     vanishing_order_check,
 )
-from feec.spaces import FULL, MINUS, Family, SpaceKind, basis_forms, enumerate_basis, realize
+from feec.spaces import FULL, FULL_ZERO, MINUS, MINUS_ZERO, Family, SpaceKind, basis_forms, enumerate_basis, realize
 
 Q = Fraction
 PRIMAL_KINDS = {Family.MINUS: FamilyKind.MINUS_BARYCENTRIC, Family.FULL: FamilyKind.FULL_PSI}
@@ -128,6 +129,20 @@ def test_full_extension_of_forms_needs_positive_degree():
         ExtensionFamily(FamilyKind.FULL_PSI, 0, 1)
     # constants are the degree-0 members of the 0-form space and still extend
     assert extend_full(one(1), edge, T, 0, 0) == one(2)
+
+
+def test_placed_basis_is_the_extended_face_basis():
+    for n in range(4):
+        T = FaceRef.full(n)
+        for f in T.all_subfaces():
+            for kind in (FULL, MINUS, FULL_ZERO, MINUS_ZERO):
+                for r in (1, 2):
+                    for k in range(n + 1):
+                        expected = [
+                            extend_generator(d.family, d.alpha, d.sigma, f, T)
+                            for d in enumerate_basis(kind, f, r, k)
+                        ]
+                        assert list(placed_basis(kind, r, k, f)) == expected
 
 
 def test_extension_trace_roundtrip_sweep():

@@ -1,7 +1,9 @@
-"""Every module-level import in the package modules is used there.
+"""Every module-level import in the package modules is used there, and every
+module-level function and class is referenced somewhere.
 
 No linter runs on this code, and moving a function between modules tends to
-leave its imports behind; this check catches them with the standard `ast`.
+leave its imports, or the function itself, behind; these checks catch them
+with the standard `ast`.
 """
 
 import ast
@@ -9,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "feec"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "feec"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -49,3 +52,51 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("name", MODULES)
 def test_module_level_imports_are_used(name):
     assert unused_imports((PACKAGE / name).read_text()) == []
+
+
+def _defined_names(source):
+    tree = ast.parse(source)
+    return [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def _referenced_names(source):
+    """Names read, attributes taken, names imported, and the dotted parts of string constants."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # the benchmark's tracer names its targets as "Class.method" strings
+            yield from node.value.split(".")
+
+
+def unused_helpers(defining, referencing):
+    """Module-level defs and classes of `defining` sources named nowhere in `referencing`."""
+    used = {name for source in referencing for name in _referenced_names(source)}
+    return [name for source in defining for name in _defined_names(source) if name not in used]
+
+
+def test_detector_flags_an_unused_helper():
+    module = (
+        "def imported(): pass\n"
+        "def traced(): pass\n"
+        "def called(): pass\n"
+        "def attribute(): pass\n"
+        "def unused():\n"
+        "    return called()\n"
+        "class Unused:\n"
+        "    def method(self):\n"
+        "        return self.attribute\n"
+    )
+    caller = "from pkg.mod import imported\nTARGETS = ('mod.traced',)\n"
+    assert unused_helpers([module], [module, caller]) == ["unused", "Unused"]
+
+
+def test_module_level_helpers_are_referenced():
+    defining = [(PACKAGE / name).read_text() for name in MODULES if name != "__main__.py"]
+    folders = (PACKAGE, ROOT / "tests", ROOT / "perfbench")
+    referencing = [path.read_text() for folder in folders for path in folder.rglob("*.py")]
+    assert unused_helpers(defining, referencing) == []

@@ -1,5 +1,6 @@
 import pytest
 
+from feec.cli import main
 from feec.mesh import MeshFormatError, Triangulation, from_cells, load, loads
 
 TWO_TRIANGLES = """\
@@ -101,6 +102,31 @@ def test_parse_errors_carry_line_numbers():
         loads("simplicial-mesh v1 dim=2 vertices=4 cells=1\n0 1 ٣\n")
     with pytest.raises(MeshFormatError):
         loads("simplicial-mesh v1 dim=2 vertices=4 cells=1\n0 1 +2\n")
+
+
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        # more digits than Python converts to int by default
+        (f"simplicial-mesh v1 dim=2 vertices={LONG} cells=1\n0 1 2\n", 1, "5000 digits"),
+        (f"simplicial-mesh v1 dim=2 vertices=4 cells=1\n# note\n0 1 {LONG}\n", 3, "5000 digits"),
+        ("simplicial-mesh v1 dim=2 dim=3 vertices=4 cells=1\n0 1 2\n", 1, "repeated header field 'dim'"),
+    ],
+    ids=["long-header-field", "long-vertex-id", "repeated-header-field"],
+)
+def test_long_numbers_and_repeated_fields_are_mesh_errors(tmp_path, capsys, text, line, message):
+    with pytest.raises(MeshFormatError) as err:
+        loads(text)
+    assert err.value.line == line and message in str(err.value)
+    mesh = tmp_path / "bad.mesh"
+    mesh.write_text(text)
+    code = main(["decompose", "--mesh", str(mesh), "--family", "minus", "-r", "1", "-k", "1"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == f"mesh error: {err.value}\n"
 
 
 def test_validation_of_direct_construction():

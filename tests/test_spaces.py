@@ -15,7 +15,6 @@ from feec.spaces import (
     Family,
     SpaceKind,
     basis_forms,
-    coefficient_vectors,
     dim_space,
     enumerate_basis,
     enumerate_spanning,
@@ -23,7 +22,7 @@ from feec.spaces import (
     rank_of,
     realize,
 )
-from helpers import from_polyform, oracle_solve, random_polyform
+from helpers import from_polyform, oracle_rank, oracle_solve, random_polyform
 
 Q = Fraction
 
@@ -262,9 +261,30 @@ def test_koszul_image_space_is_origin_independent():
     assert ranks[0] == dim_space(MINUS, n, r, k)
 
 
-def test_coefficient_vectors_mixed_shapes_rejected():
+def test_rank_of_mixed_shapes_rejected():
     with pytest.raises(ValueError):
-        coefficient_vectors([dlambda(2, (1,)), dlambda(2, (1, 2))])
+        rank_of([dlambda(2, (1,)), dlambda(2, (1, 2))])
+    # zero forms carry no shape of their own
+    assert rank_of([dlambda(2, (1,)), PolyForm.zero(2, 2)]) == 1
+
+
+def test_rank_of_matches_dense_oracle():
+    rng = random.Random(23)
+    for n in range(1, 4):
+        for k in range(n + 1):
+            for _ in range(6):
+                # storage degrees 0..2 mixed in one list, with zero forms among them
+                forms = [
+                    random_polyform(rng, n, k, rng.randint(0, 2), rng.randint(1, 3))
+                    for _ in range(rng.randint(1, 6))
+                ]
+                forms += [PolyForm.zero(n, k)] * rng.randint(0, 2)
+                forms.append(rng.choice(forms).lift(3) * 2)
+                rng.shuffle(forms)
+                vectors = [from_polyform(w) for w in forms]
+                keys = sorted(set().union(*vectors))
+                rows = [[v.get(key, Q(0)) for key in keys] for v in vectors]
+                assert rank_of(forms) == oracle_rank(rows)
 
 
 def test_membership_shape_checks():
