@@ -232,7 +232,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.r < 0:
             parser.error(f"need r >= 0, got r={args.r}")
         payload = dim_payload(args.family, args.n, args.r, args.k, args.zero_trace)
-        print(render_dim(payload, args.format))
+        try:
+            text = render_dim(payload, args.format)
+        except ValueError:  # longer than the interpreter's integer-string limit
+            print("invalid request: the dimension has too many digits to print", file=sys.stderr)
+            return 2
+        print(text)
         return 0
 
     if args.command == "basis":

@@ -85,24 +85,12 @@ class VanishingOrder(Enum):
     ORDER_R_PLUS = "order_r_plus"
 
 
-# -- index bookkeeping ---------------------------------------------------------
-
-
-def _global_to_target(alpha: tuple[int, ...], sigma: tuple[int, ...], g: FaceRef):
-    """Map global exponents/differential indices into g-local ones."""
-    a = [0] * (g.dim + 1)
-    for p, i in enumerate(g.indices):
-        a[p] = alpha[i]
-    s = tuple(g.position(i) for i in sigma)
-    return tuple(a), s
-
-
 # -- generator-level extension (exact on every spanning generator) -------------
 
 
 def extend_minus_generator(alpha: tuple[int, ...], sigma: tuple[int, ...], g: FaceRef) -> PolyForm:
     """lambda^alpha phi_sigma realized on g; indices are global."""
-    a, s = _global_to_target(alpha, sigma, g)
+    a, s = g.localize(alpha, sigma)
     return bary_monomial(g.dim, a).wedge(whitney(g.dim, s))
 
 
@@ -110,7 +98,7 @@ def extend_full_generator(
     alpha: tuple[int, ...], sigma: tuple[int, ...], f: FaceRef, g: FaceRef
 ) -> PolyForm:
     """lambda^alpha psi^{alpha,f,g}_sigma realized on g; indices are global."""
-    a, s = _global_to_target(alpha, sigma, g)
+    a, s = g.localize(alpha, sigma)
     mono = bary_monomial(g.dim, a)
     if not s:
         return mono
@@ -146,23 +134,6 @@ def placed_basis(kind: SpaceKind, r: int, k: int, fr: FaceRef) -> tuple[PolyForm
 
 
 # -- form-level extension -------------------------------------------------------
-
-
-def extend_bernstein(p: PolyForm, f: FaceRef, g: FaceRef) -> PolyForm:
-    """Extend a polynomial on f by mapping each barycentric monomial across."""
-    if p.k != 0 and not p.is_zero:
-        raise ValueError("Bernstein extension applies to 0-forms")
-    return extend_naive(p, f, g)
-
-
-def extend_minus(mu: PolyForm, f: FaceRef, g: FaceRef, r: int, k: int) -> PolyForm:
-    """Whitney-generator extension of a member of the reduced space on f."""
-    return extend_form(ExtensionFamily(FamilyKind.MINUS_BARYCENTRIC, r, k), mu, f, g)
-
-
-def extend_full(mu: PolyForm, f: FaceRef, g: FaceRef, r: int, k: int) -> PolyForm:
-    """Corrected-differential extension of a member of the full space on f."""
-    return extend_form(ExtensionFamily(FamilyKind.FULL_PSI, r, k), mu, f, g)
 
 
 def extend_naive(mu: PolyForm, f: FaceRef, g: FaceRef) -> PolyForm:
@@ -333,14 +304,13 @@ def characterization_equality(family: Family, face: FaceRef, r: int, k: int) -> 
     """Extended forms are exactly those vanishing to the right order opposite the face.
 
     Imposes the vanishing conditions as linear functionals on the whole
-    space over the full simplex and compares the solution space with the
-    span of the extended basis of the face space, in both dimension and
-    membership.
+    space over the full simplex; the extended basis of the face space must
+    satisfy every one of them and span a space of the solution space's
+    dimension.
     """
     n = face.n
     T = FaceRef.full(n)
     kind = SpaceKind(family)
-    big_forms = [b.lift(r) for b in basis_forms(kind, T, r, k)]
     keep = set(face.indices)
     sigmas = list(combinations(range(1, n + 1), k))
     bad_keys = [
@@ -350,21 +320,17 @@ def characterization_equality(family: Family, face: FaceRef, r: int, k: int) -> 
         for s in sigmas
     ]
     with_contractions = family is Family.FULL and k >= 1 and len(keep) < n + 1
-    rows = []
-    for w in big_forms:
+
+    def functionals(w: PolyForm) -> list[Scalar]:
+        w = w.lift(r)
         row = [w.coeffs.get(key, 0) for key in bad_keys]
         if with_contractions:
             row.extend(_constant_contraction_rows(w, face, r))
-        rows.append(row)
-    kernel_dim = len(big_forms) - linalg.rank(rows)
+        return row
+
+    rows = [functionals(b) for b in basis_forms(kind, T, r, k)]
     expected = dim_space(kind, face.dim, r, k)
-    if kernel_dim != expected:
+    if len(rows) - linalg.rank(rows) != expected:
         return False
     extended = placed_basis(kind, r, k, face)
-    for w in extended:
-        level = vanishing_order_check(w, face, r)
-        if level is VanishingOrder.NEITHER:
-            return False
-        if family is Family.FULL and level is not VanishingOrder.ORDER_R_PLUS:
-            return False
-    return rank_of(extended) == expected
+    return not any(any(functionals(w)) for w in extended) and rank_of(extended) == expected

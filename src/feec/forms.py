@@ -86,6 +86,10 @@ class FaceRef:
             out[i] = e
         return tuple(out)
 
+    def localize(self, alpha: tuple[int, ...], sigma: Iterable[int]) -> Key:
+        """Parent exponents and differential indices in this face's coordinates; inverts `place`."""
+        return tuple(alpha[i] for i in self.indices), tuple(self.position(i) for i in sigma)
+
     def subfaces(self, j: int) -> list[FaceRef]:
         """All j-dimensional subfaces, in lexicographic vertex order."""
         return [FaceRef(self.n, c) for c in combinations(self.indices, j + 1)]

@@ -127,6 +127,8 @@ def loads(text: str) -> Triangulation:
             missing = {"dim", "vertices", "cells"} - meta.keys()
             if missing:
                 raise MeshFormatError(lineno, f"header missing {sorted(missing)}")
+            if meta["dim"] > 12:  # the cost of one cell climbs steeply with its dimension
+                raise MeshFormatError(lineno, f"dim={meta['dim']} is above the supported 12")
             header = lineno
             continue
         fields = line.split()

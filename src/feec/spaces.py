@@ -142,8 +142,7 @@ def realize(g: GeneratorDescriptor) -> PolyForm:
     """The generator as a canonical form in its face's own coordinates."""
     face = g.face
     m = face.dim
-    local_alpha = tuple(g.alpha[i] for i in face.indices)
-    local_sigma = tuple(face.position(s) for s in g.sigma)
+    local_alpha, local_sigma = face.localize(g.alpha, g.sigma)
     mono = bary_monomial(m, local_alpha)
     if g.family is Family.MINUS:
         return mono.wedge(whitney(m, local_sigma))

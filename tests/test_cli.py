@@ -79,6 +79,13 @@ def test_bad_arguments_exit_2(capsys):
     assert out.out == "" and out.err.splitlines()[-1] == (
         "feec: error: verification sweeps support r <= 12, as FEEC_MAX_DEGREE does, got r=13"
     )
+    # a dimension with more digits than Python converts to a string
+    for fmt in ("plain", "json", "latex"):
+        code, out, err = run_cli(
+            capsys, "dim", "--family", "full", "-n", "10000", "-r", "10000", "-k", "0", "--format", fmt
+        )
+        assert code == 2 and out == ""
+        assert err == "invalid request: the dimension has too many digits to print\n"
 
 
 def test_python_m_feec_runs_the_cli():

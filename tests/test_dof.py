@@ -12,7 +12,7 @@ from feec.dof import (
     pairing_matrix,
     weight_space,
 )
-from feec.extension import extend_bernstein, extend_minus, extend_minus_generator
+from feec.extension import ExtensionFamily, FamilyKind, extend_form, extend_minus_generator
 from feec.forms import FaceRef, PolyForm, bary_monomial, combination, whitney
 from feec.spaces import (
     Family,
@@ -85,7 +85,7 @@ def test_dual_extension_of_hat_is_barycentric():
     vertex = FaceRef(2, (1,))
     hat = bary_monomial(0, (1,))
     via_dof = dual_extend(Family.FULL, hat, vertex, T, 1, 0)
-    assert via_dof == extend_bernstein(hat, vertex, T)
+    assert via_dof == extend_form(ExtensionFamily(FamilyKind.FULL_PSI, 1, 0), hat, vertex, T)
     assert via_dof == bary_monomial(2, (0, 1, 0))
 
 
@@ -93,7 +93,8 @@ def test_dual_extension_of_edge_whitney_matches_barycentric():
     T = FaceRef.full(2)
     edge = FaceRef(2, (1, 2))
     mu = whitney(1, (0, 1))
-    assert dual_extend(Family.MINUS, mu, edge, T, 1, 1) == extend_minus(mu, edge, T, 1, 1)
+    whitney_family = ExtensionFamily(FamilyKind.MINUS_BARYCENTRIC, 1, 1)
+    assert dual_extend(Family.MINUS, mu, edge, T, 1, 1) == extend_form(whitney_family, mu, edge, T)
 
 
 def test_dual_extension_is_a_right_inverse():

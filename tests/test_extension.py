@@ -11,12 +11,9 @@ from feec.extension import (
     VanishingOrder,
     characterization_equality,
     check_consistency,
-    extend_bernstein,
     extend_form,
-    extend_full,
     extend_full_generator,
     extend_generator,
-    extend_minus,
     extend_minus_generator,
     extend_naive,
     naive_representative_discrepancy,
@@ -29,11 +26,16 @@ Q = Fraction
 PRIMAL_KINDS = {Family.MINUS: FamilyKind.MINUS_BARYCENTRIC, Family.FULL: FamilyKind.FULL_PSI}
 
 
+def bernstein(r):
+    # the Bernstein map is the corrected-differential family on 0-forms
+    return ExtensionFamily(FamilyKind.FULL_PSI, r, 0)
+
+
 def test_extend_minus_whitney_example():
     edge = FaceRef(2, (1, 2))
     T = FaceRef.full(2)
     mu = whitney(1, (0, 1))  # the edge Whitney form in edge coordinates
-    w = extend_minus(mu, edge, T, 1, 1)
+    w = extend_form(ExtensionFamily(FamilyKind.MINUS_BARYCENTRIC, 1, 1), mu, edge, T)
     assert w == whitney(2, (1, 2))
     assert w.trace(edge) == mu
 
@@ -43,14 +45,14 @@ def test_extend_minus_is_identity_on_same_face():
     rng = random.Random(3)
     basis = basis_forms(MINUS, T, 2, 1)
     mu = basis[0] + 2 * basis[3] - basis[1]
-    assert extend_minus(mu, T, T, 2, 1) == mu
+    assert extend_form(ExtensionFamily(FamilyKind.MINUS_BARYCENTRIC, 2, 1), mu, T, T) == mu
 
 
 def test_extend_minus_monomial_multiple():
     edge = FaceRef(2, (1, 2))
     T = FaceRef.full(2)
     mu = bary_monomial(1, (1, 0)).wedge(whitney(1, (0, 1)))
-    w = extend_minus(mu, edge, T, 2, 1)
+    w = extend_form(ExtensionFamily(FamilyKind.MINUS_BARYCENTRIC, 2, 1), mu, edge, T)
     expected = bary_monomial(2, (0, 1, 0)).wedge(whitney(2, (1, 2)))
     assert w == expected
     assert w.trace(edge) == mu
@@ -61,7 +63,7 @@ def test_extend_minus_rejects_non_members():
     T = FaceRef.full(2)
     outside = bary_monomial(1, (2, 0)).wedge(dlambda(1, (1,)))
     with pytest.raises(ValueError):
-        extend_minus(outside, edge, T, 2, 1)
+        extend_form(ExtensionFamily(FamilyKind.MINUS_BARYCENTRIC, 2, 1), outside, edge, T)
 
 
 def test_extend_full_counterexample_resolution():
@@ -69,7 +71,7 @@ def test_extend_full_counterexample_resolution():
     edge = FaceRef(2, (1, 2))
     T = FaceRef.full(2)
     mu = bary_monomial(1, (1, 1)).wedge(dlambda(1, (0,)))
-    w = extend_full(mu, edge, T, 2, 1)
+    w = extend_form(ExtensionFamily(FamilyKind.FULL_PSI, 2, 1), mu, edge, T)
     expected = canonicalize(
         2, 1, [((0, 1, 1), (1,), Q(1, 2)), ((0, 1, 1), (2,), Q(-1, 2))]
     )
@@ -83,13 +85,14 @@ def test_extend_full_identity_and_representative_independence():
     rng = random.Random(5)
     basis = basis_forms(FULL, T, 2, 1)
     mu = basis[0] - 3 * basis[4]
-    assert extend_full(mu, T, T, 2, 1) == mu
+    fam = ExtensionFamily(FamilyKind.FULL_PSI, 2, 1)
+    assert extend_form(fam, mu, T, T) == mu
     # the zero form on the edge written through dependent generators
     zero = bary_monomial(1, (1, 1)).wedge(dlambda(1, (0,))) + bary_monomial(1, (1, 1)).wedge(
         dlambda(1, (1,))
     )
     assert zero.is_zero
-    assert extend_full(zero, edge, T, 2, 1).is_zero
+    assert extend_form(fam, zero, edge, T).is_zero
 
 
 @pytest.mark.parametrize("label", ["minus", "full", "dual-minus", "dual-full"])
@@ -98,7 +101,6 @@ def test_form_extension_is_the_generator_sum_on_the_tetrahedron(label):
     dual = label.startswith("dual-")
     family = Family(label.removeprefix("dual-"))
     kind = FamilyKind.DUAL_DOF if dual else PRIMAL_KINDS[family]
-    extend = extend_minus if family is Family.MINUS else extend_full
     rng = random.Random(f"extend:{label}")
     T = FaceRef.full(3)
     for g in T.all_subfaces():
@@ -114,8 +116,6 @@ def test_form_extension_is_the_generator_sum_on_the_tetrahedron(label):
                         expected = expected + c * generator
                     if dual:
                         expected = dual_extend(family, mu, f, g, r, k)
-                    else:
-                        assert extend(mu, f, g, r, k) == expected
                     assert extend_form(ExtensionFamily(kind, r, k, family), mu, f, g) == expected
 
 
@@ -124,11 +124,9 @@ def test_full_extension_of_forms_needs_positive_degree():
     T = FaceRef.full(2)
     message = "the corrected-differential extension needs r >= 1 for k >= 1"
     with pytest.raises(ValueError, match=message):
-        extend_full(dlambda(1, (1,)), edge, T, 0, 1)
-    with pytest.raises(ValueError, match=message):
         ExtensionFamily(FamilyKind.FULL_PSI, 0, 1)
     # constants are the degree-0 members of the 0-form space and still extend
-    assert extend_full(one(1), edge, T, 0, 0) == one(2)
+    assert extend_form(ExtensionFamily(FamilyKind.FULL_PSI, 0, 0), one(1), edge, T) == one(2)
 
 
 def test_placed_basis_is_the_extended_face_basis():
@@ -179,8 +177,13 @@ def test_extend_bernstein_examples():
     edge = FaceRef(2, (1, 2))
     T = FaceRef.full(2)
     p = bary_monomial(1, (2, 0))
-    assert extend_bernstein(p, edge, T) == bary_monomial(2, (0, 2, 0))
-    assert extend_bernstein(one(1), edge, T) == one(2)
+    assert extend_form(bernstein(2), p, edge, T) == bary_monomial(2, (0, 2, 0))
+    assert extend_form(bernstein(0), one(1), edge, T) == one(2)
+    # the map is taken at the family's degree: on the edge 1 = (l1 + l2)^2
+    edge_sum = bary_monomial(2, (0, 1, 0)) + bary_monomial(2, (0, 0, 1))
+    assert extend_form(bernstein(2), one(1), edge, T) == edge_sum.wedge(edge_sum)
+    with pytest.raises(ValueError, match="does not match k=0"):
+        extend_form(bernstein(1), dlambda(1, (1,)), edge, T)
 
 
 def test_extend_bernstein_vanishes_to_order_r_opposite():
@@ -189,7 +192,7 @@ def test_extend_bernstein_vanishes_to_order_r_opposite():
     edge = FaceRef(2, (1, 2))
     T = FaceRef.full(2)
     p = bary_monomial(1, (1, 1))
-    w = extend_bernstein(p, edge, T)
+    w = extend_form(bernstein(2), p, edge, T)
     opposite = FaceRef(2, (0,))
     assert w.trace(opposite).is_zero
     for j, l in [(1, 0), (2, 0), (1, 2)]:
@@ -201,9 +204,9 @@ def test_extensions_agree_with_bernstein_for_0forms():
     T = FaceRef.full(2)
     edge = FaceRef(2, (0, 2))
     p = bary_monomial(1, (1, 1))
-    expected = extend_bernstein(p, edge, T)
-    assert extend_minus(p, edge, T, 2, 0) == expected
-    assert extend_full(p, edge, T, 2, 0) == expected
+    expected = bary_monomial(2, (1, 0, 1))
+    assert extend_form(bernstein(2), p, edge, T) == expected
+    assert extend_form(ExtensionFamily(FamilyKind.MINUS_BARYCENTRIC, 2, 0), p, edge, T) == expected
 
 
 @pytest.mark.parametrize("kind", [FamilyKind.MINUS_BARYCENTRIC, FamilyKind.FULL_PSI])
@@ -250,7 +253,8 @@ def test_vanishing_order_of_the_counterexample():
     edge = FaceRef(2, (1, 2))
     w = canonicalize(2, 1, [((0, 1, 1), (1,), 1), ((0, 1, 1), (2,), 1)])
     assert vanishing_order_check(w, edge, 2) is VanishingOrder.ORDER_R
-    good = extend_full(bary_monomial(1, (1, 1)).wedge(dlambda(1, (1,))), edge, FaceRef.full(2), 2, 1)
+    mu = bary_monomial(1, (1, 1)).wedge(dlambda(1, (1,)))
+    good = extend_form(ExtensionFamily(FamilyKind.FULL_PSI, 2, 1), mu, edge, FaceRef.full(2))
     assert vanishing_order_check(good, edge, 2) is VanishingOrder.ORDER_R_PLUS
     off_support = bary_monomial(2, (1, 1, 0)).wedge(dlambda(2, (1,)))
     assert vanishing_order_check(off_support, edge, 2) is VanishingOrder.NEITHER
@@ -297,3 +301,30 @@ def test_characterization_triangle(family):
 def test_characterization_trivial_on_whole_simplex():
     assert characterization_equality(Family.FULL, FaceRef.full(2), 2, 1)
     assert characterization_equality(Family.MINUS, FaceRef.full(2), 2, 1)
+
+
+def test_characterization_rejects_uncorrected_images(monkeypatch):
+    # the naive images vanish to order r opposite the edge, but not to order r+
+    edge = FaceRef(2, (1, 2))
+    assert characterization_equality(Family.FULL, edge, 2, 1)
+
+    def naive_basis(kind, r, k, fr):
+        basis = basis_forms(kind, FaceRef.full(fr.dim), r, k)
+        return tuple(extend_naive(b, fr, FaceRef.full(fr.n)) for b in basis)
+
+    monkeypatch.setattr("feec.extension.placed_basis", naive_basis)
+    assert not characterization_equality(Family.FULL, edge, 2, 1)
+
+
+@pytest.mark.parametrize("family", [Family.MINUS, Family.FULL])
+def test_characterization_rejects_a_dependent_basis(monkeypatch, family):
+    # every image vanishes to the right order, but the span is one short
+    edge = FaceRef(2, (1, 2))
+    placed = placed_basis
+
+    def repeated_first(kind, r, k, fr):
+        basis = placed(kind, r, k, fr)
+        return (basis[0],) + basis[:-1]
+
+    monkeypatch.setattr("feec.extension.placed_basis", repeated_first)
+    assert not characterization_equality(family, edge, 2, 1)

@@ -114,8 +114,11 @@ LONG = "9" * 5000
         (f"simplicial-mesh v1 dim=2 vertices={LONG} cells=1\n0 1 2\n", 1, "5000 digits"),
         (f"simplicial-mesh v1 dim=2 vertices=4 cells=1\n# note\n0 1 {LONG}\n", 3, "5000 digits"),
         ("simplicial-mesh v1 dim=2 dim=3 vertices=4 cells=1\n0 1 2\n", 1, "repeated header field 'dim'"),
+        # one cell's cost climbs steeply with its dimension
+        (f"simplicial-mesh v1 dim=13 vertices=14 cells=1\n{' '.join(map(str, range(14)))}\n", 1, "dim=13"),
+        ("# far too many dimensions\nsimplicial-mesh v1 dim=40 vertices=1 cells=0\n", 2, "dim=40"),
     ],
-    ids=["long-header-field", "long-vertex-id", "repeated-header-field"],
+    ids=["long-header-field", "long-vertex-id", "repeated-header-field", "dim-13", "dim-40"],
 )
 def test_long_numbers_and_repeated_fields_are_mesh_errors(tmp_path, capsys, text, line, message):
     with pytest.raises(MeshFormatError) as err:
