@@ -29,8 +29,15 @@ def _family(value: str) -> Family:
 
 
 def dim_payload(family: Family, n: int, r: int, k: int, zero_trace: bool) -> dict:
+    """The `feec dim` document; ValueError when the dimension has more digits than int-to-str allows."""
     kind = SpaceKind(family, zero_trace)
     (a, b), (c, d) = dim_factors(kind, n, r, k)
+    # Refused before math.comb runs for minutes, in integers: C(x, y) >= 2^(m * (bit_length(x // m) - 1))
+    # for m = min(y, x - y) > 0 and log10 2 > 3/10, so a nonzero dimension has more than `low` digits.
+    pairs = ((a, min(b, a - b)), (c, min(d, c - d)))
+    low = sum(m * ((x // m).bit_length() - 1) * 3 // 10 for x, m in pairs if m > 0)
+    if 0 <= b <= a and 0 <= d <= c and 0 < sys.get_int_max_str_digits() <= low:
+        raise ValueError("too many digits")
     return {
         "command": "dim",
         "family": family.value,
@@ -231,9 +238,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"need 0 <= k <= n, got k={args.k} n={args.n}")
         if args.r < 0:
             parser.error(f"need r >= 0, got r={args.r}")
-        payload = dim_payload(args.family, args.n, args.r, args.k, args.zero_trace)
         try:
-            text = render_dim(payload, args.format)
+            text = render_dim(dim_payload(args.family, args.n, args.r, args.k, args.zero_trace), args.format)
         except ValueError:  # longer than the interpreter's integer-string limit
             print("invalid request: the dimension has too many digits to print", file=sys.stderr)
             return 2

@@ -9,6 +9,11 @@ d lambda_n).  The surviving generators lambda^alpha d lambda_sigma with
 independent, so two forms are equal exactly when their stored coefficient
 dictionaries agree (after homogenizing to a common degree).
 
+`canonicalize` is the entry for external terms: it validates them, sorts
+each sigma and eliminates d lambda_0.  The operators here build such terms
+themselves and send them straight to one collector, which homogenizes
+through a cached Bernstein degree-raising table.
+
 Coefficients are exact rationals, `int` or `Fraction`, never float: an
 integral value is an `int`, so forms built from integer data stay integer
 under every operation here.  Denominators come only from integrals, from the
@@ -20,9 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
-from math import comb, factorial
+from math import factorial, prod
 from numbers import Rational
+from operator import add
 from typing import Iterable, Iterator
 
 from .combinat import multiindices
@@ -73,6 +80,7 @@ class FaceRef:
         """Local index of global vertex i within this face."""
         return self.indices.index(i)
 
+    @cache
     def to_local(self, sub: FaceRef) -> FaceRef:
         """Re-express a subface of this face with this face as the parent."""
         if not self.contains(sub):
@@ -151,14 +159,54 @@ def _exact(c: object) -> Scalar:
     return c.numerator if c.denominator == 1 else Fraction(c)
 
 
+def _settle(coeffs: dict[Key, Scalar]) -> dict[Key, Scalar]:
+    """coeffs without its zero entries and with every integral Fraction as an int."""
+    return {key: v if type(v) is int or v.denominator != 1 else v.numerator for key, v in coeffs.items() if v}
+
+
+def _emit(n: int, alpha: tuple[int, ...], sig: tuple[int, ...], c: Scalar, out: list[RawTerm]) -> None:
+    """Append c lambda^alpha d lambda_sig, sig increasing, to out with d lambda_0 eliminated."""
+    if not sig or sig[0]:
+        out.append((alpha, sig, c))
+        return
+    for i in range(1, n + 1):
+        merged = _merge_sign((i,), sig[1:])
+        if merged is not None:
+            out.append((alpha, merged[0], -c * merged[1]))
+
+
+@cache
+def _raising(n: int, deficit: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(beta, multinomial weight) over |beta| = deficit: (lambda_0 + ... + lambda_n)^deficit."""
+    return tuple((beta, factorial(deficit) // prod(map(factorial, beta))) for beta in multiindices(n, deficit))
+
+
+def _collect(n: int, k: int, degree: int, terms: Iterable[RawTerm]) -> PolyForm:
+    """Sum terms whose sigma is increasing and free of 0, homogenized to degree."""
+    coeffs: dict[Key, Scalar] = {}
+    for alpha, sig, c in terms:
+        deficit = degree - sum(alpha)
+        if deficit == 0:
+            key = (alpha, sig)
+            coeffs[key] = coeffs.get(key, 0) + c
+            continue
+        if deficit < 0:
+            raise ValueError(f"monomial degree {sum(alpha)} exceeds target {degree}")
+        for beta, w in _raising(n, deficit):
+            key = (tuple(map(add, alpha, beta)), sig)
+            coeffs[key] = coeffs.get(key, 0) + c * w
+    return PolyForm(n, k, degree, _settle(coeffs))
+
+
 def canonicalize(n: int, k: int, terms: Iterable[RawTerm], degree: int | None = None) -> PolyForm:
     """Build the canonical form of a raw sum of lambda^alpha d lambda_sigma terms.
 
-    Accepts differential sequences in any order and containing the index 0,
+    The entry for terms from outside the form kernel: validates each term,
+    accepts differential sequences in any order and containing the index 0,
     and monomials of any degree at most `degree`; homogenizes and eliminates
     d lambda_0.  `degree` defaults to the largest monomial degree present.
     """
-    flat: list[tuple[tuple[int, ...], tuple[int, ...], Scalar]] = []
+    flat: list[RawTerm] = []
     max_deg = 0
     for alpha, sigma, c in terms:
         if type(c) is not int:
@@ -177,41 +225,12 @@ def canonicalize(n: int, k: int, terms: Iterable[RawTerm], degree: int | None = 
         sig, sign = sorted_sig
         c *= sign
         max_deg = max(max_deg, sum(alpha))
-        if sig and sig[0] == 0:
-            rest = sig[1:]
-            used = set(rest)
-            for i in range(1, n + 1):
-                if i in used:
-                    continue
-                merged = _merge_sign((i,), rest)
-                assert merged is not None
-                new_sig, s = merged
-                flat.append((alpha, new_sig, -c * s))
-        else:
-            flat.append((alpha, sig, c))
+        _emit(n, alpha, sig, c, flat)
     if degree is None:
         degree = max_deg
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    coeffs: dict[Key, Scalar] = {}
-    for alpha, sig, c in flat:
-        deficit = degree - sum(alpha)
-        if deficit < 0:
-            raise ValueError(f"monomial degree {sum(alpha)} exceeds target {degree}")
-        if deficit == 0:
-            key = (alpha, sig)
-            coeffs[key] = coeffs.get(key, 0) + c
-            continue
-        for beta in multiindices(n, deficit):
-            w = 1
-            rem = deficit
-            for e in beta:
-                w *= comb(rem, e)
-                rem -= e
-            key = (tuple(a + b for a, b in zip(alpha, beta)), sig)
-            coeffs[key] = coeffs.get(key, 0) + c * w
-    coeffs = {key: v for key, v in coeffs.items() if v}
-    return PolyForm(n, k, degree, coeffs)
+    return _collect(n, k, degree, flat)
 
 
 class PolyForm:
@@ -259,8 +278,7 @@ class PolyForm:
             return self
         if degree < self.r:
             raise ValueError(f"cannot lower storage degree {self.r} to {degree}")
-        raw = [(a, s, c) for (a, s), c in self.coeffs.items()]
-        return canonicalize(self.n, self.k, raw, degree)
+        return _collect(self.n, self.k, degree, ((a, s, c) for (a, s), c in self.coeffs.items()))
 
     # -- ring structure ------------------------------------------------------
 
@@ -279,7 +297,7 @@ class PolyForm:
         for key, c in b.coeffs.items():
             v = coeffs.get(key, 0) + c
             if v:
-                coeffs[key] = v
+                coeffs[key] = v if type(v) is int or v.denominator != 1 else v.numerator
             else:
                 coeffs.pop(key, None)
         return PolyForm(self.n, self.k, r, coeffs)
@@ -294,7 +312,7 @@ class PolyForm:
         c = _exact(scalar)
         if not c:
             return PolyForm.zero(self.n, self.k)
-        return PolyForm(self.n, self.k, self.r, {key: v * c for key, v in self.coeffs.items()})
+        return PolyForm(self.n, self.k, self.r, _settle({key: v * c for key, v in self.coeffs.items()}))
 
     __rmul__ = __mul__
 
@@ -337,7 +355,7 @@ class PolyForm:
                 key = (tuple(x + y for x, y in zip(a1, a2)), sig)
                 v = coeffs.get(key, 0) + c1 * c2 * sign
                 if v:
-                    coeffs[key] = v
+                    coeffs[key] = v if type(v) is int or v.denominator != 1 else v.numerator
                 else:
                     coeffs.pop(key, None)
         return PolyForm(self.n, k, self.r + other.r, coeffs)
@@ -346,15 +364,15 @@ class PolyForm:
         """Exterior derivative."""
         if self.k >= self.n:
             return PolyForm.zero(self.n, self.k + 1)
-        raw: list[RawTerm] = []
+        out: list[RawTerm] = []
         for (alpha, sigma), c in self.coeffs.items():
             for i, e in enumerate(alpha):
                 if e == 0:
                     continue
-                a = list(alpha)
-                a[i] -= 1
-                raw.append((tuple(a), (i,) + sigma, c * e))
-        return canonicalize(self.n, self.k + 1, raw, max(self.r - 1, 0))
+                merged = _merge_sign((i,), sigma)
+                if merged is not None:
+                    _emit(self.n, alpha[:i] + (e - 1,) + alpha[i + 1 :], merged[0], c * e * merged[1], out)
+        return _collect(self.n, self.k + 1, max(self.r - 1, 0), out)
 
     def koszul(self, origin: int = 0) -> PolyForm:
         """Contraction with the position field based at the given vertex.
@@ -371,12 +389,10 @@ class PolyForm:
             for pos, s in enumerate(sigma):
                 sign = -1 if pos % 2 else 1
                 rest = sigma[:pos] + sigma[pos + 1 :]
-                a = list(alpha)
-                a[s] += 1
-                raw.append((tuple(a), rest, c * sign))
+                raw.append((alpha[:s] + (alpha[s] + 1,) + alpha[s + 1 :], rest, c * sign))
                 if s == origin:
                     raw.append((alpha, rest, -c * sign))
-        return canonicalize(self.n, self.k - 1, raw, self.r + 1)
+        return _collect(self.n, self.k - 1, self.r + 1, raw)
 
     def trace(self, face: FaceRef) -> PolyForm:
         """Pullback onto a subsimplex, in the face's own coordinates."""
@@ -385,18 +401,16 @@ class PolyForm:
         m = face.dim
         if self.k > m:
             return PolyForm.zero(m, self.k)
-        keep = set(face.indices)
+        drop = face.complement_indices
         pos = {i: p for p, i in enumerate(face.indices)}
-        raw: list[RawTerm] = []
+        out: list[RawTerm] = []
         for (alpha, sigma), c in self.coeffs.items():
-            if any(alpha[i] for i in range(self.n + 1) if i not in keep):
+            if any(alpha[i] for i in drop):
                 continue
-            if any(s not in keep for s in sigma):
+            if any(s not in pos for s in sigma):
                 continue
-            a = tuple(alpha[i] for i in face.indices)
-            sig = tuple(pos[s] for s in sigma)
-            raw.append((a, sig, c))
-        return canonicalize(m, self.k, raw, self.r)
+            _emit(m, tuple(alpha[i] for i in face.indices), tuple(pos[s] for s in sigma), c, out)
+        return _collect(m, self.k, self.r, out)
 
     def directional_derivative(self, j: int, l: int) -> PolyForm:
         """Derivative along the vertex difference vector from vertex l to j."""
@@ -410,10 +424,8 @@ class PolyForm:
             for i, sign in ((j, 1), (l, -1)):
                 if alpha[i] == 0:
                     continue
-                a = list(alpha)
-                a[i] -= 1
-                raw.append((tuple(a), sigma, c * alpha[i] * sign))
-        return canonicalize(self.n, self.k, raw, max(self.r - 1, 0))
+                raw.append((alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :], sigma, c * alpha[i] * sign))
+        return _collect(self.n, self.k, max(self.r - 1, 0), raw)
 
     def contract(self, alpha: tuple[int, ...], l: int) -> PolyForm:
         """Contraction with the vector from vertex l to the weighted point of alpha.
@@ -428,16 +440,16 @@ class PolyForm:
             raise ValueError("alpha must have positive degree")
         if l < 0 or l > self.n or alpha[l] != 0:
             raise ValueError(f"vertex {l} must lie outside the support of {alpha}")
+        vals = [_exact(Fraction(a, deg) - (1 if s == l else 0)) for s, a in enumerate(alpha)]
         raw: list[RawTerm] = []
         for (beta, sigma), c in self.coeffs.items():
             for pos, s in enumerate(sigma):
-                val = Fraction(alpha[s], deg) - (1 if s == l else 0)
-                if not val:
+                if not vals[s]:
                     continue
                 sign = -1 if pos % 2 else 1
                 rest = sigma[:pos] + sigma[pos + 1 :]
-                raw.append((beta, rest, c * val * sign))
-        return canonicalize(self.n, self.k - 1, raw, self.r)
+                raw.append((beta, rest, c * vals[s] * sign))
+        return _collect(self.n, self.k - 1, self.r, raw)
 
     def eval_at_vertex(self, m: int) -> PolyForm:
         """Constant form whose coefficients are this form's, evaluated at vertex m."""
@@ -473,7 +485,7 @@ def combination(n: int, k: int, terms: Iterable[tuple[Scalar, PolyForm]]) -> Pol
     for c, w in live:
         for key, v in (w.coeffs if w.r == r else w.lift(r).coeffs).items():
             coeffs[key] = coeffs.get(key, 0) + c * v
-    return PolyForm(n, k, r, {key: v for key, v in coeffs.items() if v})
+    return PolyForm(n, k, r, _settle(coeffs))
 
 
 # -- named constructors -------------------------------------------------------

@@ -151,6 +151,18 @@ def oracle_koszul(a, origin=0):
     return out
 
 
+def oracle_directional_derivative(a, j, l):
+    """Derivative along x_j - x_l, dehomogenized (vertex 0 at the origin, vertex i at e_i)."""
+    out = {}
+    for (expo, sigma), c in a.items():
+        for i, e in enumerate(expo):
+            slope = int(i + 1 == j) - int(i + 1 == l)
+            if e and slope:
+                dropped = tuple(x - 1 if p == i else x for p, x in enumerate(expo))
+                _add_into(out, (dropped, sigma), c * e * slope)
+    return out
+
+
 def oracle_trace(a, n, face):
     """Pullback onto the face with increasing vertices `face`, in its own coordinates.
 
@@ -182,8 +194,12 @@ def oracle_trace(a, n, face):
     return out
 
 
-def random_polyform(rng: random.Random, n: int, k: int, r: int, nterms: int = 3):
-    """A random canonical form with small integer coefficients."""
+INTEGER_COEFFS = (-3, -2, -1, 1, 2, 3)
+FRACTION_COEFFS = (Fraction(-3, 2), -1, Fraction(-1, 2), Fraction(1, 3), Fraction(1, 2), 2)
+
+
+def random_polyform(rng: random.Random, n: int, k: int, r: int, nterms: int = 3, coeffs=INTEGER_COEFFS):
+    """A random canonical form with coefficients drawn from coeffs (small integers by default)."""
     from feec.forms import canonicalize
 
     raw = []
@@ -196,7 +212,7 @@ def random_polyform(rng: random.Random, n: int, k: int, r: int, nterms: int = 3)
             prev = c
         alpha.append(r - prev)
         sigma = tuple(sorted(rng.sample(range(0, n + 1), k)))
-        coeff = rng.choice([-3, -2, -1, 1, 2, 3])
+        coeff = rng.choice(coeffs)
         raw.append((tuple(alpha), sigma, coeff))
     return canonicalize(n, k, raw, degree=r)
 

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -79,11 +81,12 @@ def test_bad_arguments_exit_2(capsys):
     assert out.out == "" and out.err.splitlines()[-1] == (
         "feec: error: verification sweeps support r <= 12, as FEEC_MAX_DEGREE does, got r=13"
     )
-    # a dimension with more digits than Python converts to a string
-    for fmt in ("plain", "json", "latex"):
-        code, out, err = run_cli(
-            capsys, "dim", "--family", "full", "-n", "10000", "-r", "10000", "-k", "0", "--format", fmt
-        )
+    # a dimension with more digits than Python converts to a string; at n = r =
+    # 300000 a bound on its digits refuses it before math.comb spends seconds
+    for n, fmt in product(("10000", "300000"), ("plain", "json", "latex")):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "dim", "--family", "full", "-n", n, "-r", n, "-k", "0", "--format", fmt)
+        assert time.perf_counter() - start < 2
         assert code == 2 and out == ""
         assert err == "invalid request: the dimension has too many digits to print\n"
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -20,8 +20,11 @@ from feec.forms import (
     whitney,
 )
 from helpers import (
+    FRACTION_COEFFS,
+    INTEGER_COEFFS,
     from_polyform,
     oracle_d,
+    oracle_directional_derivative,
     oracle_equal,
     oracle_koszul,
     oracle_trace,
@@ -435,36 +438,58 @@ def test_wedge_against_oracle_product():
 
 
 def test_derivative_against_oracle_derivative():
-    rng = random.Random(53)
-    for n in (1, 2, 3, 4):
-        for k in range(n):
-            for _ in range(8):
-                w = random_polyform(rng, n, k, rng.randint(1, 3))
-                assert from_polyform(w.d()) == oracle_d(from_polyform(w))
+    for coeffs in (INTEGER_COEFFS, FRACTION_COEFFS):
+        rng = random.Random(53)
+        for n in (1, 2, 3, 4):
+            for k in range(n):
+                for _ in range(8):
+                    w = random_polyform(rng, n, k, rng.randint(1, 3), coeffs=coeffs)
+                    assert from_polyform(w.d()) == oracle_d(from_polyform(w))
 
 
 def test_koszul_against_oracle_contraction():
-    rng = random.Random(59)
-    for n in (1, 2, 3):
-        for k in range(n + 1):
-            for r in range(4):
-                for _ in range(2):
-                    w = random_polyform(rng, n, k, r)
-                    for origin in range(n + 1):
-                        got = from_polyform(w.koszul(origin))
-                        assert got == oracle_koszul(from_polyform(w), origin), (n, k, r, origin)
+    for coeffs in (INTEGER_COEFFS, FRACTION_COEFFS):
+        rng = random.Random(59)
+        for n in (1, 2, 3):
+            for k in range(n + 1):
+                for r in range(4):
+                    for _ in range(2):
+                        w = random_polyform(rng, n, k, r, coeffs=coeffs)
+                        for origin in range(n + 1):
+                            got = from_polyform(w.koszul(origin))
+                            assert got == oracle_koszul(from_polyform(w), origin), (n, k, r, origin)
 
 
 def test_trace_against_oracle_pullback():
-    rng = random.Random(67)
-    for n in (1, 2, 3):
-        for k in range(n + 1):
-            for r in range(4):
-                for _ in range(2):
-                    w = random_polyform(rng, n, k, r)
-                    for face in FaceRef.full(n).all_subfaces():
-                        got = from_polyform(w.trace(face))
-                        assert got == oracle_trace(from_polyform(w), n, face.indices), (n, k, r, face)
+    # a face whose first vertex lies in sigma meets its own d lambda_0, which
+    # the trace eliminates; every subface of every simplex is swept
+    for coeffs in (INTEGER_COEFFS, FRACTION_COEFFS):
+        rng = random.Random(67)
+        for n in (1, 2, 3):
+            for k in range(n + 1):
+                for r in range(4):
+                    for _ in range(2):
+                        w = random_polyform(rng, n, k, r, coeffs=coeffs)
+                        for face in FaceRef.full(n).all_subfaces():
+                            got = from_polyform(w.trace(face))
+                            assert got == oracle_trace(from_polyform(w), n, face.indices), (n, k, r, face)
+
+
+def test_lift_and_directional_derivative_against_oracle():
+    for coeffs in (INTEGER_COEFFS, FRACTION_COEFFS):
+        rng = random.Random(71)
+        for n in (1, 2, 3):
+            for k in range(n + 1):
+                for r in range(4):
+                    w = random_polyform(rng, n, k, r, coeffs=coeffs)
+                    expanded = from_polyform(w)
+                    for extra in (1, 2):
+                        lifted = w.lift(w.r + extra)
+                        assert from_polyform(lifted) == expanded
+                        assert lifted.is_zero or all(sum(a) == w.r + extra for a, _ in lifted.coeffs)
+                    for j, l in permutations(range(n + 1), 2):
+                        got = from_polyform(w.directional_derivative(j, l))
+                        assert got == oracle_directional_derivative(expanded, j, l), (n, k, r, j, l)
 
 
 def test_combination_matches_chained_addition():

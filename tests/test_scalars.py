@@ -69,6 +69,45 @@ def test_forms_from_integer_data_hold_only_int(n):
         assert only_int(combination(n, k, [(Fraction(4, 2), w) for w in same_order]))
 
 
+def settled(w: PolyForm) -> bool:
+    """Every coefficient is an int or a Fraction with a denominator, never an integral Fraction."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in w.coeffs.values())
+
+
+def fraction_forms(n: int) -> list[PolyForm]:
+    """Half-scaled Whitney forms and psi forms, whose coefficients carry denominators."""
+    out = [whitney(n, s) * Fraction(1, 2) for j in range(n + 1) for s in combinations(range(n + 1), j + 1)]
+    for face in FaceRef.full(n).all_subfaces()[n + 1 :]:
+        sigmas = [s for j in range(1, min(face.dim, 2) + 1) for s in combinations(face.indices, j)]
+        out += [psi_form(face.place(a), face, s) for a in multiindices(face.dim, 2) for s in sigmas]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_integral_sums_of_fractions_are_int(n):
+    # 1/2 + 1/2 made inside an operator must come out as the int 1
+    half = canonicalize(1, 0, [((1, 0), (), Fraction(1, 2)), ((0, 1), (), Fraction(1, 2))])
+    assert type(half.lift(2).coeffs[((1, 1), ())]) is int
+    forms = fraction_forms(n)
+    assert all(settled(w) for w in forms)
+    assert any(type(c) is Fraction for w in forms for c in w.coeffs.values())
+    faces = FaceRef.full(n).all_subfaces()
+    for i, a in enumerate(forms):
+        derived = [a.d(), a.lift(a.r + 2), a * 2]
+        derived += [a.koszul(v) for v in range(n + 1)]
+        derived += [a.trace(f) for f in faces]
+        derived += [a.directional_derivative(j, l) for j, l in ((0, n), (n, 0))]
+        if a.k:
+            derived += [a.contract(tuple((i + 1) * (i != l) for i in range(n + 1)), l) for l in (0, n)]
+        for b in forms[i::11]:
+            if a.k + b.k <= n:
+                derived.append(a.wedge(b * 2))
+            if a.k == b.k:
+                derived += [a + b, a + a, combination(n, a.k, [(2, a), (Fraction(1, 3), b)])]
+                derived.append(combination(n, a.k, [(Fraction(1, 2), a), (Fraction(3, 2), a)]))
+        assert all(settled(w) for w in derived), a
+
+
 @pytest.mark.parametrize(
     "kind", [FULL, MINUS, FULL_ZERO, MINUS_ZERO], ids=["full", "minus", "full-zero", "minus-zero"]
 )
