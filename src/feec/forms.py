@@ -352,7 +352,7 @@ class PolyForm:
                 if merged is None:
                     continue
                 sig, sign = merged
-                key = (tuple(x + y for x, y in zip(a1, a2)), sig)
+                key = (tuple(map(add, a1, a2)), sig)
                 v = coeffs.get(key, 0) + c1 * c2 * sign
                 if v:
                     coeffs[key] = v if type(v) is int or v.denominator != 1 else v.numerator
@@ -411,21 +411,6 @@ class PolyForm:
                 continue
             _emit(m, tuple(alpha[i] for i in face.indices), tuple(pos[s] for s in sigma), c, out)
         return _collect(m, self.k, self.r, out)
-
-    def directional_derivative(self, j: int, l: int) -> PolyForm:
-        """Derivative along the vertex difference vector from vertex l to j."""
-        if j == l:
-            raise ValueError("direction needs two distinct vertices")
-        for i in (j, l):
-            if i < 0 or i > self.n:
-                raise ValueError(f"vertex {i} not within 0..{self.n}")
-        raw: list[RawTerm] = []
-        for (alpha, sigma), c in self.coeffs.items():
-            for i, sign in ((j, 1), (l, -1)):
-                if alpha[i] == 0:
-                    continue
-                raw.append((alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :], sigma, c * alpha[i] * sign))
-        return _collect(self.n, self.k, max(self.r - 1, 0), raw)
 
     def contract(self, alpha: tuple[int, ...], l: int) -> PolyForm:
         """Contraction with the vector from vertex l to the weighted point of alpha.
@@ -566,8 +551,6 @@ def integral_over_face(w: PolyForm) -> Scalar:
     top = tuple(range(1, d + 1))
     for (beta, sigma), c in w.coeffs.items():
         assert sigma == top
-        num = 1
-        for e in beta:
-            num *= factorial(e)
-        total += c * Fraction(num, factorial(sum(beta) + d))
-    return total
+        total += c * prod(map(factorial, beta))
+    # every stored beta has |beta| = w.r, so the terms share one denominator
+    return _exact(Fraction(total, factorial(w.r + d)))

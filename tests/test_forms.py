@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -24,7 +24,6 @@ from helpers import (
     INTEGER_COEFFS,
     from_polyform,
     oracle_d,
-    oracle_directional_derivative,
     oracle_equal,
     oracle_koszul,
     oracle_trace,
@@ -312,32 +311,6 @@ def test_psi_requires_positive_degree():
         psi_one_form((0, 0, 0), FaceRef(2, (1, 2)), 1)
 
 
-def test_directional_derivative_examples():
-    l1 = bary_monomial(2, (0, 1, 0))
-    assert l1.directional_derivative(1, 0) == one(2)
-    l2 = bary_monomial(2, (0, 0, 1))
-    assert l2.directional_derivative(1, 0).is_zero
-    w = bary_monomial(2, (0, 2, 1))
-    out = (
-        w.directional_derivative(1, 0)
-        .directional_derivative(1, 0)
-        .directional_derivative(2, 0)
-    )
-    assert out == 2 * one(2)
-
-
-def test_directional_derivative_orthogonality():
-    # distinct multi-indices of equal degree annihilate each other
-    alpha = (0, 2, 1)
-    beta = (0, 1, 2)
-    w = bary_monomial(2, alpha)
-    out = w
-    for j, reps in ((1, beta[1]), (2, beta[2])):
-        for _ in range(reps):
-            out = out.directional_derivative(j, 0)
-    assert out.is_zero
-
-
 def test_contract_examples():
     alpha = (0, 1, 1)
     w = dlambda(2, (1,)).contract(alpha, 0)
@@ -475,7 +448,7 @@ def test_trace_against_oracle_pullback():
                             assert got == oracle_trace(from_polyform(w), n, face.indices), (n, k, r, face)
 
 
-def test_lift_and_directional_derivative_against_oracle():
+def test_lift_against_oracle():
     for coeffs in (INTEGER_COEFFS, FRACTION_COEFFS):
         rng = random.Random(71)
         for n in (1, 2, 3):
@@ -487,9 +460,6 @@ def test_lift_and_directional_derivative_against_oracle():
                         lifted = w.lift(w.r + extra)
                         assert from_polyform(lifted) == expanded
                         assert lifted.is_zero or all(sum(a) == w.r + extra for a, _ in lifted.coeffs)
-                    for j, l in permutations(range(n + 1), 2):
-                        got = from_polyform(w.directional_derivative(j, l))
-                        assert got == oracle_directional_derivative(expanded, j, l), (n, k, r, j, l)
 
 
 def test_combination_matches_chained_addition():

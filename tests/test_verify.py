@@ -1,5 +1,9 @@
+from itertools import combinations
+
 import pytest
 
+from feec.combinat import multiindices
+from feec.forms import PolyForm
 from feec.verify import CheckResult, SUITE_BOUNDS, SUITES, builtin_meshes, run_suites
 
 
@@ -18,9 +22,33 @@ def test_suite_names_are_selectable():
 
 
 def test_homotopy_suite_at_dimension_four():
-    results = run_suites(["homotopy"], max_n=4, max_r=2, samples=20)
+    results = run_suites(["homotopy"], max_n=4, max_r=2)
     assert any(r.label.startswith("n=4") for r in results)
     assert all(r.passed for r in results)
+
+
+def test_a_koszul_sign_flip_on_one_monomial_fails_a_case(monkeypatch):
+    # kappa with its sign flipped on the single stored monomial `key`, linear elsewhere
+    original = PolyForm.koszul
+
+    def flipped(self, origin=0):
+        out = original(self, origin)
+        c = self.coeffs.get(key)
+        return out if c is None else out - 2 * original(PolyForm(self.n, self.k, self.r, {key: c}), origin)
+
+    monkeypatch.setattr(PolyForm, "koszul", flipped)
+    keys = [
+        (alpha, sigma)
+        for n in (1, 2)
+        for k in range(1, n + 1)
+        for degree in range(3)
+        for alpha in multiindices(n, degree)
+        for sigma in combinations(range(1, n + 1), k)
+    ]
+    assert len(keys) == 36
+    for key in keys:
+        results = run_suites(["identities", "homotopy"], 2, 2)
+        assert any(not r.passed for r in results), key
 
 
 def test_small_full_sweep_passes():
