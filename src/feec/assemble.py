@@ -13,7 +13,7 @@ product of the cell spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import linalg
 from .extension import placed_basis
@@ -141,7 +141,7 @@ def _stacked_rows(elements: list[GlobalBasisElement], r: int) -> Iterator[linalg
 
 
 def _constraint_rows(
-    t: Triangulation, cell_basis: list[PolyForm], r: int, k: int
+    t: Triangulation, cell_basis: Sequence[PolyForm], r: int, k: int
 ) -> Iterator[dict[int, Scalar]]:
     """Trace matching on the shared faces, one sparse row per face term and cell pair.
 

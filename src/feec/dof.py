@@ -20,6 +20,7 @@ increasing vertex order; only the exact rational values matter here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import linalg
 from .forms import FaceRef, PolyForm, Scalar, combination, integral_over_face
@@ -65,7 +66,7 @@ def apply_dof(dof: DofFunctional, w: PolyForm) -> Scalar:
     return integral_over_face(tr.wedge(dof.weight))
 
 
-def pairing_matrix(dofs: list[DofFunctional], forms: list[PolyForm]) -> list[list[Scalar]]:
+def pairing_matrix(dofs: list[DofFunctional], forms: Sequence[PolyForm]) -> list[list[Scalar]]:
     """Matrix of functional values, one row per functional."""
     if len(dofs) != len(forms):
         raise ValueError(f"{len(dofs)} functionals against {len(forms)} forms")

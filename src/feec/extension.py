@@ -160,18 +160,33 @@ def _images(fam: ExtensionFamily, fr: FaceRef) -> tuple[PolyForm, ...]:
     return placed_basis(kind, r, k, fr)
 
 
+def _input(fam: ExtensionFamily, mu: PolyForm, f: FaceRef) -> PolyForm | list[Scalar]:
+    """What the family extends from f: mu itself for the naive control, else mu's basis coordinates.
+
+    Raises ValueError when a linear family's mu is not a member of the space on f.
+    """
+    if fam.kind is FamilyKind.NAIVE_FULL:
+        return mu
+    coords = membership(mu, fam.space_kind, f, fam.r, fam.k)
+    if coords is None:
+        raise ValueError(f"form is not a member of the degree-{fam.r} space on {f.indices}")
+    return coords
+
+
+def _extend_input(fam: ExtensionFamily, x: PolyForm | list[Scalar], f: FaceRef, g: FaceRef) -> PolyForm:
+    """The extension to g of what `_input` returned on f."""
+    if fam.kind is FamilyKind.NAIVE_FULL:
+        return extend_naive(x, f, g)
+    return combination(g.dim, fam.k, zip(x, _images(fam, g.to_local(f))))
+
+
 def extend_form(fam: ExtensionFamily, mu: PolyForm, f: FaceRef, g: FaceRef) -> PolyForm:
     """The family's extension of a space member on f to g.
 
     Every family but the naive control is linear, so mu's coordinates in the
     basis on f weight the images of that basis.
     """
-    if fam.kind is FamilyKind.NAIVE_FULL:
-        return extend_naive(mu, f, g)
-    coords = membership(mu, fam.space_kind, f, fam.r, fam.k)
-    if coords is None:
-        raise ValueError(f"form is not a member of the degree-{fam.r} space on {f.indices}")
-    return combination(g.dim, fam.k, zip(coords, _images(fam, g.to_local(f))))
+    return _extend_input(fam, _input(fam, mu, f), f, g)
 
 
 # -- the compatibility law ------------------------------------------------------
@@ -200,21 +215,27 @@ def check_consistency(fam: ExtensionFamily, h: FaceRef) -> ConsistencyResult:
 
     Works in the local coordinates of h, so h may itself be a proper face of
     a larger simplex.  Each basis member of f is extended to h once; only its
-    trace depends on g.
+    trace depends on g.  The right side's input, the trace of a member onto
+    f \\cap g and (for a linear family) its coordinates there, is computed
+    once per (f, f \\cap g) and extended to each g.
     """
     top = FaceRef.full(h.dim)
     faces = top.all_subfaces()
     for f in faces:
         members = basis_forms(fam.space_kind, f, fam.r, fam.k)
         extended = [extend_form(fam, mu, f, top) for mu in members]
+        restricted: dict[tuple[FaceRef, int], PolyForm | list[Scalar]] = {}
         for g in faces:
             fg = f.intersect(g)
-            for mu, ext in zip(members, extended):
+            for i, (mu, ext) in enumerate(zip(members, extended)):
                 lhs = ext.trace(g)
                 if fg is None:
                     rhs = PolyForm.zero(g.dim, fam.k)
                 else:
-                    rhs = extend_form(fam, mu.trace(f.to_local(fg)), fg, g)
+                    rest = restricted.get((fg, i))
+                    if rest is None:
+                        rest = restricted[fg, i] = _input(fam, mu.trace(f.to_local(fg)), fg)
+                    rhs = _extend_input(fam, rest, fg, g)
                 if lhs != rhs:
                     return ConsistencyResult(False, ConsistencyWitness(f, g, mu, lhs, rhs))
     return ConsistencyResult(True)

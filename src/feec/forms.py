@@ -12,7 +12,10 @@ dictionaries agree (after homogenizing to a common degree).
 `canonicalize` is the entry for external terms: it validates them, sorts
 each sigma and eliminates d lambda_0.  The operators here build such terms
 themselves and send them straight to one collector, which homogenizes
-through a cached Bernstein degree-raising table.
+through a cached Bernstein degree-raising table.  The trace keeps its
+degree and needs no collector: each face caches two maps, filled on first
+use, from an exponent to its face-local exponent and from a canonical sigma
+to its signed face-local sigmas with the face's own d lambda_0 eliminated.
 
 Coefficients are exact rationals, `int` or `Fraction`, never float: an
 integral value is an `int`, so forms built from integer data stay integer
@@ -40,6 +43,8 @@ Scalar = int | Fraction
 # A raw term: (exponent tuple over 0..n, differential index sequence, coefficient).
 RawTerm = tuple[tuple[int, ...], tuple[int, ...], Scalar]
 Key = tuple[tuple[int, ...], tuple[int, ...]]
+# The pullback of one d lambda_sigma: (local sigma, sign) pairs.
+SignedSigmas = tuple[tuple[tuple[int, ...], int], ...]
 
 
 @dataclass(frozen=True)
@@ -196,6 +201,37 @@ def _collect(n: int, k: int, degree: int, terms: Iterable[RawTerm]) -> PolyForm:
             key = (tuple(map(add, alpha, beta)), sig)
             coeffs[key] = coeffs.get(key, 0) + c * w
     return PolyForm(n, k, degree, _settle(coeffs))
+
+
+@cache
+def _trace_maps(
+    face: FaceRef,
+) -> tuple[dict[tuple[int, ...], tuple[int, ...]], dict[tuple[int, ...], SignedSigmas]]:
+    """The exponent and differential maps of the trace onto face, filled on a miss.
+
+    Exponents map to face-local exponents, or to () when they leave the face;
+    canonical sigmas map to the signed local sigmas of the pullback, with the
+    face's own d lambda_0 eliminated, or to () when they leave the face.  The
+    maps are factored so that they grow with the number of exponents plus the
+    number of sigmas seen, not with their product.
+    """
+    return {}, {}
+
+
+def _local_alpha(face: FaceRef, alpha: tuple[int, ...]) -> tuple[int, ...]:
+    """alpha in face coordinates, or () when it has an exponent off the face."""
+    if sum(alpha[i] for i in face.indices) != sum(alpha):
+        return ()
+    return tuple(alpha[i] for i in face.indices)
+
+
+def _local_sigma(face: FaceRef, sigma: tuple[int, ...]) -> SignedSigmas:
+    """The signed canonical local sigmas whose sum is the pullback of d lambda_sigma."""
+    if not set(sigma) <= set(face.indices):
+        return ()
+    out: list[RawTerm] = []
+    _emit(face.dim, (), tuple(face.position(s) for s in sigma), 1, out)
+    return tuple((sig, c) for _, sig, c in out)
 
 
 def canonicalize(n: int, k: int, terms: Iterable[RawTerm], degree: int | None = None) -> PolyForm:
@@ -395,22 +431,27 @@ class PolyForm:
         return _collect(self.n, self.k - 1, self.r + 1, raw)
 
     def trace(self, face: FaceRef) -> PolyForm:
-        """Pullback onto a subsimplex, in the face's own coordinates."""
+        """Pullback onto a subsimplex, in the face's own coordinates, at the same storage degree."""
         if face.n != self.n:
             raise ValueError(f"face {face} does not live on dimension {self.n}")
         m = face.dim
         if self.k > m:
             return PolyForm.zero(m, self.k)
-        drop = face.complement_indices
-        pos = {i: p for p, i in enumerate(face.indices)}
-        out: list[RawTerm] = []
+        alphas, sigmas = _trace_maps(face)
+        coeffs: dict[Key, Scalar] = {}
         for (alpha, sigma), c in self.coeffs.items():
-            if any(alpha[i] for i in drop):
+            a = alphas.get(alpha)
+            if a is None:
+                a = alphas[alpha] = _local_alpha(face, alpha)
+            if not a:
                 continue
-            if any(s not in pos for s in sigma):
-                continue
-            _emit(m, tuple(alpha[i] for i in face.indices), tuple(pos[s] for s in sigma), c, out)
-        return _collect(m, self.k, self.r, out)
+            terms = sigmas.get(sigma)
+            if terms is None:
+                terms = sigmas[sigma] = _local_sigma(face, sigma)
+            for sig, sign in terms:
+                key = (a, sig)
+                coeffs[key] = coeffs.get(key, 0) + (c if sign > 0 else -c)
+        return PolyForm(m, self.k, self.r, _settle(coeffs))
 
     def contract(self, alpha: tuple[int, ...], l: int) -> PolyForm:
         """Contraction with the vector from vertex l to the weighted point of alpha.

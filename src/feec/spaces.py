@@ -5,7 +5,11 @@ r and the reduced ("trimmed") space spanned by monomial multiples of Whitney
 forms; each comes in a whole-space and a zero-boundary-trace flavor.  The
 spanning sets and the basis side conditions below pick out the standard
 barycentric generators; all independence and membership questions are
-settled by exact rational elimination over canonical coefficients.
+settled by exact rational elimination over canonical coefficients.  The
+realized basis is built once per process for each space and face dimension,
+and its exact inverse on its pivot keys is kept as sparse columns keyed by
+pivot key, so a membership test reads only the columns of the keys the form
+has before it rebuilds the form to check the answer.
 """
 
 from __future__ import annotations
@@ -151,9 +155,19 @@ def realize(g: GeneratorDescriptor) -> PolyForm:
     return mono.wedge(dlambda(m, local_sigma))
 
 
-def basis_forms(kind: SpaceKind, face: FaceRef, r: int, k: int) -> list[PolyForm]:
-    """Realized basis of the space, in enumeration order."""
-    return [realize(g) for g in enumerate_basis(kind, face, r, k)]
+def basis_forms(kind: SpaceKind, face: FaceRef, r: int, k: int) -> tuple[PolyForm, ...]:
+    """Realized basis of the space, in enumeration order; callers must not mutate it."""
+    return _reference_basis(kind, face.dim, r, k)
+
+
+@cache
+def _reference_basis(kind: SpaceKind, m: int, r: int, k: int) -> tuple[PolyForm, ...]:
+    """The realized basis on the reference m-simplex, built once per process.
+
+    It serves every m-face: generators and the basis condition are stated in
+    vertex order, which the face's own coordinates keep.
+    """
+    return tuple(realize(g) for g in enumerate_basis(kind, FaceRef.full(m), r, k))
 
 
 def rank_of(forms: Iterable[PolyForm]) -> int:
@@ -175,23 +189,26 @@ def rank_of(forms: Iterable[PolyForm]) -> int:
 @cache
 def _basis_table(
     kind: SpaceKind, m: int, r: int, k: int, degree: int
-) -> tuple[list[PolyForm], list[Key], list[list[Scalar]]]:
-    """The basis on an m-face stored at `degree`, its pivot keys, and its inverse there.
+) -> tuple[tuple[PolyForm, ...], dict[Key, tuple[tuple[int, Scalar], ...]]]:
+    """The basis on an m-face stored at `degree`, and its inverse there as sparse columns.
 
-    The realized basis depends only on the face dimension, not on where the
-    face sits: generators and the basis condition are stated in vertex order,
-    which the face's own coordinates keep.  The pivot keys are the
-    least independent key columns in key order, so the basis restricted to them is
-    square and nonsingular.  Built once per process for each argument tuple.
+    The pivot keys are the least independent key columns in key order, so the
+    basis restricted to them is square and nonsingular.  The inverse of that
+    square matrix is kept column by column, keyed by pivot key, with only its
+    nonzero (basis index, entry) pairs.  Built once per process for each
+    argument tuple.
     """
-    basis = [b.lift(degree) for b in basis_forms(kind, FaceRef.full(m), r, k)]
+    basis = tuple(b.lift(degree) for b in basis_forms(kind, FaceRef.full(m), r, k))
     pivot_keys = linalg.pivot_columns(b.coeffs for b in basis)
     inverse = None
     if len(pivot_keys) == len(basis):
         inverse = linalg.inverse([[b.coeffs.get(key, 0) for b in basis] for key in pivot_keys])
     if inverse is None:
         raise ArithmeticError(f"dependent basis for {kind} r={r} k={k} on dim {m}")
-    return basis, pivot_keys, inverse
+    columns = {
+        key: tuple((i, row[j]) for i, row in enumerate(inverse) if row[j]) for j, key in enumerate(pivot_keys)
+    }
+    return basis, columns
 
 
 def membership(
@@ -200,18 +217,22 @@ def membership(
     """Coordinates of w in the basis of the space, or None when outside it.
 
     The form must be expressed in the face's own coordinates.  Candidate
-    coordinates come from w's coefficients on the pivot keys; they are
-    accepted only if the basis combination rebuilds w exactly.
+    coordinates come from w's coefficients on the pivot keys, through the
+    sparse inverse columns of those keys that w has; they are accepted only
+    if the basis combination rebuilds w exactly.
     """
     if w.n != face.dim:
         raise ValueError(f"form lives on dimension {w.n}, face has dimension {face.dim}")
     if not w.is_zero and w.k != k:
         raise ValueError(f"form order {w.k} does not match k={k}")
     degree = max(r, w.r)
-    basis, pivot_keys, inverse = _basis_table(kind, face.dim, r, k, degree)
+    basis, columns = _basis_table(kind, face.dim, r, k, degree)
     target = w.lift(degree).coeffs
-    rhs = [target.get(key, 0) for key in pivot_keys]
-    coords = [sum(a * b for a, b in zip(row, rhs) if b) for row in inverse]
+    coords: list[Scalar] = [0] * len(basis)
+    for key, v in target.items():
+        for i, a in columns.get(key, ()):
+            coords[i] += a * v
+    coords = [c if type(c) is int or c.denominator != 1 else c.numerator for c in coords]
     if combination(face.dim, k, zip(coords, basis)).coeffs != target:
         return None
     return coords

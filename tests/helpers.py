@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 # representation: dict[(exponents over lambda_1..lambda_n, sigma)] -> Fraction
 
@@ -217,27 +218,43 @@ def random_polyform(rng: random.Random, n: int, k: int, r: int, nterms: int = 3,
     return canonicalize(n, k, raw, degree=r)
 
 
-def dense_echelon(rows, ncols):
-    """Reduced row echelon form by plain Fraction Gauss-Jordan elimination.
+def _integer_row(row):
+    """The row times the lcm of its denominators, as ints."""
+    vals = [Fraction(x) for x in row]
+    scale = lcm(*(x.denominator for x in vals))
+    return [x.numerator * (scale // x.denominator) for x in vals]
 
-    Pivots are chosen column by column from the left, over the first ncols
-    columns only.  Returns the reduced rows and the pivot columns.
+
+def dense_echelon(rows, ncols):
+    """Reduced row echelon form by fraction-free (Bareiss) Gauss-Jordan elimination.
+
+    Each row is first scaled to integers.  Pivots are chosen column by column
+    from the left, over the first ncols columns only; every other row r is
+    replaced by (p * r - r[c] * pivot row) / p_prev, where p is the new pivot
+    and p_prev the one before it (1 at the start).  Each entry is then a minor
+    of the scaled matrix, so the division is exact and every intermediate
+    value stays an int; each pivot row ends with the last pivot in its pivot
+    column, and dividing by it gives the reduced rows as Fractions.  Rows past
+    the rank are zero on the first ncols columns.  Returns the reduced rows
+    and the pivot columns.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [_integer_row(row) for row in rows]
     pivots = []
+    prev = 1
     for c in range(ncols):
         rk = len(pivots)
         piv = next((i for i in range(rk, len(m)) if m[i][c]), None)
         if piv is None:
             continue
         m[rk], m[piv] = m[piv], m[rk]
-        m[rk] = [x / m[rk][c] for x in m[rk]]
+        p = m[rk][c]
         for i in range(len(m)):
-            if i != rk and m[i][c]:
+            if i != rk:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rk])]
+                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], m[rk])]
         pivots.append(c)
-    return m, pivots
+        prev = p
+    return [[Fraction(x, prev) for x in row] for row in m], pivots
 
 
 def oracle_rank(rows):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from feec import extension
 from feec.dof import dual_extend
 from feec.forms import FaceRef, PolyForm, bary_monomial, canonicalize, dlambda, one, whitney
 from feec.extension import (
@@ -240,6 +241,49 @@ def test_naive_family_fails_consistency():
     edge = FaceRef(2, (1, 2))
     mu = bary_monomial(1, (1, 1)).wedge(dlambda(1, (1,)))
     assert extend_naive(mu, edge, FaceRef.full(2)).trace(edge) == mu
+
+
+@pytest.mark.parametrize("kind", [FamilyKind.MINUS_BARYCENTRIC, FamilyKind.FULL_PSI, FamilyKind.DUAL_DOF])
+def test_a_patched_image_fails_consistency_where_it_is_used(monkeypatch, kind):
+    # the right side is extended to each g through g's own images: doubling
+    # one image of an edge placed in a triangle must show at that f cap g
+    fam = ExtensionFamily(kind, 1, 1, Family.FULL if kind is FamilyKind.DUAL_DOF else None)
+    patched = FaceRef(2, (0, 2))
+    original = extension._images
+
+    def images(family, fr):
+        out = original(family, fr)
+        return (2 * out[0],) + out[1:] if (family, fr) == (fam, patched) else out
+
+    original.cache_clear()
+    monkeypatch.setattr(extension, "_images", images)
+    try:
+        res = check_consistency(fam, FaceRef.full(3))
+    finally:
+        original.cache_clear()
+    assert not res.ok
+    w = res.witness
+    assert w.g.to_local(w.f.intersect(w.g)) == patched
+    assert w.lhs != w.rhs
+
+
+def test_the_naive_control_extends_through_extend_naive(monkeypatch):
+    calls = []
+
+    def spy(mu, f, g):
+        calls.append((f, g))
+        return extend_naive(mu, f, g)
+
+    def no_membership(*args):
+        raise AssertionError("the naive control has no basis coordinates")
+
+    monkeypatch.setattr(extension, "extend_naive", spy)
+    monkeypatch.setattr(extension, "membership", no_membership)
+    res = check_consistency(ExtensionFamily(FamilyKind.NAIVE_FULL, 2, 1), FaceRef.full(2))
+    assert not res.ok
+    assert (res.witness.f, res.witness.g) == (FaceRef(2, (0, 1)), FaceRef(2, (1, 2)))
+    assert res.witness.rhs == extend_naive(res.witness.mu.trace(FaceRef(1, (1,))), FaceRef(2, (1,)), res.witness.g)
+    assert (FaceRef(2, (1,)), FaceRef(2, (1, 2))) in calls
 
 
 def test_naive_discrepancy_is_the_bubble_form():

@@ -435,17 +435,36 @@ def test_koszul_against_oracle_contraction():
 
 def test_trace_against_oracle_pullback():
     # a face whose first vertex lies in sigma meets its own d lambda_0, which
-    # the trace eliminates; every subface of every simplex is swept
+    # the trace eliminates; every subface of every simplex up to n = 4 is swept
     for coeffs in (INTEGER_COEFFS, FRACTION_COEFFS):
         rng = random.Random(67)
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             for k in range(n + 1):
                 for r in range(4):
                     for _ in range(2):
                         w = random_polyform(rng, n, k, r, coeffs=coeffs)
                         for face in FaceRef.full(n).all_subfaces():
-                            got = from_polyform(w.trace(face))
+                            t = w.trace(face)
+                            assert all(type(c) is int or c.denominator != 1 for c in t.coeffs.values())
+                            assert all(t.coeffs.values())
+                            got = from_polyform(t)
                             assert got == oracle_trace(from_polyform(w), n, face.indices), (n, k, r, face)
+
+
+def test_trace_cancels_through_the_eliminated_d_lambda_0():
+    # on the edge [x1, x2] the face's own d lambda_0 is d lambda_1 = -d mu_1
+    edge = FaceRef(2, (1, 2))
+    flat = canonicalize(2, 1, [((0, 1, 0), (1,), 1), ((0, 1, 0), (2,), 1)])
+    assert flat.trace(edge).coeffs == {}
+    # on the triangle [x1, x2, x3]: d mu_0 ^ d mu_1 + d mu_0 ^ d mu_2 = 0
+    side = FaceRef(3, (1, 2, 3))
+    pair = canonicalize(3, 2, [((0, 0, 0, 0), (1, 2), Fraction(1, 3)), ((0, 0, 0, 0), (1, 3), Fraction(1, 3))])
+    assert pair.trace(side).coeffs == {}
+    # two halves sum to a whole, stored as an int
+    halves = canonicalize(2, 1, [((0, 1, 0), (1,), Fraction(1, 2)), ((0, 1, 0), (2,), Fraction(-1, 2))])
+    assert halves.trace(edge).coeffs == {((1, 0), (1,)): -1}
+    assert type(halves.trace(edge).coeffs[(1, 0), (1,)]) is int
+    assert halves.trace(edge).r == 1
 
 
 def test_lift_against_oracle():

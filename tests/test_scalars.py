@@ -6,6 +6,7 @@ arithmetic; values that may carry a denominator are int or Fraction; an
 inexact scalar is refused where coefficients enter.
 """
 
+import random
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
@@ -119,6 +120,25 @@ def test_membership_of_a_basis_member_is_int(kind):
                     coords = membership(b, kind, FaceRef.full(m), r, k)
                     assert coords == [int(j == i) for j in range(len(basis))]
                     assert all(type(c) is int for c in coords)
+
+
+def test_membership_settles_integral_coordinates_to_int():
+    T = FaceRef.full(2)
+    B = basis_forms(FULL, T, 1, 1)
+    w = combination(2, 1, [(Fraction(1, 2), B[0]), (Fraction(1, 2), B[1]), (1, B[2])])
+    coords = membership(w, FULL, T, 1, 1)
+    assert coords == [Fraction(1, 2), Fraction(1, 2), 1, 0, 0, 0]
+    assert [type(c) for c in coords] == [Fraction, Fraction, int, int, int, int]
+    rng = random.Random(5)
+    for kind in (FULL, MINUS, FULL_ZERO, MINUS_ZERO):
+        for m in range(1, 4):
+            for r in range(3):
+                for k in range(m + 1):
+                    basis = basis_forms(kind, FaceRef.full(m), r, k)
+                    weights = [rng.choice((Fraction(1, 2), Fraction(-1, 2), 1, 0)) for _ in basis]
+                    coords = membership(combination(m, k, zip(weights, basis)), kind, FaceRef.full(m), r, k)
+                    assert coords == weights
+                    assert all(type(c) is int or c.denominator != 1 for c in coords)
 
 
 def test_values_with_denominators_are_exact():

@@ -22,7 +22,7 @@ from feec.spaces import (
     rank_of,
     realize,
 )
-from helpers import from_polyform, oracle_rank, oracle_solve, random_polyform
+from helpers import FRACTION_COEFFS, from_polyform, oracle_rank, oracle_solve, random_polyform
 
 Q = Fraction
 
@@ -324,14 +324,15 @@ def test_membership_matches_dense_oracle():
                             outside = extra
                             break
                     assert outside is not None or m == 0
-                    coeffs = [rng.randint(-3, 3) for _ in basis]
-                    w = sum((c * b for c, b in zip(coeffs, basis)), PolyForm.zero(m, k))
-                    assert _oracle_coordinates(basis, w) == coeffs
-                    assert membership(w, kind, face, r, k) == coeffs
-                    assert membership(w.lift(r + 1), kind, face, r, k) == coeffs
-                    if outside is not None:
-                        assert _oracle_coordinates(basis, w + outside) is None
-                        assert membership(w + outside, kind, face, r, k) is None
+                    for scalars in (range(-3, 4), FRACTION_COEFFS):
+                        coeffs = [rng.choice(scalars) for _ in basis]
+                        w = sum((c * b for c, b in zip(coeffs, basis)), PolyForm.zero(m, k))
+                        assert _oracle_coordinates(basis, w) == coeffs
+                        assert membership(w, kind, face, r, k) == coeffs
+                        assert membership(w.lift(r + 1), kind, face, r, k) == coeffs
+                        if outside is not None:
+                            assert _oracle_coordinates(basis, w + outside) is None
+                            assert membership(w + outside, kind, face, r, k) is None
     assert empty_bases > 0
 
 
