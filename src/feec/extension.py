@@ -27,12 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import combinations
 
-from .combinat import multiindices
 from . import linalg
 from .dof import dual_extend
-from .forms import FaceRef, PolyForm, Scalar, bary_monomial, canonicalize, combination, psi_form, whitney
+from .forms import FaceRef, Key, PolyForm, Scalar, bary_monomial, canonicalize, combination, psi_form, whitney
 from .spaces import (
     Family,
     SpaceKind,
@@ -140,6 +138,8 @@ def extend_naive(mu: PolyForm, f: FaceRef, g: FaceRef) -> PolyForm:
     """Reinterpret the f-local form mu on g by vertex correspondence (negative control)."""
     if not g.contains(f):
         raise ValueError(f"{f.indices} is not a subface of {g.indices}")
+    if mu.n != f.dim:
+        raise ValueError(f"form lives on dimension {mu.n}, face has dimension {f.dim}")
     fl = g.to_local(f)
     raw = [(fl.place(alpha), tuple(fl.indices[s] for s in sigma), c) for alpha, sigma, c in mu.terms()]
     return canonicalize(g.dim, mu.k, raw, degree=mu.r)
@@ -256,54 +256,42 @@ def naive_representative_discrepancy() -> PolyForm:
 # -- vanishing order ------------------------------------------------------------
 
 
-def _face_supported(w: PolyForm, face: FaceRef) -> bool:
-    keep = set(face.indices)
-    return all(
-        all(e == 0 for i, e in enumerate(alpha) if i not in keep) for alpha, _ in w.coeffs
-    )
+# Off-face coefficients sit under the pseudo-vertex -1: `linalg` orders column labels.
+_OFF = -1
 
 
-def _constant_contraction_rows(
-    w: PolyForm, face: FaceRef, r: int
-) -> list[Scalar]:
-    """Values of the reduced order-r+ functionals on a degree-r form.
+def _vanishing_values(w: PolyForm, face: FaceRef) -> dict[tuple, Scalar]:
+    """The nonzero values on w of the functionals that vanish opposite `face`.
 
-    For each opposite vertex l and each face-supported exponent alpha of
-    degree r, contract the alpha-slice of w with the vector from x_l to the
-    weighted point of alpha, and list the resulting constant coefficients.
+    One pass over w gives (_OFF, alpha, sigma) -> c for each coefficient with
+    an exponent off the face (order r), and, for k >= 1, (l, alpha, tau) -> v
+    for each on-face alpha-slice contracted with the vector from each
+    opposite vertex x_l to the weighted point of alpha (order r+).
     """
-    n = w.n
-    k = w.k
-    values: list[Scalar] = []
-    out_keys = list(combinations(range(1, n + 1), k - 1))
-    for l in face.complement_indices:
-        for alpha_local in multiindices(face.dim, r):
-            alpha = face.place(alpha_local)
-            slice_form = PolyForm(
-                n,
-                k,
-                0,
-                {
-                    ((0,) * (n + 1), sigma): c
-                    for (a, sigma), c in w.coeffs.items()
-                    if a == alpha
-                },
-            )
-            if slice_form.is_zero:
-                values.extend([0] * len(out_keys))
-                continue
-            contracted = slice_form.contract(alpha, l)
-            values.extend(contracted.coeffs.get(((0,) * (n + 1), key), 0) for key in out_keys)
+    opposite = face.complement_indices
+    values: dict[tuple, Scalar] = {}
+    slices: dict[tuple[int, ...], dict[Key, Scalar]] = {}
+    zero = (0,) * (w.n + 1)
+    for (alpha, sigma), c in w.coeffs.items():
+        if any(alpha[i] for i in opposite):
+            values[_OFF, alpha, sigma] = c
+        elif w.k:
+            slices.setdefault(alpha, {})[zero, sigma] = c
+    for alpha, coeffs in slices.items():
+        alpha_slice = PolyForm(w.n, w.k, 0, coeffs)
+        for l in opposite:
+            for (_, tau), v in alpha_slice.contract(alpha, l).coeffs.items():
+                values[l, alpha, tau] = v
     return values
 
 
 def vanishing_order_check(w: PolyForm, face: FaceRef, r: int) -> VanishingOrder:
     """Classify how strongly w vanishes on the face opposite to `face`.
 
-    The plain order-r test is the monomial-support criterion on the
-    canonical degree-r coefficients; the stronger order includes the
-    directional-derivative contraction conditions, evaluated here on the
-    alpha-slices (which is equivalent once the support criterion holds).
+    Reads the sparse functional values that `characterization_equality`
+    ranks: an off-face coefficient fails order r, and a nonzero contraction
+    of an on-face alpha-slice, the directional-derivative condition once the
+    support criterion holds, fails order r+.
     """
     if w.is_zero:
         return VanishingOrder.ORDER_R_PLUS
@@ -312,46 +300,29 @@ def vanishing_order_check(w: PolyForm, face: FaceRef, r: int) -> VanishingOrder:
     w = w.lift(r)
     if face.n != w.n:
         raise ValueError("face does not match the form's simplex")
-    if not _face_supported(w, face):
+    values = _vanishing_values(w, face)
+    if any(key[0] == _OFF for key in values):
         return VanishingOrder.NEITHER
-    if w.k == 0 or set(face.indices) == set(range(w.n + 1)):
-        return VanishingOrder.ORDER_R_PLUS
-    if any(_constant_contraction_rows(w, face, r)):
-        return VanishingOrder.ORDER_R
-    return VanishingOrder.ORDER_R_PLUS
+    return VanishingOrder.ORDER_R if values else VanishingOrder.ORDER_R_PLUS
 
 
 def characterization_equality(family: Family, face: FaceRef, r: int, k: int) -> bool:
     """Extended forms are exactly those vanishing to the right order opposite the face.
 
-    Imposes the vanishing conditions as linear functionals on the whole
-    space over the full simplex; the extended basis of the face space must
-    satisfy every one of them and span a space of the solution space's
-    dimension.
+    Ranks the sparse functional values that `vanishing_order_check` reads,
+    on the whole space over the full simplex: all of them for the full
+    family, the off-face ones alone for the reduced one.  The extended face
+    basis must zero each of them and span the solution space's dimension.
     """
-    n = face.n
-    T = FaceRef.full(n)
     kind = SpaceKind(family)
-    keep = set(face.indices)
-    sigmas = list(combinations(range(1, n + 1), k))
-    bad_keys = [
-        (tuple(a), s)
-        for a in multiindices(n, r)
-        if any(e and i not in keep for i, e in enumerate(a))
-        for s in sigmas
-    ]
-    with_contractions = family is Family.FULL and k >= 1 and len(keep) < n + 1
 
-    def functionals(w: PolyForm) -> list[Scalar]:
-        w = w.lift(r)
-        row = [w.coeffs.get(key, 0) for key in bad_keys]
-        if with_contractions:
-            row.extend(_constant_contraction_rows(w, face, r))
-        return row
+    def functionals(w: PolyForm) -> dict[tuple, Scalar]:
+        values = _vanishing_values(w.lift(r), face)
+        return values if family is Family.FULL else {key: v for key, v in values.items() if key[0] == _OFF}
 
-    rows = [functionals(b) for b in basis_forms(kind, T, r, k)]
+    basis = basis_forms(kind, FaceRef.full(face.n), r, k)
     expected = dim_space(kind, face.dim, r, k)
-    if len(rows) - linalg.rank(rows) != expected:
+    if len(basis) - linalg.rank_sparse(map(functionals, basis)) != expected:
         return False
     extended = placed_basis(kind, r, k, face)
-    return not any(any(functionals(w)) for w in extended) and rank_of(extended) == expected
+    return not any(map(functionals, extended)) and rank_of(extended) == expected

@@ -26,7 +26,7 @@ an inexact scalar (float, Decimal, complex) raises TypeError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -53,6 +53,7 @@ class FaceRef:
 
     n: int
     indices: tuple[int, ...]
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         idx = self.indices
@@ -62,15 +63,12 @@ class FaceRef:
             raise ValueError(f"face indices must be sorted and distinct: {idx}")
         if idx[0] < 0 or idx[-1] > self.n:
             raise ValueError(f"face indices {idx} not within 0..{self.n}")
+        object.__setattr__(self, "dim", len(idx) - 1)
 
     @classmethod
     def full(cls, n: int) -> FaceRef:
         """The whole reference n-simplex as a face of itself."""
         return cls(n, tuple(range(n + 1)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.indices) - 1
 
     @property
     def complement_indices(self) -> tuple[int, ...]:

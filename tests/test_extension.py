@@ -286,6 +286,15 @@ def test_the_naive_control_extends_through_extend_naive(monkeypatch):
     assert (FaceRef(2, (1,)), FaceRef(2, (1, 2))) in calls
 
 
+def test_naive_extension_rejects_a_form_off_the_face():
+    # lambda_0 lambda_1 d lambda_1 lives on the triangle, not on the edge
+    mu = bary_monomial(2, (1, 1, 0)).wedge(dlambda(2, (1,)))
+    edge, T = FaceRef(2, (1, 2)), FaceRef.full(2)
+    for kind in (FamilyKind.NAIVE_FULL, FamilyKind.FULL_PSI):
+        with pytest.raises(ValueError, match="form lives on dimension 2, face has dimension 1"):
+            extend_form(ExtensionFamily(kind, 2, 1), mu, edge, T)
+
+
 def test_naive_discrepancy_is_the_bubble_form():
     bad = naive_representative_discrepancy()
     expected = canonicalize(2, 1, [((0, 1, 1), (0,), -1)])
@@ -306,35 +315,88 @@ def test_vanishing_order_of_the_counterexample():
     assert vanishing_order_check(off_support, edge, 2) is VanishingOrder.NEITHER
 
 
-def test_vanishing_order_agrees_with_derivative_definition():
-    # spot-check the slice-based contraction test against the literal
-    # iterated directional derivative followed by contraction
+def _literal_vanishing_order(w, face, r):
+    """The grade from the iterated-derivative definition, through the oracle.
+
+    Order r: every derivative of order below r of each coefficient vanishes
+    on the opposite face.  Order r+: in addition, for each opposite vertex l
+    and each alpha of degree r on the face, the derivative along the x_j - x_l
+    (alpha_j times each) contracted with x_alpha - x_l vanishes.
+    """
+    from itertools import combinations_with_replacement
+
     from feec.combinat import multiindices
 
-    edge = FaceRef(2, (1, 2))
+    opposite = face.complement_indices
+    # with the directions along the opposite face, which keep a function that
+    # vanishes there at zero, the x_j - x_l0 span every direction
+    l0 = opposite[0]
+    for m in range(r):
+        for js in combinations_with_replacement(face.indices, m):
+            u = from_polyform(w)
+            for j in js:
+                u = oracle_directional_derivative(u, j, l0)
+            for sigma in {sigma for _, sigma in u}:
+                coefficient = {(expo, ()): c for (expo, s), c in u.items() if s == sigma}
+                if oracle_trace(coefficient, w.n, opposite):
+                    return VanishingOrder.NEITHER
+    for l in opposite:
+        for alpha_local in multiindices(face.dim, r):
+            u = from_polyform(w)
+            for j, reps in zip(face.indices, alpha_local):
+                for _ in range(reps):
+                    u = oracle_directional_derivative(u, j, l)
+            # back from the oracle's coordinates lambda_1..lambda_n to a package form
+            u = canonicalize(w.n, w.k, [((0,) + expo, sigma, c) for (expo, sigma), c in u.items()])
+            if not u.contract(face.place(alpha_local), l).is_zero:
+                return VanishingOrder.ORDER_R
+    return VanishingOrder.ORDER_R_PLUS
+
+
+def test_vanishing_order_agrees_with_derivative_definition():
+    # the one-pass slice contractions against the literal iterated directional
+    # derivative definition, on every full basis form of the triangle and every
+    # edge image, opposite each edge and each vertex
+    T = FaceRef.full(2)
     r = 2
     samples = [
         canonicalize(2, 1, [((0, 1, 1), (1,), 1), ((0, 1, 1), (2,), 1)]),
-        extend_full_generator((0, 1, 1), (1,), edge, FaceRef.full(2)),
-        extend_full_generator((0, 2, 0), (2,), edge, FaceRef.full(2)),
+        extend_full_generator((0, 1, 1), (1,), FaceRef(2, (1, 2)), T),
+        extend_full_generator((0, 2, 0), (2,), FaceRef(2, (1, 2)), T),
+        *basis_forms(FULL, T, r, 1),
+        *(w for edge in T.subfaces(1) for w in placed_basis(FULL, r, 1, edge)),
     ]
+    grades = set()
     for w in samples:
-        reduced_pass = vanishing_order_check(w, edge, r) is VanishingOrder.ORDER_R_PLUS
-        literal_pass = True
-        for l in edge.complement_indices:
-            for alpha_local in multiindices(edge.dim, r):
-                alpha = [0] * 3
-                for p, e in zip(edge.indices, alpha_local):
-                    alpha[p] = e
-                u = from_polyform(w)
-                for j, reps in zip(edge.indices, alpha_local):
-                    for _ in range(reps):
-                        u = oracle_directional_derivative(u, j, l)
-                # back from the oracle's coordinates lambda_1..lambda_n to a package form
-                u = canonicalize(2, 1, [((0,) + expo, sigma, c) for (expo, sigma), c in u.items()])
-                if not u.contract(tuple(alpha), l).is_zero:
-                    literal_pass = False
-        assert reduced_pass == literal_pass
+        for face in T.subfaces(0) + T.subfaces(1):
+            grade = vanishing_order_check(w, face, r)
+            assert grade is _literal_vanishing_order(w, face, r), (w, face)
+            grades.add(grade)
+    assert grades == set(VanishingOrder)
+
+
+def test_placed_bases_vanish_to_their_order_opposite_the_face():
+    for n in (1, 2, 3):
+        T = FaceRef.full(n)
+        for face in T.all_subfaces()[:-1]:
+            for r in (1, 2):
+                for k in range(1, n + 1):
+                    for w in placed_basis(FULL, r, k, face):
+                        assert vanishing_order_check(w, face, r) is VanishingOrder.ORDER_R_PLUS
+                    for w in placed_basis(MINUS, r, k, face):
+                        assert vanishing_order_check(w, face, r) is not VanishingOrder.NEITHER
+
+
+def test_vanishing_order_errors():
+    edge = FaceRef(2, (1, 2))
+    w = bary_monomial(2, (0, 1, 1)).wedge(dlambda(2, (1,)))
+    with pytest.raises(ValueError, match="form has degree 2 > 1"):
+        vanishing_order_check(w, edge, 1)
+    with pytest.raises(ValueError, match="does not match the form's simplex"):
+        vanishing_order_check(w, FaceRef(3, (1, 2)), 2)
+    # at r = 0 the only exponent is zero, so the contraction has no direction
+    with pytest.raises(ValueError, match="alpha must have positive degree"):
+        vanishing_order_check(dlambda(2, (1,)), edge, 0)
 
 
 @pytest.mark.parametrize("family", [Family.MINUS, Family.FULL])

@@ -1,5 +1,6 @@
 """Every module-level import in the package modules is used there, and every
-module-level function and class is referenced somewhere.
+module-level function and class is referenced by the package or the
+benchmark, or exported in `feec.__all__`.
 
 No linter runs on this code, and moving a function between modules tends to
 leave its imports, or the function itself, behind; these checks catch them
@@ -10,6 +11,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import feec
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "feec"
@@ -95,8 +98,37 @@ def test_detector_flags_an_unused_helper():
     assert unused_helpers([module], [module, caller]) == ["unused", "Unused"]
 
 
+def unreferenced_helpers(root, exported):
+    """Module-level defs and classes of root/src/feec that neither the package nor perfbench names.
+
+    References from the tests, and the re-exports in `__init__.py`, do not
+    count: a helper that only tests use must be in `exported` (the package's
+    `__all__`).
+    """
+    package = root / "src" / "feec"
+    modules = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    defining = [p.read_text() for p in modules if p.name != "__main__.py"]
+    referencing = [p.read_text() for p in modules + sorted((root / "perfbench").rglob("*.py"))]
+    return [name for name in unused_helpers(defining, referencing) if name not in exported]
+
+
+def test_detector_ignores_references_from_tests(tmp_path):
+    for folder in ("src/feec", "perfbench", "tests"):
+        (tmp_path / folder).mkdir(parents=True)
+    (tmp_path / "src/feec/mod.py").write_text(
+        "def tested(): pass\n"
+        "def exported(): pass\n"
+        "def reexported(): pass\n"
+        "def benched(): pass\n"
+        "def called(): pass\n"
+        "def caller():\n"
+        "    return called()\n"
+    )
+    (tmp_path / "src/feec/__init__.py").write_text("from .mod import exported, reexported\n__all__ = ['exported']\n")
+    (tmp_path / "perfbench/run.py").write_text("from feec.mod import benched, caller\n")
+    (tmp_path / "tests/test_mod.py").write_text("from feec.mod import tested, exported, reexported, benched\n")
+    assert unreferenced_helpers(tmp_path, {"exported"}) == ["tested", "reexported"]
+
+
 def test_module_level_helpers_are_referenced():
-    defining = [(PACKAGE / name).read_text() for name in MODULES if name != "__main__.py"]
-    folders = (PACKAGE, ROOT / "tests", ROOT / "perfbench")
-    referencing = [path.read_text() for folder in folders for path in folder.rglob("*.py")]
-    assert unused_helpers(defining, referencing) == []
+    assert unreferenced_helpers(ROOT, set(feec.__all__)) == []
