@@ -24,7 +24,7 @@ from typing import Sequence
 
 from . import linalg
 from .forms import FaceRef, PolyForm, Scalar, combination, integral_over_face
-from .spaces import Family, SpaceKind, basis_forms, enumerate_basis, realize
+from .spaces import Family, SpaceKind, basis_forms
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,7 @@ def build_dofs(family: Family, n: int, r: int, k: int) -> list[DofFunctional]:
         if face.dim < k:
             continue
         kind, deg, order = weight_space(family, face.dim, r, k)
-        for desc in enumerate_basis(kind, FaceRef.full(face.dim), deg, order):
-            out.append(DofFunctional(face, realize(desc)))
+        out.extend(DofFunctional(face, w) for w in basis_forms(kind, FaceRef.full(face.dim), deg, order))
     return out
 
 

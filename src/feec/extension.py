@@ -8,12 +8,13 @@ differential d lambda_i by
     psi_i = d lambda_i - (alpha_i / |alpha|) * sum_{j in I(f)} d lambda_j
 
 so that the image depends only on the form and not on its barycentric
-representation; and the moment family, which extends by matching degrees
-of freedom.  Each extends a member through its basis coordinates on the
-face and a cached table of the images of that basis.  A deliberately naive
-map, which takes d lambda_sigma to itself without the correction, is kept
-as a negative control: it is a right inverse of the trace but fails the
-compatibility law checked here.
+representation; and the moment map, which extends by matching degrees of
+freedom, for either family (DUAL_FULL, DUAL_MINUS).  The kind alone names
+the space a family extends.  Each extends a member through its basis
+coordinates on the face and a cached table of the images of that basis.
+A deliberately naive map, which takes d lambda_sigma to itself without the
+correction, is kept as a negative control: it is a right inverse of the
+trace but fails the compatibility law checked here.
 
 The compatibility law for a family E is
 
@@ -45,8 +46,14 @@ from .spaces import (
 class FamilyKind(Enum):
     MINUS_BARYCENTRIC = "minus"
     FULL_PSI = "full"
-    DUAL_DOF = "dual"
+    DUAL_FULL = "dual-full"
+    DUAL_MINUS = "dual-minus"
     NAIVE_FULL = "naive"
+
+    @property
+    def family(self) -> Family:
+        """The primal family whose space the kind extends."""
+        return Family.MINUS if self in (FamilyKind.MINUS_BARYCENTRIC, FamilyKind.DUAL_MINUS) else Family.FULL
 
 
 @dataclass(frozen=True)
@@ -56,25 +63,14 @@ class ExtensionFamily:
     kind: FamilyKind
     r: int
     k: int
-    family: Family | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is FamilyKind.DUAL_DOF and self.family is None:
-            raise ValueError("the degree-of-freedom family needs a primal family")
         if self.kind is FamilyKind.FULL_PSI and self.r == 0 and self.k >= 1:
             raise ValueError("the corrected-differential extension needs r >= 1 for k >= 1")
 
     @property
-    def space_family(self) -> Family:
-        if self.family is not None:
-            return self.family
-        if self.kind is FamilyKind.MINUS_BARYCENTRIC:
-            return Family.MINUS
-        return Family.FULL
-
-    @property
     def space_kind(self) -> SpaceKind:
-        return SpaceKind(self.space_family)
+        return SpaceKind(self.kind.family)
 
 
 class VanishingOrder(Enum):
@@ -153,10 +149,10 @@ def _images(fam: ExtensionFamily, fr: FaceRef) -> tuple[PolyForm, ...]:
     each family and local face; callers must not mutate them.
     """
     kind, r, k = fam.space_kind, fam.r, fam.k
-    if fam.kind is FamilyKind.DUAL_DOF:
+    if fam.kind in (FamilyKind.DUAL_FULL, FamilyKind.DUAL_MINUS):
         top = FaceRef.full(fr.n)
         basis = basis_forms(kind, FaceRef.full(fr.dim), r, k)
-        return tuple(dual_extend(fam.space_family, b, fr, top, r, k) for b in basis)
+        return tuple(dual_extend(fam.kind.family, b, fr, top, r, k) for b in basis)
     return placed_basis(kind, r, k, fr)
 
 
@@ -260,23 +256,25 @@ def naive_representative_discrepancy() -> PolyForm:
 _OFF = -1
 
 
-def _vanishing_values(w: PolyForm, face: FaceRef) -> dict[tuple, Scalar]:
-    """The nonzero values on w of the functionals that vanish opposite `face`.
-
-    One pass over w gives (_OFF, alpha, sigma) -> c for each coefficient with
-    an exponent off the face (order r), and, for k >= 1, (l, alpha, tau) -> v
-    for each on-face alpha-slice contracted with the vector from each
-    opposite vertex x_l to the weighted point of alpha (order r+).
-    """
+def _off_face_values(w: PolyForm, face: FaceRef) -> dict[tuple, Scalar]:
+    """(_OFF, alpha, sigma) -> c for each coefficient of w with an exponent off the face (order r)."""
     opposite = face.complement_indices
-    values: dict[tuple, Scalar] = {}
+    return {(_OFF, alpha, sigma): c for (alpha, sigma), c in w.coeffs.items() if any(alpha[i] for i in opposite)}
+
+
+def _contraction_values(w: PolyForm, face: FaceRef) -> dict[tuple, Scalar]:
+    """(l, alpha, tau) -> v for each on-face alpha-slice of w, k >= 1, contracted with
+    the vector from each opposite vertex x_l to the weighted point of alpha (order r+).
+    """
+    if not w.k:
+        return {}
+    opposite = face.complement_indices
     slices: dict[tuple[int, ...], dict[Key, Scalar]] = {}
     zero = (0,) * (w.n + 1)
     for (alpha, sigma), c in w.coeffs.items():
-        if any(alpha[i] for i in opposite):
-            values[_OFF, alpha, sigma] = c
-        elif w.k:
+        if not any(alpha[i] for i in opposite):
             slices.setdefault(alpha, {})[zero, sigma] = c
+    values: dict[tuple, Scalar] = {}
     for alpha, coeffs in slices.items():
         alpha_slice = PolyForm(w.n, w.k, 0, coeffs)
         for l in opposite:
@@ -300,10 +298,9 @@ def vanishing_order_check(w: PolyForm, face: FaceRef, r: int) -> VanishingOrder:
     w = w.lift(r)
     if face.n != w.n:
         raise ValueError("face does not match the form's simplex")
-    values = _vanishing_values(w, face)
-    if any(key[0] == _OFF for key in values):
+    if _off_face_values(w, face):
         return VanishingOrder.NEITHER
-    return VanishingOrder.ORDER_R if values else VanishingOrder.ORDER_R_PLUS
+    return VanishingOrder.ORDER_R if _contraction_values(w, face) else VanishingOrder.ORDER_R_PLUS
 
 
 def characterization_equality(family: Family, face: FaceRef, r: int, k: int) -> bool:
@@ -317,8 +314,11 @@ def characterization_equality(family: Family, face: FaceRef, r: int, k: int) -> 
     kind = SpaceKind(family)
 
     def functionals(w: PolyForm) -> dict[tuple, Scalar]:
-        values = _vanishing_values(w.lift(r), face)
-        return values if family is Family.FULL else {key: v for key, v in values.items() if key[0] == _OFF}
+        w = w.lift(r)
+        values = _off_face_values(w, face)
+        if family is Family.FULL:
+            values |= _contraction_values(w, face)
+        return values
 
     basis = basis_forms(kind, FaceRef.full(face.n), r, k)
     expected = dim_space(kind, face.dim, r, k)

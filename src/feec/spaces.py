@@ -77,15 +77,6 @@ def dim_space(kind: SpaceKind, n: int, r: int, k: int) -> int:
     return binom(a, b) * binom(c, d)
 
 
-def _sigma_descriptors(kind: SpaceKind, face: FaceRef, k: int) -> list[tuple[int, ...]]:
-    arity = k + 1 if kind.family is Family.MINUS else k
-    if arity == 0:
-        return [()]
-    if arity > face.dim + 1:
-        return []
-    return list(combinations(face.indices, arity))
-
-
 def enumerate_spanning(kind: SpaceKind, face: FaceRef, r: int, k: int) -> list[GeneratorDescriptor]:
     """The spanning generators of the space on the given face."""
     return _enumerate(kind, face, r, k, basis_only=False)
@@ -111,15 +102,10 @@ def _enumerate(
         return []
     iface = set(face.indices)
     out: list[GeneratorDescriptor] = []
-    for sigma in _sigma_descriptors(kind, face, k):
-        sig_support = set(sigma)
+    for sigma in combinations(face.indices, k + 1 if kind.family is Family.MINUS else k):
         for local_alpha in multiindices(face.dim, mono_deg):
             alpha = face.place(local_alpha)
-            support = {i for i, e in enumerate(alpha) if e} | sig_support
-            if kind.zero_trace:
-                if support != iface:
-                    continue
-            elif not support <= iface:
+            if kind.zero_trace and {i for i, e in enumerate(alpha) if e}.union(sigma) != iface:
                 continue
             if basis_only and not _basis_condition(kind, face, alpha, sigma):
                 continue

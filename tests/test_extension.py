@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,10 +23,10 @@ from feec.extension import (
     vanishing_order_check,
 )
 from feec.spaces import FULL, FULL_ZERO, MINUS, MINUS_ZERO, Family, SpaceKind, basis_forms, enumerate_basis, realize
+from feec.verify import suite_consistency
 from helpers import from_polyform, oracle_directional_derivative, oracle_trace
 
 Q = Fraction
-PRIMAL_KINDS = {Family.MINUS: FamilyKind.MINUS_BARYCENTRIC, Family.FULL: FamilyKind.FULL_PSI}
 
 
 def bernstein(r):
@@ -102,7 +103,7 @@ def test_form_extension_is_the_generator_sum_on_the_tetrahedron(label):
     # the dual family's oracle is dual_extend applied to the member directly
     dual = label.startswith("dual-")
     family = Family(label.removeprefix("dual-"))
-    kind = FamilyKind.DUAL_DOF if dual else PRIMAL_KINDS[family]
+    kind = FamilyKind(label)
     rng = random.Random(f"extend:{label}")
     T = FaceRef.full(3)
     for g in T.all_subfaces():
@@ -118,7 +119,7 @@ def test_form_extension_is_the_generator_sum_on_the_tetrahedron(label):
                         expected = expected + c * generator
                     if dual:
                         expected = dual_extend(family, mu, f, g, r, k)
-                    assert extend_form(ExtensionFamily(kind, r, k, family), mu, f, g) == expected
+                    assert extend_form(ExtensionFamily(kind, r, k), mu, f, g) == expected
 
 
 def test_full_extension_of_forms_needs_positive_degree():
@@ -129,6 +130,26 @@ def test_full_extension_of_forms_needs_positive_degree():
         ExtensionFamily(FamilyKind.FULL_PSI, 0, 1)
     # constants are the degree-0 members of the 0-form space and still extend
     assert extend_form(ExtensionFamily(FamilyKind.FULL_PSI, 0, 0), one(1), edge, T) == one(2)
+
+
+def test_each_kind_names_its_space():
+    expected = {
+        FamilyKind.MINUS_BARYCENTRIC: MINUS,
+        FamilyKind.FULL_PSI: FULL,
+        FamilyKind.DUAL_FULL: FULL,
+        FamilyKind.DUAL_MINUS: MINUS,
+        FamilyKind.NAIVE_FULL: FULL,
+    }
+    assert {kind: ExtensionFamily(kind, 1, 1).space_kind for kind in FamilyKind} == expected
+
+
+def test_a_family_takes_no_space_override():
+    with pytest.raises(TypeError):
+        ExtensionFamily(FamilyKind.MINUS_BARYCENTRIC, 1, 1, family=Family.FULL)
+    # lambda_0 d lambda_1 is in P1 Lambda1 of the edge but not in P1- Lambda1
+    mu = bary_monomial(1, (1, 0)).wedge(dlambda(1, (1,)))
+    with pytest.raises(ValueError, match=r"form is not a member of the degree-1 space on \(1, 2\)"):
+        extend_form(ExtensionFamily(FamilyKind.MINUS_BARYCENTRIC, 1, 1), mu, FaceRef(2, (1, 2)), FaceRef.full(2))
 
 
 def test_placed_basis_is_the_extended_face_basis():
@@ -243,11 +264,11 @@ def test_naive_family_fails_consistency():
     assert extend_naive(mu, edge, FaceRef.full(2)).trace(edge) == mu
 
 
-@pytest.mark.parametrize("kind", [FamilyKind.MINUS_BARYCENTRIC, FamilyKind.FULL_PSI, FamilyKind.DUAL_DOF])
+@pytest.mark.parametrize("kind", [FamilyKind.MINUS_BARYCENTRIC, FamilyKind.FULL_PSI, FamilyKind.DUAL_FULL])
 def test_a_patched_image_fails_consistency_where_it_is_used(monkeypatch, kind):
     # the right side is extended to each g through g's own images: doubling
     # one image of an edge placed in a triangle must show at that f cap g
-    fam = ExtensionFamily(kind, 1, 1, Family.FULL if kind is FamilyKind.DUAL_DOF else None)
+    fam = ExtensionFamily(kind, 1, 1)
     patched = FaceRef(2, (0, 2))
     original = extension._images
 
@@ -265,6 +286,26 @@ def test_a_patched_image_fails_consistency_where_it_is_used(monkeypatch, kind):
     w = res.witness
     assert w.g.to_local(w.f.intersect(w.g)) == patched
     assert w.lhs != w.rhs
+
+
+def test_a_patched_moment_image_fails_its_consistency_case_with_its_faces(monkeypatch):
+    fam = ExtensionFamily(FamilyKind.DUAL_FULL, 1, 1)
+    patched = FaceRef(2, (0, 2))
+    original = extension._images
+
+    def images(family, fr):
+        out = original(family, fr)
+        return (2 * out[0],) + out[1:] if (family, fr) == (fam, patched) else out
+
+    original.cache_clear()
+    monkeypatch.setattr(extension, "_images", images)
+    try:
+        results = list(suite_consistency(max_r=1, max_k=1, dual_r=1))
+    finally:
+        original.cache_clear()
+    failed = [(res.label, res.detail) for res in results if not res.passed]
+    assert [label for label, _ in failed] == ["dual-full r=1 k=1"]
+    assert re.fullmatch(r"faces \([\d, ]+\) vs \([\d, ]+\)", failed[0][1])
 
 
 def test_the_naive_control_extends_through_extend_naive(monkeypatch):
