@@ -191,11 +191,11 @@ def verify_direct_sum(
             cells_spanned = local = False
             break
         local = local and got == len(forms)
-    independent = local or linalg.rank_sparse(_stacked_rows(elements, r)) == count
+    independent = local or linalg.rank(list(_stacked_rows(elements, r))) == count
 
     cell_basis = basis_forms(whole, FaceRef.full(t.n), r, k)
     ncols = len(cell_basis) * len(t.cells)
-    constrained = ncols - linalg.rank_sparse(_constraint_rows(t, cell_basis, r, k))
+    constrained = ncols - linalg.rank(list(_constraint_rows(t, cell_basis, r, k)))
     expected = assembled_dimension(t, family, r, k)
     return DirectSumReport(count, expected, independent, constrained, cells_spanned)
 

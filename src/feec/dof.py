@@ -72,11 +72,13 @@ def pairing_matrix(dofs: list[DofFunctional], forms: Sequence[PolyForm]) -> list
     return [[apply_dof(d, w) for w in forms] for d in dofs]
 
 
-_solver_cache: dict[tuple[Family, int, int, int], tuple[list[DofFunctional], list[PolyForm]]] = {}
+_Dual = tuple[list[DofFunctional], list[PolyForm], list[list[Scalar]]]
+_solver_cache: dict[tuple[Family, int, int, int], _Dual] = {}
 
 
-def _dual_basis(family: Family, m: int, r: int, k: int) -> tuple[list[DofFunctional], list[PolyForm]]:
-    """The functionals on the m-simplex and the forms dual to them, built once per process.
+def _dual_basis(family: Family, m: int, r: int, k: int) -> _Dual:
+    """The functionals on the m-simplex, the forms dual to them, and their
+    pairing matrix with the basis, built once per process.
 
     dual[i] = sum_j inverse[j][i] * basis[j] has moment 1 against functional
     i and 0 against every other one.
@@ -86,11 +88,12 @@ def _dual_basis(family: Family, m: int, r: int, k: int) -> tuple[list[DofFunctio
     if got is None:
         dofs = build_dofs(family, m, r, k)
         basis = basis_forms(SpaceKind(family), FaceRef.full(m), r, k)
-        inverse = linalg.inverse(pairing_matrix(dofs, basis))
+        pairing = pairing_matrix(dofs, basis)
+        inverse = linalg.inverse(pairing)
         if inverse is None:
             raise ArithmeticError(f"singular pairing for {family} r={r} k={k} on dim {m}")
         dual = [combination(m, k, zip((row[i] for row in inverse), basis)) for i in range(len(dofs))]
-        got = _solver_cache[key] = (dofs, dual)
+        got = _solver_cache[key] = (dofs, dual, pairing)
     return got
 
 
@@ -101,7 +104,7 @@ def dual_extend(
     if not h.contains(f):
         raise ValueError(f"{f.indices} is not a subface of {h.indices}")
     f_in_h = h.to_local(f)
-    dofs, dual = _dual_basis(family, h.dim, r, k)
+    dofs, dual, _ = _dual_basis(family, h.dim, r, k)
     # moments on faces outside f are zero and drop out
     moments = (
         (apply_dof(DofFunctional(f_in_h.to_local(dof.face), dof.weight), mu), w)
@@ -109,3 +112,17 @@ def dual_extend(
         if f_in_h.contains(dof.face)
     )
     return combination(h.dim, k, moments)
+
+
+def dual_images(family: Family, fr: FaceRef, r: int, k: int) -> tuple[PolyForm, ...]:
+    """`dual_extend` of each basis form of the reference fr.dim-face, placed at fr.
+
+    The functionals of the fr.n-simplex inside fr are fr's own, in the same
+    order: faces and weights go by dimension and then vertex order, which
+    to_local keeps.  So the moments of the j-th basis form are column j of
+    the face's pairing matrix, and nothing is integrated again.
+    """
+    dofs, dual, _ = _dual_basis(family, fr.n, r, k)
+    inside = [w for dof, w in zip(dofs, dual) if fr.contains(dof.face)]
+    pairing = _dual_basis(family, fr.dim, r, k)[2]
+    return tuple(combination(fr.n, k, zip(column, inside)) for column in zip(*pairing))

@@ -30,7 +30,7 @@ from enum import Enum
 from functools import cache
 
 from . import linalg
-from .dof import dual_extend
+from .dof import dual_images
 from .forms import FaceRef, Key, PolyForm, Scalar, bary_monomial, canonicalize, combination, psi_form, whitney
 from .spaces import (
     Family,
@@ -148,12 +148,9 @@ def _images(fam: ExtensionFamily, fr: FaceRef) -> tuple[PolyForm, ...]:
     A linear extension is fixed by these images.  Built once per process for
     each family and local face; callers must not mutate them.
     """
-    kind, r, k = fam.space_kind, fam.r, fam.k
     if fam.kind in (FamilyKind.DUAL_FULL, FamilyKind.DUAL_MINUS):
-        top = FaceRef.full(fr.n)
-        basis = basis_forms(kind, FaceRef.full(fr.dim), r, k)
-        return tuple(dual_extend(fam.kind.family, b, fr, top, r, k) for b in basis)
-    return placed_basis(kind, r, k, fr)
+        return dual_images(fam.kind.family, fr, fam.r, fam.k)
+    return placed_basis(fam.space_kind, fam.r, fam.k, fr)
 
 
 def _input(fam: ExtensionFamily, mu: PolyForm, f: FaceRef) -> PolyForm | list[Scalar]:
@@ -322,7 +319,7 @@ def characterization_equality(family: Family, face: FaceRef, r: int, k: int) -> 
 
     basis = basis_forms(kind, FaceRef.full(face.n), r, k)
     expected = dim_space(kind, face.dim, r, k)
-    if len(basis) - linalg.rank_sparse(map(functionals, basis)) != expected:
+    if len(basis) - linalg.rank([functionals(b) for b in basis]) != expected:
         return False
     extended = placed_basis(kind, r, k, face)
     return not any(map(functionals, extended)) and rank_of(extended) == expected

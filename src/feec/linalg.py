@@ -5,11 +5,12 @@ sparse integer rows (dicts from column label to nonzero int).  Labels may
 be any comparable hashables, such as the canonical keys of a form; "lowest"
 means least label.  Each input row has its denominators cleared and is
 divided by its content once on entry; each elimination step keeps rows
-primitive, so entries stay small and zero entries are never stored.  Dense
-matrices are converted row by row, labelled by column index; sparse callers
-hand their rows to :func:`rank_sparse` or :func:`pivot_columns` directly.
-Solutions are recovered from the echelon form by back substitution; an
-entry is an int when it is integral and a Fraction only otherwise.
+primitive, so entries stay small and zero entries are never stored.
+:func:`rank` and :func:`pivot_columns` take sparse rows as they are; the
+dense matrices of :func:`solve`, :func:`inverse` and :func:`nonsingular`
+are converted row by row, labelled by column index.  Solutions are
+recovered from the echelon form by back substitution; an entry is an int
+when it is integral and a Fraction only otherwise.
 """
 
 from __future__ import annotations
@@ -87,19 +88,14 @@ def _sparse(row: Sequence[Scalar]) -> dict[int, Scalar]:
     return {c: x for c, x in enumerate(row) if x}
 
 
-def rank_sparse(rows: Iterable[Row]) -> int:
-    """Rank of the matrix given as sparse rows (column -> entry)."""
+def rank(rows: Sequence[Row]) -> int:
+    """Rank of the matrix given as a list of sparse rows (column label -> entry)."""
     return len(_echelon(rows))
 
 
 def pivot_columns(rows: Iterable[Row]) -> list[Any]:
     """The lowest-label independent set of columns of the sparse rows, ascending."""
     return sorted(_echelon(rows))
-
-
-def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Rank of the matrix given as a sequence of rows."""
-    return rank_sparse(_sparse(row) for row in rows)
 
 
 def solve(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> list[Scalar] | None:
@@ -118,7 +114,7 @@ def solve(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> list[Scala
 def nonsingular(rows: Sequence[Sequence[Scalar]]) -> bool:
     """Whether a square matrix has full rank."""
     n = len(rows)
-    return all(len(r) == n for r in rows) and rank(rows) == n
+    return all(len(r) == n for r in rows) and rank([_sparse(row) for row in rows]) == n
 
 
 def inverse(rows: Sequence[Sequence[Scalar]]) -> list[list[Scalar]] | None:

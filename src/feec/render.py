@@ -75,20 +75,13 @@ def format_generator(
     alpha: tuple[int, ...],
     sigma: tuple[int, ...],
     family: str,
-    style: str = "plain",
     labels: Sequence[int] | None = None,
 ) -> str:
-    """Render lambda^alpha (d lambda_sigma | phi_sigma); vertex p is named labels[p] if given."""
+    """Render lambda^alpha (d lambda_sigma | phi_sigma) as plain text; vertex p is named labels[p] if given."""
     if labels is not None:
         sigma = tuple(labels[s] for s in sigma)
-    mono = format_monomial(alpha, style, labels)
-    if family == "minus":
-        idx = "".join(str(s) for s in sigma)
-        tail = f"\\phi_{{{idx}}}" if style == "latex" else f"phi_{idx}"
-    else:
-        tail = format_dlambda(sigma, style)
-    if style == "latex":
-        return (mono + ("\\," if mono and tail else "") + tail) or "1"
+    mono = format_monomial(alpha, labels=labels)
+    tail = "phi_" + "".join(str(s) for s in sigma) if family == "minus" else format_dlambda(sigma)
     pieces = [p for p in (mono, tail) if p]
     if mono == "1" and tail:
         pieces = [tail]

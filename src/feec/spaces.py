@@ -167,9 +167,7 @@ def rank_of(forms: Iterable[PolyForm]) -> int:
     if len(shapes) > 1:
         raise ValueError(f"forms of mixed shape: {shapes}")
     r = max((w.r for w in live), default=0)
-    lifted = [w.lift(r).coeffs for w in live]
-    keys = sorted(set().union(*lifted))
-    return linalg.rank([[c.get(key, 0) for key in keys] for c in lifted])
+    return linalg.rank([w.lift(r).coeffs for w in live])
 
 
 @cache

@@ -10,7 +10,6 @@ selects suites by name and renders the matrix.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -74,25 +73,9 @@ def _kind_name(kind: SpaceKind) -> str:
 # -- individual suites ---------------------------------------------------------
 
 
-def max_degree() -> int:
-    """The dimension suite's degree bound: FEEC_MAX_DEGREE, or 6 when unset.
-
-    Raises ValueError unless the setting is an integer from 1 to 12; the
-    suite's cost grows steeply with the bound.
-    """
-    raw = os.environ.get("FEEC_MAX_DEGREE", "6")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if not 1 <= value <= 12:
-        raise ValueError(f"FEEC_MAX_DEGREE must be an integer from 1 to 12, got {raw!r}")
-    return value
-
-
 def suite_dims(max_n: int = 4, max_r: int = 3) -> Iterator[CheckResult]:
-    """Dimension formulas and basis cardinalities, all four kinds."""
-    r_top = max(max_r, max_degree())
+    """Dimension formulas and basis cardinalities, all four kinds, for degrees up to max(max_r, 6)."""
+    r_top = max(max_r, 6)
     for n in range(1, max_n + 1):
         T = FaceRef.full(n)
         for r in range(1, r_top + 1):
@@ -409,7 +392,7 @@ SUITE_BOUNDS: dict[str, Callable[[int, int], dict[str, int]]] = {
 def run_suites(names: list[str] | None = None, max_n: int = 3, max_r: int = 3) -> list[CheckResult]:
     """Run the selected suites (all by default) with the given sweep bounds.
 
-    Bounds are clamped per suite by SUITE_BOUNDS; the dimension suite
-    additionally honors FEEC_MAX_DEGREE.  An unknown name raises KeyError.
+    Bounds are clamped per suite by SUITE_BOUNDS.  An unknown name raises
+    KeyError.
     """
     return [res for name in names or list(SUITES) for res in SUITES[name](**SUITE_BOUNDS[name](max_n, max_r))]

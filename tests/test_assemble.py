@@ -1,4 +1,7 @@
 import random
+import sys
+from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -13,8 +16,9 @@ from feec.assemble import (
     verify_direct_sum,
     verify_single_valued,
 )
-from feec.extension import placed_basis
-from feec.forms import PolyForm, bary_monomial, whitney
+from feec import linalg
+from feec.extension import characterization_equality, placed_basis
+from feec.forms import FaceRef, PolyForm, bary_monomial, whitney
 from feec.mesh import from_cells
 from feec.spaces import Family, SpaceKind, dim_space, realize
 from helpers import oracle_rank
@@ -175,6 +179,39 @@ def test_local_independence_certificate_falls_back_to_global_rank():
     # an element touching no cell is the zero form
     empty = GlobalBasisElement(shared.face, shared.descriptor, {})
     assert not verify_direct_sum(TRI2, els + [empty], Family.FULL, 2, 1).independent
+
+
+def test_every_rank_call_passes_a_list_of_sparse_rows(monkeypatch):
+    # the benchmark's tracer reads len(rows) and rows[0]; an iterator would be spent by it
+    calls = []
+    real = linalg.rank
+
+    def spy(rows):
+        calls.append((sys._getframe(1).f_code.co_name, rows))
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "rank", spy)
+    els = assemble_basis(TRI2, Family.FULL, 2, 1)
+    shared = next(el for el in els if len(el.restrictions) == 2)
+    ci = min(shared.restrictions)
+    # the duplicate, one-cell and empty elements each reach the stacked fallback
+    for extra in (
+        els[0],
+        GlobalBasisElement(shared.face, shared.descriptor, {ci: shared.restrictions[ci]}),
+        GlobalBasisElement(shared.face, shared.descriptor, {}),
+    ):
+        assert not verify_direct_sum(TRI2, els + [extra], Family.FULL, 2, 1).ok
+    assert characterization_equality(Family.FULL, FaceRef(2, (0, 1)), 2, 1)
+    assert linalg.nonsingular([[2, 1], [1, 1]])
+    callers = Counter(name for name, _ in calls)
+    # per verify_direct_sum: the stacked fallback and the constraint rows
+    assert callers["verify_direct_sum"] == 6
+    assert callers["characterization_equality"] == callers["nonsingular"] == 1
+    assert callers["rank_of"] > 0 and set(callers) == {
+        "rank_of", "verify_direct_sum", "characterization_equality", "nonsingular"
+    }
+    for _, rows in calls:
+        assert type(rows) is list and all(isinstance(row, Mapping) for row in rows)
 
 
 def test_top_order_decomposition_is_cellwise():

@@ -79,7 +79,7 @@ def test_bad_arguments_exit_2(capsys):
     assert err.value.code == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.splitlines()[-1] == (
-        "feec: error: verification sweeps support r <= 12, as FEEC_MAX_DEGREE does, got r=13"
+        "feec: error: verification sweeps support r <= 12, got r=13"
     )
     # a dimension with more digits than Python converts to a string; at n = r =
     # 300000 a bound on its digits refuses it before math.comb spends seconds
@@ -186,6 +186,13 @@ def test_decompose_error_paths(tmp_path, capsys):
         capsys, "decompose", "--mesh", str(bad), "--family", "minus", "-r", "1", "-k", "1"
     )
     assert code == 2 and "line 2" in err
+    # decompose lists generators in plain text or JSON only
+    bad.write_text(TWO_TRIANGLES)
+    with pytest.raises(SystemExit) as exit_:
+        main(["decompose", "--mesh", str(bad), "--family", "minus", "-r", "1", "-k", "1", "--format", "latex"])
+    assert exit_.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.splitlines()[-1].startswith("feec decompose: error: argument --format: invalid choice")
 
 
 def test_verify_selected_suite(capsys):
@@ -202,17 +209,24 @@ def test_verify_selected_suite(capsys):
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", "", "13", "1000000"])
-def test_verify_rejects_bad_max_degree(monkeypatch, capsys, value):
-    monkeypatch.setenv("FEEC_MAX_DEGREE", value)
-    code, out, err = run_cli(capsys, "verify", "--suite", "dims", "-n", "1", "-r", "1")
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and "FEEC_MAX_DEGREE" in err
+def test_verify_rejects_bad_max_degree(capsys, value):
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--suite", "dims", "-n", "1", "-r", value])
+    assert exit_.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.splitlines()[-1].startswith(("feec: error: ", "feec verify: error: "))
 
 
-def test_verify_accepts_max_degree_cap(monkeypatch, capsys):
-    monkeypatch.setenv("FEEC_MAX_DEGREE", "12")
-    code, out, _ = run_cli(capsys, "verify", "--suite", "dims", "-n", "1", "-r", "1")
+def test_verify_ignores_the_environment(monkeypatch, capsys):
+    argv = ("verify", "--suite", "dims", "-n", "1", "-r", "1")
+    clean = run_cli(capsys, *argv)
+    monkeypatch.setenv("FEEC_MAX_DEGREE", "abc")
+    assert run_cli(capsys, *argv) == clean
+    assert clean[0] == 0 and "n=1 r=6" in clean[1] and "n=1 r=7" not in clean[1]
+
+
+def test_verify_accepts_max_degree_cap(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "dims", "-n", "1", "-r", "12")
     assert code == 0
     assert "n=1 r=12" in out and "n=1 r=13" not in out
 

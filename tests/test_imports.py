@@ -1,6 +1,7 @@
-"""Every module-level import in the package modules is used there, and every
+"""Every module-level import in the package modules is used there, every
 module-level function and class is referenced by the package or the
-benchmark, or exported in `feec.__all__`.
+benchmark, or exported in `feec.__all__`, and no package module reads the
+process environment.
 
 No linter runs on this code, and moving a function between modules tends to
 leave its imports, or the function itself, behind; these checks catch them
@@ -132,3 +133,35 @@ def test_detector_ignores_references_from_tests(tmp_path):
 
 def test_module_level_helpers_are_referenced():
     assert unreferenced_helpers(ROOT, set(feec.__all__)) == []
+
+
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list[str]:
+    """Names in the source through which it could read the process environment."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.extend(alias.name for alias in node.names)
+    return [name for name in found if name in ENVIRONMENT_NAMES]
+
+
+def test_detector_flags_an_environment_read():
+    source = (
+        "import os\n"
+        "from os import getenv as get\n"
+        "def f():\n"
+        "    return os.environ.get('A'), get('B')\n"
+    )
+    assert environment_reads(source) == ["getenv", "environ"]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_package_reads_no_environment(name):
+    # every setting arrives as a command-line argument or a function parameter
+    assert environment_reads((PACKAGE / name).read_text()) == []

@@ -8,7 +8,6 @@ from feec.linalg import (
     nonsingular,
     pivot_columns,
     rank,
-    rank_sparse,
     solve,
 )
 from helpers import dense_echelon, oracle_inverse, oracle_rank, oracle_solve
@@ -21,13 +20,21 @@ def _int_when_integral(values) -> bool:
     return all(type(x) is (int if x.denominator == 1 else Q) for x in values)
 
 
+def _rows(m):
+    """A dense matrix as the sparse rows `rank` takes, labelled by column index."""
+    return [dict(enumerate(row)) for row in m]
+
+
 def test_rank_basic():
-    assert rank([[1, 2], [2, 4]]) == 1
-    assert rank([[1, 0], [0, 1]]) == 2
+    assert rank(_rows([[1, 2], [2, 4]])) == 1
+    assert rank(_rows([[1, 0], [0, 1]])) == 2
     assert rank([]) == 0
-    assert rank([[0, 0, 0]]) == 0
-    assert rank([[Q(1, 2), Q(1, 3)], [Q(3, 2), Q(1)]]) == 1
-    assert rank([[Q(1, 2), Q(1, 3)], [Q(1, 4), Q(1)]]) == 2
+    assert rank(_rows([[0, 0, 0]])) == 0
+    assert rank(_rows([[Q(1, 2), Q(1, 3)], [Q(3, 2), Q(1)]])) == 1
+    assert rank(_rows([[Q(1, 2), Q(1, 3)], [Q(1, 4), Q(1)]])) == 2
+    # tuple and string labels, as the canonical keys of forms and functionals are
+    assert rank([{(0, (1,)): 2, (1, ()): 1}, {(0, (1,)): 4, (1, ()): 2}, {(1, ()): Q(1, 3)}]) == 2
+    assert rank([{"a": 1, "b": -1}, {"b": 1, "c": -1}, {"a": 1, "c": -1}]) == 2
 
 
 def test_rank_matches_row_reduction_oracle():
@@ -36,7 +43,7 @@ def test_rank_matches_row_reduction_oracle():
         rows = [
             [Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(5)] for _ in range(4)
         ]
-        assert rank(rows) == oracle_rank(rows)
+        assert rank(_rows(rows)) == oracle_rank(rows)
 
 
 def test_solve():
@@ -61,7 +68,7 @@ def test_inverse_roundtrip_randomized():
         m = [[Q(rng.randint(-3, 3)) for _ in range(4)] for _ in range(4)]
         inv = inverse(m)
         if inv is None:
-            assert rank(m) < 4
+            assert rank(_rows(m)) < 4
             continue
         for i in range(4):
             for j in range(4):
@@ -108,17 +115,20 @@ def test_kernel_matches_dense_oracle(shape):
     for _ in range(12):
         m = _matrix(rng, nrows, ncols, inner, zero_rows)
         rk = oracle_rank(m)
-        assert rank(m) == rk
+        assert rank(_rows(m)) == rk
         # sparse rows with scattered column labels: rank ignores column order
         labels = rng.sample(range(10 * ncols + 1), ncols)
-        assert rank_sparse({labels[c]: x for c, x in enumerate(row) if x} for row in m) == rk
+        assert rank([{labels[c]: x for c, x in enumerate(row) if x} for row in m]) == rk
         pivots = pivot_columns({c: x for c, x in enumerate(row) if x} for row in m)
         assert pivots == dense_echelon(m, ncols)[1]
         # tuple labels ordered like the columns: pivots come back as labels
         keys = sorted(rng.sample([(c, (b,)) for c in range(ncols) for b in range(3)], ncols))
-        assert rank_sparse({keys[c]: x for c, x in enumerate(row) if x} for row in m) == rk
+        assert rank([{keys[c]: x for c, x in enumerate(row) if x} for row in m]) == rk
         by_key = pivot_columns({keys[c]: x for c, x in enumerate(row) if x} for row in m)
         assert by_key == [keys[p] for p in pivots]
+        # string labels
+        names = [f"c{c}" for c in labels]
+        assert rank([{names[c]: x for c, x in enumerate(row) if x} for row in m]) == rk
 
         x0 = [Q(rng.randint(-3, 3)) for _ in range(ncols)]
         consistent = [sum(a * b for a, b in zip(row, x0)) for row in m]
@@ -149,5 +159,5 @@ def test_inconsistent_and_singular_cases():
         assert inverse(sq) is None and not nonsingular(sq)
     assert solve([[0, 0]], [1]) is None
     assert inverse([[0]]) is None
-    assert rank_sparse([]) == 0
-    assert rank_sparse([{}, {5: 0}, {3: Q(1, 2)}, {3: 2}]) == 1
+    assert rank([]) == 0
+    assert rank([{}, {5: 0}, {3: Q(1, 2)}, {3: 2}]) == 1

@@ -31,9 +31,6 @@ def test_format_monomial_and_whitney_labels():
     assert format_generator((1, 0, 2), (0, 1), "minus") == "l0*l2^2 phi_01"
     assert format_generator((0, 0, 0), (1, 2), "full") == "dl1^dl2"
     assert format_generator((1, 0, 0), (), "full") == "l0"
-    assert format_generator((0, 1, 0), (2,), "full", "latex") == (
-        "\\lambda_{1}\\,d\\lambda_{2}"
-    )
 
 
 def test_format_pure_differential():

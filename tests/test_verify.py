@@ -56,13 +56,13 @@ def test_small_full_sweep_passes():
     assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
-def test_dims_degree_bound_env(monkeypatch):
-    monkeypatch.setenv("FEEC_MAX_DEGREE", "7")
-    results = run_suites(["dims"], max_n=1, max_r=1)
+def test_dims_degree_bound():
+    # degrees run to max(max_r, 6)
+    results = run_suites(["dims"], max_n=1, max_r=7)
     assert any(r.label == "n=1 r=7" for r in results)
-    monkeypatch.setenv("FEEC_MAX_DEGREE", "2")
-    results = run_suites(["dims"], max_n=1, max_r=1)
-    assert not any(r.label == "n=1 r=3" for r in results)
+    results = run_suites(["dims"], max_n=1, max_r=2)
+    assert any(r.label == "n=1 r=6" for r in results)
+    assert not any(r.label == "n=1 r=7" for r in results)
 
 
 def test_all_suites_registered():
