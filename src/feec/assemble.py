@@ -74,16 +74,31 @@ class SingleValuedWitness:
 
 
 def _trace_mismatch(
-    restrictions: dict[int, PolyForm], k: int, face: GlobalFace
+    restrictions: dict[int, PolyForm],
+    k: int,
+    face: GlobalFace,
+    traces: dict[tuple[int, FaceRef], tuple[PolyForm | None, PolyForm]],
+    agree: set[tuple[int, int]],
 ) -> tuple[PolyForm, PolyForm] | None:
+    """The first pair of disagreeing traces on `face`, reading and filling both tables.
+
+    `traces` maps (id of a restriction or of None, local face) to that
+    restriction, held so its id is not reused, and its trace.  `agree`
+    holds the id pairs of traces from `traces` already found equal.
+    """
     first: PolyForm | None = None
     for ci, fr in face.incidence:
         w = restrictions.get(ci)
-        tr = w.trace(fr) if w is not None else PolyForm.zero(face.dim, k)
+        key = (id(w), fr)
+        if key not in traces:
+            traces[key] = (w, w.trace(fr) if w is not None else PolyForm.zero(face.dim, k))
+        tr = traces[key][1]
         if first is None:
             first = tr
-        elif tr != first:
-            return (first, tr)
+        elif tr is not first and (id(first), id(tr)) not in agree:
+            if tr != first:
+                return (first, tr)
+            agree.add((id(first), id(tr)))
     return None
 
 
@@ -94,16 +109,21 @@ def verify_single_valued(
 
     An element can only disagree with itself on a face of one of its own
     cells, so each element visits just those faces, in face-lattice order.
+    Restrictions are shared `placed_basis` forms, so one trace is taken per
+    (restriction object, local face) and at most one comparison per pair of
+    trace objects; both tables last for this one call.
     """
     shared = [f for j in range(k, t.n) for f in t.faces(j) if len(f.incidence) >= 2]
     faces_of_cell: dict[int, list[int]] = {}
     for pos, face in enumerate(shared):
         for ci, _ in face.incidence:
             faces_of_cell.setdefault(ci, []).append(pos)
+    traces: dict[tuple[int, FaceRef], tuple[PolyForm | None, PolyForm]] = {}
+    agree: set[tuple[int, int]] = set()
     for el in elements:
         near = sorted({pos for ci in el.restrictions for pos in faces_of_cell.get(ci, ())})
         for pos in near:
-            bad = _trace_mismatch(el.restrictions, k, shared[pos])
+            bad = _trace_mismatch(el.restrictions, k, shared[pos], traces, agree)
             if bad is not None:
                 return SingleValuedWitness(el, shared[pos], bad)
     return None
@@ -174,7 +194,10 @@ def verify_direct_sum(
     touches a cell, and on every cell the restrictions of the elements
     touching it are independent, a vanishing combination vanishes on each
     cell and so has zero coefficients.  Otherwise the exact rank of the
-    elements stacked over all cells decides.
+    elements stacked over all cells decides.  A cell's rank depends only on
+    the set of restriction objects touching it, so it is computed once per
+    distinct set within this one call; `got == len(forms)` still sees a
+    repeated object.
     """
     count = len(elements)
     whole = SpaceKind(family)
@@ -185,8 +208,12 @@ def verify_direct_sum(
             touching[ci].append(w)
     cells_spanned = True
     local = all(el.restrictions for el in elements)
+    ranks: dict[frozenset[int], int] = {}
     for forms in touching:
-        got = rank_of(forms)
+        ids = frozenset(map(id, forms))
+        if ids not in ranks:
+            ranks[ids] = rank_of(forms)
+        got = ranks[ids]
         if got != want:
             cells_spanned = local = False
             break

@@ -54,6 +54,8 @@ class FaceRef:
     n: int
     indices: tuple[int, ...]
     dim: int = field(init=False, repr=False, compare=False)
+    # faces key every trace map, placed table and consistency table; hash once
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         idx = self.indices
@@ -64,6 +66,10 @@ class FaceRef:
         if idx[0] < 0 or idx[-1] > self.n:
             raise ValueError(f"face indices {idx} not within 0..{self.n}")
         object.__setattr__(self, "dim", len(idx) - 1)
+        object.__setattr__(self, "_hash", hash((self.n, idx)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def full(cls, n: int) -> FaceRef:

@@ -16,7 +16,7 @@ from feec.assemble import (
     verify_direct_sum,
     verify_single_valued,
 )
-from feec import linalg
+from feec import assemble, linalg
 from feec.extension import characterization_equality, placed_basis
 from feec.forms import FaceRef, PolyForm, bary_monomial, whitney
 from feec.mesh import from_cells
@@ -85,19 +85,21 @@ def test_hand_built_discontinuity_is_caught():
     assert verify_single_valued(TRI2, [not_shared], 1) is None
 
 
-def test_first_witness_matches_exhaustive_scan():
-    def exhaustive(t, elements, k):
-        for el in elements:
-            for j in range(k, t.n):
-                for face in t.faces(j):
-                    traces = [
-                        el.restrictions.get(ci, PolyForm.zero(t.n, k)).trace(fr)
-                        for ci, fr in face.incidence
-                    ]
-                    if any(tr != traces[0] for tr in traces[1:]):
-                        return el, face
-        return None
+def _exhaustive_witness(t, elements, k):
+    """The first (element, face) with disagreeing traces, every trace taken afresh."""
+    for el in elements:
+        for j in range(k, t.n):
+            for face in t.faces(j):
+                traces = [
+                    el.restrictions.get(ci, PolyForm.zero(t.n, k)).trace(fr)
+                    for ci, fr in face.incidence
+                ]
+                if any(tr != traces[0] for tr in traces[1:]):
+                    return el, face
+    return None
 
+
+def test_first_witness_matches_exhaustive_scan():
     rng = random.Random(23)
     for mesh, family, r, k in [(FAN3, Family.FULL, 2, 1), (TET2, Family.MINUS, 2, 1)]:
         els = assemble_basis(mesh, family, r, k)
@@ -109,11 +111,45 @@ def test_first_witness_matches_exhaustive_scan():
                 for el in els
             ]
             witness = verify_single_valued(mesh, scaled, k)
-            expected = exhaustive(mesh, scaled, k)
+            expected = _exhaustive_witness(mesh, scaled, k)
             if expected is None:
                 assert witness is None
             else:
                 assert (witness.element, witness.face) == expected
+
+
+def test_first_witness_matches_exhaustive_scan_with_shared_restrictions():
+    # the shared placed_basis objects stay, so the trace and comparison tables hit;
+    # a few restrictions become a scaled form or an equal fresh copy, which the
+    # tables must keep apart from the shared object they came from
+    rng = random.Random(29)
+    outcomes = set()
+    for mesh, family, r, k in [
+        (FAN3, Family.FULL, 2, 1),
+        (TET2, Family.MINUS, 2, 1),
+        (_shuffled_grid(random.Random(5), 2, 2), Family.FULL, 2, 0),
+    ]:
+        els = assemble_basis(mesh, family, r, k)
+        slots = [(i, ci) for i, el in enumerate(els) if len(el.restrictions) >= 2
+                 for ci in el.restrictions]
+        for _ in range(8):
+            factors = {slot: rng.choice((1, 2)) for slot in rng.sample(slots, 3)}
+            altered = [
+                GlobalBasisElement(el.face, el.descriptor, {
+                    ci: factors[i, ci] * w if (i, ci) in factors else w
+                    for ci, w in el.restrictions.items()
+                })
+                for i, el in enumerate(els)
+            ]
+            witness = verify_single_valued(mesh, altered, k)
+            expected = _exhaustive_witness(mesh, altered, k)
+            outcomes.add(expected is None)
+            if expected is None:
+                assert witness is None
+            else:
+                assert (witness.element, witness.face) == expected
+                assert witness.traces[0] != witness.traces[1]
+    assert outcomes == {True, False}
 
 
 def test_zero_trace_on_faces_not_containing_owner():
@@ -212,6 +248,43 @@ def test_every_rank_call_passes_a_list_of_sparse_rows(monkeypatch):
     }
     for _, rows in calls:
         assert type(rows) is list and all(isinstance(row, Mapping) for row in rows)
+
+
+def test_certificates_share_work_between_identical_restrictions(monkeypatch):
+    traced, ranked = [], []
+    real_trace, real_rank_of = PolyForm.trace, assemble.rank_of
+
+    def trace_spy(self, face):
+        traced.append((self, face))  # holds the form, so its id stays its own
+        return real_trace(self, face)
+
+    def rank_spy(forms):
+        ranked.append(frozenset(map(id, forms)))
+        return real_rank_of(forms)
+
+    monkeypatch.setattr(PolyForm, "trace", trace_spy)
+    monkeypatch.setattr(assemble, "rank_of", rank_spy)
+    mesh = _shuffled_grid(random.Random(31), 3, 2)
+    for family, r, k in [(Family.MINUS, 1, 1), (Family.FULL, 2, 1)]:
+        els = assemble_basis(mesh, family, r, k)
+        traced.clear()
+        assert verify_single_valued(mesh, els, k) is None
+        pairs = Counter((id(w), fr) for w, fr in traced)
+        assert pairs and max(pairs.values()) == 1
+
+        ranked.clear()
+        assert verify_direct_sum(mesh, els, family, r, k).ok
+        touching = {
+            frozenset(id(w) for el in els for c, w in el.restrictions.items() if c == ci)
+            for ci in range(len(mesh.cells))
+        }
+        # every cell of the grid holds every local face, so all cells read one set
+        assert len(touching) == 1
+        assert len(ranked) == len(set(ranked)) and set(ranked) == touching
+
+    els = assemble_basis(mesh, Family.MINUS, 1, 1)
+    dup = verify_direct_sum(mesh, els + [els[0]], Family.MINUS, 1, 1)
+    assert not dup.independent and dup.cells_spanned and not dup.ok
 
 
 def test_top_order_decomposition_is_cellwise():

@@ -202,6 +202,16 @@ def test_trace_of_high_order_form_is_zero():
     assert w.trace(FaceRef(2, (0, 1))).is_zero
 
 
+def test_face_hash_agrees_with_equality():
+    faces = [f for n in (1, 2, 3) for f in FaceRef.full(n).all_subfaces()]
+    for f in faces:
+        twin = FaceRef(f.n, f.indices)
+        assert twin == f and hash(twin) == hash(f) == hash((f.n, f.indices))
+        assert repr(f) == f"FaceRef(n={f.n}, indices={f.indices})"
+    assert len(set(faces)) == len(faces)
+    assert FaceRef(2, (0, 1)) != FaceRef(3, (0, 1))
+
+
 def test_whitney_examples():
     assert whitney(2, (2,)) == bary_monomial(2, (0, 0, 1))
     w = whitney(2, (0, 1))
