@@ -7,7 +7,11 @@ checks below establish the two halves of the direct-sum property: the
 assembled elements are linearly independent, and their count equals the
 dimension of the space of piecewise forms with single-valued traces,
 computed independently by imposing the trace-matching constraints on the
-product of the cell spaces.
+product of the cell spaces.  A member of the assembled space is split into
+its per-face components by one exact coordinate solve per cell against the
+placed zero-trace bases of all the cell's faces, which together are one
+basis of the cell space; the cells that share a face must give it the same
+coordinates.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import linalg
-from .extension import placed_basis
+from .extension import cell_table, placed_basis
 from .forms import FaceRef, Key, PolyForm, Scalar, combination
 from .mesh import GlobalFace, Triangulation
 from .spaces import (
@@ -24,9 +28,9 @@ from .spaces import (
     GeneratorDescriptor,
     SpaceKind,
     basis_forms,
+    coordinates,
     dim_space,
     enumerate_basis,
-    membership,
     rank_of,
 )
 
@@ -40,12 +44,16 @@ class GlobalBasisElement:
     restrictions: dict[int, PolyForm]
 
 
-def assemble_basis(t: Triangulation, family: Family, r: int, k: int) -> list[GlobalBasisElement]:
-    """The assembled basis, one element per zero-trace generator per face."""
+def _check_degree_and_order(t: Triangulation, r: int, k: int) -> None:
     if r < 1:
         raise ValueError("assembly needs polynomial degree r >= 1")
     if k < 0 or k > t.n:
         raise ValueError(f"form order {k} outside 0..{t.n}")
+
+
+def assemble_basis(t: Triangulation, family: Family, r: int, k: int) -> list[GlobalBasisElement]:
+    """The assembled basis, one element per zero-trace generator per face."""
+    _check_degree_and_order(t, r, k)
     zero_kind = SpaceKind(family, zero_trace=True)
     descriptors = {
         j: enumerate_basis(zero_kind, FaceRef.full(j), r, k) for j in range(k, t.n + 1)
@@ -232,35 +240,43 @@ def decompose(
 ) -> dict[tuple[int, ...], PolyForm]:
     """Split a member of the assembled space into its per-face components.
 
-    The input is a cellwise collection of forms with single-valued traces;
-    the result maps each face's vertex tuple to the face-local component,
-    which lies in the zero-trace subspace there.  Peeling proceeds upward
-    by face dimension, subtracting each face's extended trace.
+    `piecewise` maps cell indices to cell forms; a missing cell holds zero.
+    Each cell form is solved once against the geometric basis of its cell,
+    the placed zero-trace bases of all its local faces together
+    (:func:`extension.cell_table`), and its coordinates are accepted only if
+    they rebuild the form exactly.  The traces are single-valued exactly
+    when, on every face, all incident cells give that face's slot the same
+    coordinates; faces are compared in lattice order.  The result maps each
+    face's vertex tuple to its component, the combination of those
+    coordinates with the face's zero-trace basis in its own coordinates,
+    stored at degree max(r, w.r) of the first incident cell's form w; faces
+    whose coordinates all vanish are left out.
     """
+    _check_degree_and_order(t, r, k)
     n = t.n
+    extra = [key for key in piecewise if key not in range(len(t.cells))]
+    if extra:
+        raise ValueError(f"piecewise key {extra[0]!r} is not a cell index (0..{len(t.cells) - 1})")
     zero_kind = SpaceKind(family, zero_trace=True)
-    current = {ci: piecewise.get(ci, PolyForm.zero(n, k)) for ci in range(len(t.cells))}
+    split: list[dict[FaceRef, list[Scalar]]] = []
+    degrees: list[int] = []
+    for ci in range(len(t.cells)):
+        w = piecewise.get(ci, PolyForm.zero(n, k))
+        degree = max(r, w.r)
+        forms, slots, columns = cell_table(zero_kind, n, r, k, degree)
+        coords = coordinates(w.lift(degree), n, k, forms, columns)
+        if coords is None:
+            raise ValueError(f"form on cell {ci} is not in the {family.value} space of degree {r}")
+        split.append({fr: coords[slot] for fr, slot in slots.items()})
+        degrees.append(degree)
     components: dict[tuple[int, ...], PolyForm] = {}
     for j in range(k, n + 1):
-        local = FaceRef.full(j)
+        basis = basis_forms(zero_kind, FaceRef.full(j), r, k)
         for face in t.faces(j):
-            c0, fr0 = face.incidence[0]
-            mu = current[c0].trace(fr0)
-            for ci, fri in face.incidence[1:]:
-                if current[ci].trace(fri) != mu:
-                    raise ValueError(f"traces on face {face.vertices} are not single-valued")
-            if mu.is_zero:
-                continue
-            coords = membership(mu, zero_kind, local, r, k)
-            if coords is None:
-                raise ValueError(
-                    f"trace on face {face.vertices} leaves the zero-trace subspace"
-                )
-            components[face.vertices] = mu
-            for ci, fri in face.incidence:
-                correction = combination(n, k, zip(coords, placed_basis(zero_kind, r, k, fri)))
-                current[ci] = current[ci] - correction
-    for ci, w in current.items():
-        if not w.is_zero:
-            raise ValueError(f"nonzero residual on cell {ci} after peeling")
+            (c0, fr0), *others = face.incidence
+            part = split[c0][fr0]
+            if any(split[ci][fr] != part for ci, fr in others):
+                raise ValueError(f"traces on face {face.vertices} are not single-valued")
+            if any(part):
+                components[face.vertices] = combination(j, k, zip(part, basis)).lift(degrees[c0])
     return components

@@ -12,7 +12,9 @@ representation; and the moment map, which extends by matching degrees of
 freedom, for either family (DUAL_FULL, DUAL_MINUS).  The kind alone names
 the space a family extends.  Each extends a member through its basis
 coordinates on the face and a cached table of the images of that basis.
-A deliberately naive map, which takes d lambda_sigma to itself without the
+The placed zero-trace bases of all faces of a simplex together form one
+basis of its whole space, the geometric decomposition, kept with its
+inverse as one cached table per cell space.  A deliberately naive map, which takes d lambda_sigma to itself without the
 correction, is kept as a negative control: it is a right inverse of the
 trace but fails the compatibility law checked here.
 
@@ -33,11 +35,13 @@ from . import linalg
 from .dof import dual_images
 from .forms import FaceRef, Key, PolyForm, Scalar, bary_monomial, canonicalize, combination, psi_form, whitney
 from .spaces import (
+    Columns,
     Family,
     SpaceKind,
     basis_forms,
     dim_space,
     enumerate_basis,
+    inverse_columns,
     membership,
     rank_of,
 )
@@ -125,6 +129,36 @@ def placed_basis(kind: SpaceKind, r: int, k: int, fr: FaceRef) -> tuple[PolyForm
         extend_generator(d.family, fr.place(d.alpha), tuple(fr.indices[s] for s in d.sigma), fr, top)
         for d in enumerate_basis(kind, FaceRef.full(fr.dim), r, k)
     )
+
+
+@cache
+def cell_table(
+    kind: SpaceKind, n: int, r: int, k: int, degree: int
+) -> tuple[tuple[PolyForm, ...], dict[FaceRef, slice], Columns]:
+    """The geometric basis of the whole space on the n-simplex, stored at `degree`.
+
+    `kind` is a zero-trace space.  The whole space of its family on the cell
+    is the direct sum, over the local faces f, of the zero-trace space on f
+    extended into the cell, so the :func:`placed_basis` forms of every local
+    face of dimension >= k, in lattice order, form one basis of it.
+    Returned are those forms, the slot
+    of each local face's forms in that list, and their sparse inverse
+    columns (:func:`spaces.inverse_columns`).  Building the table proves
+    the decomposition: it raises ArithmeticError unless the forms are
+    independent and as many as the dimension of the cell space.  Built once
+    per process for each argument tuple; callers must not mutate it.
+    """
+    forms: list[PolyForm] = []
+    slots: dict[FaceRef, slice] = {}
+    for fr in FaceRef.full(n).all_subfaces():
+        if fr.dim >= k:
+            placed = placed_basis(kind, r, k, fr)
+            slots[fr] = slice(len(forms), len(forms) + len(placed))
+            forms.extend(w.lift(degree) for w in placed)
+    what = f"the placed {kind} r={r} k={k} on dim {n}"
+    if len(forms) != dim_space(SpaceKind(kind.family), n, r, k):
+        raise ArithmeticError(f"{what} has {len(forms)} forms, not a basis")
+    return tuple(forms), slots, inverse_columns(forms, what)
 
 
 # -- form-level extension -------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .combinat import binom, multiindices
 from . import linalg
@@ -170,29 +170,62 @@ def rank_of(forms: Iterable[PolyForm]) -> int:
     return linalg.rank([w.lift(r).coeffs for w in live])
 
 
-@cache
-def _basis_table(
-    kind: SpaceKind, m: int, r: int, k: int, degree: int
-) -> tuple[tuple[PolyForm, ...], dict[Key, tuple[tuple[int, Scalar], ...]]]:
-    """The basis on an m-face stored at `degree`, and its inverse there as sparse columns.
+Columns = dict[Key, tuple[tuple[int, Scalar], ...]]
+
+
+def inverse_columns(forms: Sequence[PolyForm], what: str) -> Columns:
+    """The exact inverse of the forms on their pivot keys, as sparse columns.
 
     The pivot keys are the least independent key columns in key order, so the
-    basis restricted to them is square and nonsingular.  The inverse of that
+    forms restricted to them are square and nonsingular.  The inverse of that
     square matrix is kept column by column, keyed by pivot key, with only its
-    nonzero (basis index, entry) pairs.  Built once per process for each
-    argument tuple.
+    nonzero (form index, entry) pairs.  Dependent forms raise ArithmeticError
+    naming `what`.
     """
-    basis = tuple(b.lift(degree) for b in basis_forms(kind, FaceRef.full(m), r, k))
-    pivot_keys = linalg.pivot_columns(b.coeffs for b in basis)
+    pivot_keys = linalg.pivot_columns(w.coeffs for w in forms)
     inverse = None
-    if len(pivot_keys) == len(basis):
-        inverse = linalg.inverse([[b.coeffs.get(key, 0) for b in basis] for key in pivot_keys])
+    if len(pivot_keys) == len(forms):
+        inverse = linalg.inverse([[w.coeffs.get(key, 0) for w in forms] for key in pivot_keys])
     if inverse is None:
-        raise ArithmeticError(f"dependent basis for {kind} r={r} k={k} on dim {m}")
-    columns = {
+        raise ArithmeticError(f"dependent basis for {what}")
+    return {
         key: tuple((i, row[j]) for i, row in enumerate(inverse) if row[j]) for j, key in enumerate(pivot_keys)
     }
-    return basis, columns
+
+
+def coordinates(
+    w: PolyForm, n: int, k: int, forms: Sequence[PolyForm], columns: Columns
+) -> list[Scalar] | None:
+    """Coordinates of w in independent forms, or None when w is not in their span.
+
+    The forms and w live on dimension n and are stored at one degree, and
+    `columns` is their :func:`inverse_columns`.  Candidate coordinates come
+    from w's coefficients on the pivot keys, through the sparse inverse
+    columns of those keys that w has; they are accepted only if the
+    combination of the forms rebuilds w exactly.
+    """
+    if w.n != n:
+        raise ValueError(f"form lives on dimension {w.n}, face has dimension {n}")
+    if not w.is_zero and w.k != k:
+        raise ValueError(f"form order {w.k} does not match k={k}")
+    coords: list[Scalar] = [0] * len(forms)
+    for key, v in w.coeffs.items():
+        for i, a in columns.get(key, ()):
+            coords[i] += a * v
+    coords = [c if type(c) is int or c.denominator != 1 else c.numerator for c in coords]
+    if combination(n, k, zip(coords, forms)).coeffs != w.coeffs:
+        return None
+    return coords
+
+
+@cache
+def _basis_table(kind: SpaceKind, m: int, r: int, k: int, degree: int) -> tuple[tuple[PolyForm, ...], Columns]:
+    """The basis on an m-face stored at `degree`, and its :func:`inverse_columns`.
+
+    Built once per process for each argument tuple.
+    """
+    basis = tuple(b.lift(degree) for b in basis_forms(kind, FaceRef.full(m), r, k))
+    return basis, inverse_columns(basis, f"{kind} r={r} k={k} on dim {m}")
 
 
 def membership(
@@ -200,23 +233,8 @@ def membership(
 ) -> list[Scalar] | None:
     """Coordinates of w in the basis of the space, or None when outside it.
 
-    The form must be expressed in the face's own coordinates.  Candidate
-    coordinates come from w's coefficients on the pivot keys, through the
-    sparse inverse columns of those keys that w has; they are accepted only
-    if the basis combination rebuilds w exactly.
+    The form must be expressed in the face's own coordinates; it is read at
+    the storage degree max(r, w.r) through :func:`coordinates`.
     """
-    if w.n != face.dim:
-        raise ValueError(f"form lives on dimension {w.n}, face has dimension {face.dim}")
-    if not w.is_zero and w.k != k:
-        raise ValueError(f"form order {w.k} does not match k={k}")
     degree = max(r, w.r)
-    basis, columns = _basis_table(kind, face.dim, r, k, degree)
-    target = w.lift(degree).coeffs
-    coords: list[Scalar] = [0] * len(basis)
-    for key, v in target.items():
-        for i, a in columns.get(key, ()):
-            coords[i] += a * v
-    coords = [c if type(c) is int or c.denominator != 1 else c.numerator for c in coords]
-    if combination(face.dim, k, zip(coords, basis)).coeffs != target:
-        return None
-    return coords
+    return coordinates(w.lift(degree), face.dim, k, *_basis_table(kind, face.dim, r, k, degree))

@@ -282,3 +282,43 @@ def oracle_inverse(rows):
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in m]
+
+
+def peel_oracle(t, family, r, k, piecewise):
+    """Per-face components of a piecewise form, by peeling face by face.
+
+    The reference for `feec.assemble.decompose`: upward by face dimension,
+    each face's trace from its first incident cell must agree with every
+    other incident cell's and lie in the zero-trace space there; it is the
+    face's component, and its extension into each incident cell is
+    subtracted.  Whatever is left must vanish.  Raises ValueError otherwise.
+    """
+    from feec.extension import placed_basis
+    from feec.forms import FaceRef, PolyForm, combination
+    from feec.spaces import SpaceKind, membership
+
+    n = t.n
+    zero_kind = SpaceKind(family, zero_trace=True)
+    current = {ci: piecewise.get(ci, PolyForm.zero(n, k)) for ci in range(len(t.cells))}
+    components = {}
+    for j in range(k, n + 1):
+        local = FaceRef.full(j)
+        for face in t.faces(j):
+            c0, fr0 = face.incidence[0]
+            mu = current[c0].trace(fr0)
+            for ci, fri in face.incidence[1:]:
+                if current[ci].trace(fri) != mu:
+                    raise ValueError(f"traces on face {face.vertices} are not single-valued")
+            if mu.is_zero:
+                continue
+            coords = membership(mu, zero_kind, local, r, k)
+            if coords is None:
+                raise ValueError(f"trace on face {face.vertices} leaves the zero-trace subspace")
+            components[face.vertices] = mu
+            for ci, fri in face.incidence:
+                correction = combination(n, k, zip(coords, placed_basis(zero_kind, r, k, fri)))
+                current[ci] = current[ci] - correction
+    for ci, w in current.items():
+        if not w.is_zero:
+            raise ValueError(f"nonzero residual on cell {ci} after peeling")
+    return components

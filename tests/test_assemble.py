@@ -18,10 +18,10 @@ from feec.assemble import (
 )
 from feec import assemble, linalg
 from feec.extension import characterization_equality, placed_basis
-from feec.forms import FaceRef, PolyForm, bary_monomial, whitney
+from feec.forms import FaceRef, PolyForm, bary_monomial, dlambda, whitney
 from feec.mesh import from_cells
-from feec.spaces import Family, SpaceKind, dim_space, realize
-from helpers import oracle_rank
+from feec.spaces import Family, SpaceKind, basis_forms, dim_space, membership, realize
+from helpers import oracle_rank, peel_oracle
 
 TRI1 = from_cells(2, [(0, 1, 2)])
 TRI2 = from_cells(2, [(0, 1, 2), (1, 2, 3)])
@@ -363,6 +363,11 @@ def test_assemble_validates_arguments():
         assemble_basis(TRI1, Family.MINUS, 0, 1)
     with pytest.raises(ValueError):
         assemble_basis(TRI1, Family.MINUS, 1, 5)
+    # decompose refuses the same degrees and orders, even for the zero member
+    for family in Family:
+        for r, k in ((0, 0), (0, 1), (1, -1), (1, 3)):
+            with pytest.raises(ValueError, match="r >= 1|outside 0..2"):
+                decompose(TRI2, family, r, k, {})
 
 
 def _shuffled_grid(rng, dim, m):
@@ -398,7 +403,30 @@ def _member(elements, coeffs, n, k):
     return piecewise
 
 
+def _outside_forms(family, n, r, k):
+    """Cell forms that are not in the family's degree-r k-form space on the n-simplex.
+
+    One is off by its degree (a power of lambda_0 above r), one from the
+    other family when it has a form outside this space, one of another
+    order and one on another dimension.
+    """
+    yield bary_monomial(n, (r + 1,) + (0,) * n).wedge(dlambda(n, tuple(range(1, k + 1))))
+    other = Family.FULL if family is Family.MINUS else Family.MINUS
+    for degree in (r, r + 1):
+        w = next(
+            (b for b in basis_forms(SpaceKind(other), FaceRef.full(n), degree, k)
+             if membership(b, SpaceKind(family), FaceRef.full(n), r, k) is None),
+            None,
+        )
+        if w is not None:
+            yield w
+            break
+    yield dlambda(n, tuple(range(1, k + 2)) if k < n else tuple(range(1, k)))
+    yield dlambda(n + 1, tuple(range(1, k + 1)))
+
+
 def test_peel_roundtrip_on_random_meshes():
+    # decompose against the realized generators and against the face-by-face peel
     rng = random.Random(67)
     meshes = [_shuffled_grid(rng, 2, 2), _shuffled_grid(rng, 3, 1)]
     for mesh in meshes:
@@ -408,7 +436,8 @@ def test_peel_roundtrip_on_random_meshes():
                 for k in range(n + 1):
                     els = assemble_basis(mesh, family, r, k)
                     coeffs = [rng.choice((0, 0, -2, -1, 1, 3)) for _ in els]
-                    parts = decompose(mesh, family, r, k, _member(els, coeffs, n, k))
+                    member = _member(els, coeffs, n, k)
+                    parts = decompose(mesh, family, r, k, member)
                     expected = {}
                     for c, el in zip(coeffs, els):
                         if c:
@@ -417,15 +446,49 @@ def test_peel_roundtrip_on_random_meshes():
                             expected[face] = expected[face] + piece if face in expected else piece
                     assert set(parts) == set(expected)
                     assert all(parts[f] == w for f, w in expected.items())
+                    peeled = peel_oracle(mesh, family, r, k, member)
+                    assert list(parts) == list(peeled)
+                    assert all(parts[f].coeffs == w.coeffs and parts[f].r == w.r for f, w in peeled.items())
 
-                    if k == n:
-                        continue  # top-order forms have no traces to disagree
-                    shared = next(el for el in els if len(el.face.incidence) >= 2)
-                    ci = shared.face.incidence[0][0]
-                    broken = _member(els, coeffs, n, k)
-                    broken[ci] = broken[ci] + shared.restrictions[ci]
-                    with pytest.raises(ValueError):
-                        decompose(mesh, family, r, k, broken)
+                    ci = rng.randrange(len(mesh.cells))
+                    above_r, *foreign = _outside_forms(family, n, r, k)
+                    broken = [{**member, ci: member[ci] + above_r}, *({**member, ci: w} for w in foreign)]
+                    if k < n:  # top-order forms have no traces to disagree
+                        shared = next(el for el in els if len(el.face.incidence) >= 2)
+                        ci = shared.face.incidence[0][0]
+                        broken.append({**member, ci: member[ci] + shared.restrictions[ci]})
+                    for piecewise in broken:
+                        with pytest.raises(ValueError):
+                            decompose(mesh, family, r, k, piecewise)
+                        with pytest.raises(ValueError):
+                            peel_oracle(mesh, family, r, k, piecewise)
+
+
+def test_decompose_accepts_a_member_stored_above_degree_r():
+    rng = random.Random(71)
+    for mesh in (FAN3, _shuffled_grid(rng, 3, 1)):
+        n = mesh.n
+        for family in Family:
+            for r in (1, 2):
+                for k in range(n + 1):
+                    els = assemble_basis(mesh, family, r, k)
+                    member = _member(els, [rng.randint(-2, 2) for _ in els], n, k)
+                    lifted = {ci: w.lift(r + 2) for ci, w in member.items()}
+                    parts = decompose(mesh, family, r, k, member)
+                    high = decompose(mesh, family, r, k, lifted)
+                    assert list(high) == list(parts)
+                    assert all(high[f] == w and high[f].r == r + 2 for f, w in parts.items())
+                    peeled = peel_oracle(mesh, family, r, k, lifted)
+                    assert list(peeled) == list(high)
+                    assert all(high[f].coeffs == w.coeffs for f, w in peeled.items())
+
+
+def test_decompose_rejects_keys_that_are_not_cells():
+    w0, w1 = whitney(2, (1, 2)), whitney(2, (0, 1))
+    assert decompose(TRI2, Family.MINUS, 1, 1, {0: w0, 1: w1})
+    for key in (7, -1, 2, "0"):
+        with pytest.raises(ValueError, match=f"piecewise key {key!r} is not a cell index"):
+            decompose(TRI2, Family.MINUS, 1, 1, {0: w0, 1: w1, key: w0})
 
 
 def test_cached_restrictions_are_not_mutated():

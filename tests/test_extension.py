@@ -11,6 +11,7 @@ from feec.extension import (
     ExtensionFamily,
     FamilyKind,
     VanishingOrder,
+    cell_table,
     characterization_equality,
     check_consistency,
     extend_form,
@@ -22,7 +23,18 @@ from feec.extension import (
     placed_basis,
     vanishing_order_check,
 )
-from feec.spaces import FULL, FULL_ZERO, MINUS, MINUS_ZERO, Family, SpaceKind, basis_forms, enumerate_basis, realize
+from feec.spaces import (
+    FULL,
+    FULL_ZERO,
+    MINUS,
+    MINUS_ZERO,
+    Family,
+    SpaceKind,
+    basis_forms,
+    dim_space,
+    enumerate_basis,
+    realize,
+)
 from feec.verify import suite_consistency
 from helpers import from_polyform, oracle_directional_derivative, oracle_trace
 
@@ -164,6 +176,45 @@ def test_placed_basis_is_the_extended_face_basis():
                             for d in enumerate_basis(kind, f, r, k)
                         ]
                         assert list(placed_basis(kind, r, k, f)) == expected
+
+
+def test_placed_bases_of_all_faces_are_one_basis_of_the_cell_space():
+    # the geometric decomposition P(T) = sum over f of E_{f,T} P0(f), for both families
+    for family in Family:
+        zero_kind = SpaceKind(family, zero_trace=True)
+        for n, max_r in ((0, 3), (1, 3), (2, 3), (3, 3), (4, 2)):
+            for r in range(1, max_r + 1):
+                for k in range(n + 1):
+                    forms, slots, columns = cell_table(zero_kind, n, r, k, r)
+                    assert len(forms) == dim_space(SpaceKind(family), n, r, k)
+                    assert len(columns) == len(forms)
+                    for fr, slot in slots.items():
+                        placed = placed_basis(zero_kind, r, k, fr)
+                        assert forms[slot] == placed
+                        # the right-inverse property the components are rebuilt from
+                        face_basis = basis_forms(zero_kind, FaceRef.full(fr.dim), r, k)
+                        assert [w.trace(fr) for w in placed] == list(face_basis)
+
+
+def test_cell_table_refuses_forms_that_are_not_a_basis(monkeypatch):
+    placed = placed_basis
+
+    def one_extra(kind, r, k, fr):
+        basis = placed(kind, r, k, fr)
+        return basis + basis[:1] if fr.dim == 2 else basis
+
+    def repeated_first(kind, r, k, fr):
+        basis = placed(kind, r, k, fr)
+        return basis[:1] + basis[:-1] if fr.dim == 2 else basis
+
+    cell_table.cache_clear()
+    try:
+        for fake, message in ((one_extra, "not a basis"), (repeated_first, "dependent basis")):
+            monkeypatch.setattr("feec.extension.placed_basis", fake)
+            with pytest.raises(ArithmeticError, match=message):
+                cell_table(MINUS_ZERO, 2, 2, 1, 2)
+    finally:
+        cell_table.cache_clear()
 
 
 def test_extension_trace_roundtrip_sweep():
