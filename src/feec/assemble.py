@@ -158,13 +158,14 @@ class DirectSumReport:
         return self.ok
 
 
-def _stacked_rows(elements: list[GlobalBasisElement], r: int) -> Iterator[linalg.Row]:
-    """Each element as one sparse row over (cell, canonical term) columns."""
+def _stacked_rows(elements: list[GlobalBasisElement]) -> Iterator[linalg.Row]:
+    """Each element as one sparse row over (cell, canonical term) columns, at one storage degree."""
+    degree = max((w.r for el in elements for w in el.restrictions.values()), default=0)
     for el in elements:
         yield {
             (ci, key): c
             for ci, w in el.restrictions.items()
-            for key, c in w.lift(r).coeffs.items()
+            for key, c in w.lift(degree).coeffs.items()
         }
 
 
@@ -226,7 +227,7 @@ def verify_direct_sum(
             cells_spanned = local = False
             break
         local = local and got == len(forms)
-    independent = local or linalg.rank(list(_stacked_rows(elements, r))) == count
+    independent = local or linalg.rank(list(_stacked_rows(elements))) == count
 
     cell_basis = basis_forms(whole, FaceRef.full(t.n), r, k)
     ncols = len(cell_basis) * len(t.cells)

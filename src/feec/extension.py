@@ -1,24 +1,24 @@
 """Extension operators from a face to a containing face, and their laws.
 
-Three linear families are provided: the Whitney-generator map for the
-reduced family; the corrected-differential map for the full family, which
-is the Bernstein monomial map on 0-forms and otherwise replaces each face
-differential d lambda_i by
+Every family is fixed by a cached table of its images of a face basis,
+which a member's basis coordinates on the face weight.  The families are
+the Whitney-generator map for the reduced family; the corrected-differential
+map for the full family, which is the Bernstein monomial map on 0-forms and
+otherwise replaces each face differential d lambda_i by
 
     psi_i = d lambda_i - (alpha_i / |alpha|) * sum_{j in I(f)} d lambda_j
 
 so that the image depends only on the form and not on its barycentric
-representation; and the moment map, which extends by matching degrees of
-freedom, for either family (DUAL_FULL, DUAL_MINUS).  The kind alone names
-the space a family extends.  Each extends a member through its basis
-coordinates on the face and a cached table of the images of that basis.
-The placed zero-trace bases of all faces of a simplex together form one
-basis of its whole space, the geometric decomposition, kept with its
-inverse as one cached table per cell space.  A deliberately naive map, which takes d lambda_sigma to itself without the
-correction, is kept as a negative control: it is a right inverse of the
-trace but fails the compatibility law checked here.
-
-The compatibility law for a family E is
+representation; the moment map, which extends by matching degrees of
+freedom, for either family (DUAL_FULL, DUAL_MINUS); and, as a negative
+control, the naive map, whose table relabels the degree-r basis forms
+without the correction (linear on degree-r coefficients; its dependence on
+the representation is shown by `naive_representative_discrepancy`).  The
+kind alone names the space a family extends.  The placed zero-trace bases
+of all faces of a simplex together form one basis of its whole space, the
+geometric decomposition, kept with its inverse as one cached table per
+cell space.  The naive control is a right inverse of the trace but fails
+the compatibility law for a family E, which is checked on the tables alone:
 
     tr_{h,g} E_{f,h} = E_{f \\cap g, g} tr_{f, f \\cap g}   for f, g inside h,
 
@@ -179,41 +179,36 @@ def extend_naive(mu: PolyForm, f: FaceRef, g: FaceRef) -> PolyForm:
 def _images(fam: ExtensionFamily, fr: FaceRef) -> tuple[PolyForm, ...]:
     """The family's images of the reference basis on an fr.dim-face placed at fr.
 
-    A linear extension is fixed by these images.  Built once per process for
-    each family and local face; callers must not mutate them.
+    Every family is fixed by these images.  The naive control's are the
+    basis forms relabelled by :func:`extend_naive`; each is stored at degree
+    r, where the relabelling is linear.  Built once per process for each
+    family and local face; callers must not mutate them.
     """
+    if fam.kind is FamilyKind.NAIVE_FULL:
+        top = FaceRef.full(fr.n)
+        return tuple(extend_naive(b, fr, top) for b in basis_forms(fam.space_kind, fr, fam.r, fam.k))
     if fam.kind in (FamilyKind.DUAL_FULL, FamilyKind.DUAL_MINUS):
         return dual_images(fam.kind.family, fr, fam.r, fam.k)
     return placed_basis(fam.space_kind, fam.r, fam.k, fr)
 
 
-def _input(fam: ExtensionFamily, mu: PolyForm, f: FaceRef) -> PolyForm | list[Scalar]:
-    """What the family extends from f: mu itself for the naive control, else mu's basis coordinates.
+def _coordinates(fam: ExtensionFamily, mu: PolyForm, f: FaceRef) -> list[Scalar]:
+    """mu's coordinates in the basis of the family's space on f.
 
-    Raises ValueError when a linear family's mu is not a member of the space on f.
+    Raises ValueError when mu is not a member of that space.
     """
-    if fam.kind is FamilyKind.NAIVE_FULL:
-        return mu
     coords = membership(mu, fam.space_kind, f, fam.r, fam.k)
     if coords is None:
         raise ValueError(f"form is not a member of the degree-{fam.r} space on {f.indices}")
     return coords
 
 
-def _extend_input(fam: ExtensionFamily, x: PolyForm | list[Scalar], f: FaceRef, g: FaceRef) -> PolyForm:
-    """The extension to g of what `_input` returned on f."""
-    if fam.kind is FamilyKind.NAIVE_FULL:
-        return extend_naive(x, f, g)
-    return combination(g.dim, fam.k, zip(x, _images(fam, g.to_local(f))))
-
-
 def extend_form(fam: ExtensionFamily, mu: PolyForm, f: FaceRef, g: FaceRef) -> PolyForm:
     """The family's extension of a space member on f to g.
 
-    Every family but the naive control is linear, so mu's coordinates in the
-    basis on f weight the images of that basis.
+    mu's coordinates in the basis on f weight the images of that basis.
     """
-    return _extend_input(fam, _input(fam, mu, f), f, g)
+    return combination(g.dim, fam.k, zip(_coordinates(fam, mu, f), _images(fam, g.to_local(f))))
 
 
 # -- the compatibility law ------------------------------------------------------
@@ -241,17 +236,17 @@ def check_consistency(fam: ExtensionFamily, h: FaceRef) -> ConsistencyResult:
     """Verify the compatibility law on every basis element, all face pairs in h.
 
     Works in the local coordinates of h, so h may itself be a proper face of
-    a larger simplex.  Each basis member of f is extended to h once; only its
-    trace depends on g.  The right side's input, the trace of a member onto
-    f \\cap g and (for a linear family) its coordinates there, is computed
-    once per (f, f \\cap g) and extended to each g.
+    a larger simplex, and reads the image tables only.  The left side is the
+    trace onto g of a basis member's image on f.  The right side weights
+    the images on f \\cap g by the coordinates there of the member's
+    trace, which are computed once per (f, f \\cap g, member).
     """
     top = FaceRef.full(h.dim)
     faces = top.all_subfaces()
     for f in faces:
         members = basis_forms(fam.space_kind, f, fam.r, fam.k)
-        extended = [extend_form(fam, mu, f, top) for mu in members]
-        restricted: dict[tuple[FaceRef, int], PolyForm | list[Scalar]] = {}
+        extended = _images(fam, f)
+        restricted: dict[tuple[FaceRef, int], list[Scalar]] = {}
         for g in faces:
             fg = f.intersect(g)
             for i, (mu, ext) in enumerate(zip(members, extended)):
@@ -259,10 +254,10 @@ def check_consistency(fam: ExtensionFamily, h: FaceRef) -> ConsistencyResult:
                 if fg is None:
                     rhs = PolyForm.zero(g.dim, fam.k)
                 else:
-                    rest = restricted.get((fg, i))
-                    if rest is None:
-                        rest = restricted[fg, i] = _input(fam, mu.trace(f.to_local(fg)), fg)
-                    rhs = _extend_input(fam, rest, fg, g)
+                    coords = restricted.get((fg, i))
+                    if coords is None:
+                        coords = restricted[fg, i] = _coordinates(fam, mu.trace(f.to_local(fg)), fg)
+                    rhs = combination(g.dim, fam.k, zip(coords, _images(fam, g.to_local(fg))))
                 if lhs != rhs:
                     return ConsistencyResult(False, ConsistencyWitness(f, g, mu, lhs, rhs))
     return ConsistencyResult(True)

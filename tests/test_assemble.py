@@ -217,6 +217,20 @@ def test_local_independence_certificate_falls_back_to_global_rank():
     assert not verify_direct_sum(TRI2, els + [empty], Family.FULL, 2, 1).independent
 
 
+def test_stacked_fallback_reads_restrictions_stored_above_degree_r():
+    els = [
+        GlobalBasisElement(el.face, el.descriptor, {ci: w.lift(3) for ci, w in el.restrictions.items()})
+        for el in assemble_basis(TRI2, Family.MINUS, 1, 1)
+    ]
+    assert verify_direct_sum(TRI2, els, Family.MINUS, 1, 1).ok
+    dup = verify_direct_sum(TRI2, els + [els[0]], Family.MINUS, 1, 1)
+    assert not dup.independent and dup.cells_spanned and not dup.ok
+    # the degree-3 rows are those of the degree-1 restrictions
+    mixed = els[:1] + assemble_basis(TRI2, Family.MINUS, 1, 1)[1:]
+    assert verify_direct_sum(TRI2, mixed, Family.MINUS, 1, 1).ok
+    assert not verify_direct_sum(TRI2, mixed + [els[0]], Family.MINUS, 1, 1).independent
+
+
 def test_every_rank_call_passes_a_list_of_sparse_rows(monkeypatch):
     # the benchmark's tracer reads len(rows) and rows[0]; an iterator would be spent by it
     calls = []

@@ -1,5 +1,7 @@
 import random
 import re
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -363,19 +365,30 @@ def test_the_naive_control_extends_through_extend_naive(monkeypatch):
     calls = []
 
     def spy(mu, f, g):
-        calls.append((f, g))
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "_images":
+            frame = frame.f_back
+        calls.append((frame is not None, f, g, mu))
         return extend_naive(mu, f, g)
 
-    def no_membership(*args):
-        raise AssertionError("the naive control has no basis coordinates")
-
     monkeypatch.setattr(extension, "extend_naive", spy)
-    monkeypatch.setattr(extension, "membership", no_membership)
-    res = check_consistency(ExtensionFamily(FamilyKind.NAIVE_FULL, 2, 1), FaceRef.full(2))
+    extension._images.cache_clear()
+    try:
+        res = check_consistency(ExtensionFamily(FamilyKind.NAIVE_FULL, 2, 1), FaceRef.full(2))
+    finally:
+        extension._images.cache_clear()
     assert not res.ok
     assert (res.witness.f, res.witness.g) == (FaceRef(2, (0, 1)), FaceRef(2, (1, 2)))
     assert res.witness.rhs == extend_naive(res.witness.mu.trace(FaceRef(1, (1,))), FaceRef(2, (1,)), res.witness.g)
-    assert (FaceRef(2, (1,)), FaceRef(2, (1, 2))) in calls
+    # extend_naive only builds the image tables: once per (local face, basis form)
+    assert all(building for building, *_ in calls)
+    tables = {}
+    for _, fr, top, mu in calls:
+        assert top == FaceRef.full(fr.n)
+        tables.setdefault(fr, []).append(mu)
+    assert FaceRef(2, (0, 1)) in tables
+    for fr, mus in tables.items():
+        assert mus == list(basis_forms(FULL, fr, 2, 1))
 
 
 def test_naive_extension_rejects_a_form_off_the_face():
@@ -385,6 +398,46 @@ def test_naive_extension_rejects_a_form_off_the_face():
     for kind in (FamilyKind.NAIVE_FULL, FamilyKind.FULL_PSI):
         with pytest.raises(ValueError, match="form lives on dimension 2, face has dimension 1"):
             extend_form(ExtensionFamily(kind, 2, 1), mu, edge, T)
+
+
+def test_naive_extension_does_not_depend_on_the_storage_degree():
+    # lambda_1 lambda_2 d lambda_1 on the edge [x1, x2] of the triangle
+    mu = bary_monomial(1, (1, 1)).wedge(dlambda(1, (0,)))
+    fam = ExtensionFamily(FamilyKind.NAIVE_FULL, 2, 1)
+    edge, T = FaceRef(2, (1, 2)), FaceRef.full(2)
+    assert extend_form(fam, mu.lift(3), edge, T) == extend_form(fam, mu, edge, T)
+    face, tet = FaceRef(3, (0, 2, 3)), FaceRef.full(3)
+    for b in basis_forms(FULL, face, 2, 1):
+        assert extend_form(fam, b.lift(3), face, tet) == extend_form(fam, b, face, tet)
+
+
+def test_naive_extension_rejects_a_non_member():
+    # lambda_1^3 d lambda_2 has degree 3, outside P2 Lambda1 of the edge
+    mu = bary_monomial(1, (3, 0)).wedge(dlambda(1, (1,)))
+    edge, T = FaceRef(2, (1, 2)), FaceRef.full(2)
+    for kind in (FamilyKind.NAIVE_FULL, FamilyKind.FULL_PSI):
+        with pytest.raises(ValueError, match=r"^form is not a member of the degree-2 space on \(1, 2\)$"):
+            extend_form(ExtensionFamily(kind, 2, 1), mu, edge, T)
+
+
+def test_consistency_takes_coordinates_once_per_restricted_member(monkeypatch):
+    calls = Counter()
+    real = extension.membership
+
+    def spy(w, kind, face, r, k):
+        calls[face] += 1
+        return real(w, kind, face, r, k)
+
+    monkeypatch.setattr(extension, "membership", spy)
+    fam = ExtensionFamily(FamilyKind.MINUS_BARYCENTRIC, 2, 1)
+    tet = FaceRef.full(3)
+    assert check_consistency(fam, tet).ok
+    faces = tet.all_subfaces()
+    expected = Counter()
+    for f in faces:
+        for fg in {f.intersect(g) for g in faces} - {None}:
+            expected[fg] += len(basis_forms(MINUS, f, 2, 1))
+    assert calls == expected
 
 
 def test_naive_discrepancy_is_the_bubble_form():

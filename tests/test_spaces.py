@@ -22,7 +22,7 @@ from feec.spaces import (
     rank_of,
     realize,
 )
-from helpers import FRACTION_COEFFS, from_polyform, oracle_rank, oracle_solve, random_polyform
+from helpers import FRACTION_COEFFS, dense_echelon, from_polyform, oracle_rank, random_polyform
 
 Q = Fraction
 
@@ -293,13 +293,36 @@ def test_membership_shape_checks():
         membership(dlambda(1, (1,)), FULL, T, 1, 1)
 
 
-def _oracle_coordinates(basis, w):
-    """Coordinates of w in the basis by dense elimination in the oracle's normal form."""
+def _oracle_coordinates(basis):
+    """A solver for coordinates in the basis, by one dense elimination in the oracle's normal form.
+
+    The basis matrix, one row per key, is reduced next to an identity block,
+    which records the row operations E with E A = R.  A target b is in the
+    span iff (E b) vanishes past the rank and b has no key outside the
+    basis; then (E b) on the pivot rows gives the coordinates, free
+    variables zero.  The solver returns None for a non-member.
+    """
     vectors = [from_polyform(b) for b in basis]
-    target = from_polyform(w)
-    keys = sorted(set(target).union(*vectors))
-    rows = [[v.get(key, Q(0)) for v in vectors] for key in keys]
-    return oracle_solve(rows, [target.get(key, Q(0)) for key in keys])
+    known = set().union(*vectors)
+    keys = sorted(known)
+    eye = [[Q(int(i == j)) for j in range(len(keys))] for i in range(len(keys))]
+    rows = [[v.get(key, Q(0)) for v in vectors] + e for key, e in zip(keys, eye)]
+    m, pivots = dense_echelon(rows, len(basis))
+    ops = [{key: a for key, a in zip(keys, row[len(basis):]) if a} for row in m]
+
+    def solve(w):
+        target = from_polyform(w)
+        if any(c for key, c in target.items() if key not in known):
+            return None
+        y = [sum(a * target[key] for key, a in op.items() if key in target) for op in ops]
+        if any(y[len(pivots):]):
+            return None
+        x = [Q(0)] * len(basis)
+        for i, c in enumerate(pivots):
+            x[c] = y[i]
+        return x
+
+    return solve
 
 
 def test_membership_matches_dense_oracle():
@@ -312,6 +335,7 @@ def test_membership_matches_dense_oracle():
                     # any m-face of a simplex of dimension m..3 carries the same basis
                     face = rng.choice(FaceRef.full(rng.randint(m, 3)).subfaces(m))
                     basis = basis_forms(kind, face, r, k)
+                    oracle = _oracle_coordinates(basis)
                     assert membership(PolyForm.zero(m, k), kind, face, r, k) == [0] * len(basis)
                     if not basis:
                         empty_bases += 1
@@ -320,18 +344,18 @@ def test_membership_matches_dense_oracle():
                     outside = None
                     for _ in range(20):
                         extra = random_polyform(rng, m, k, r + 1)
-                        if _oracle_coordinates(basis, extra) is None:
+                        if oracle(extra) is None:
                             outside = extra
                             break
                     assert outside is not None or m == 0
                     for scalars in (range(-3, 4), FRACTION_COEFFS):
                         coeffs = [rng.choice(scalars) for _ in basis]
                         w = sum((c * b for c, b in zip(coeffs, basis)), PolyForm.zero(m, k))
-                        assert _oracle_coordinates(basis, w) == coeffs
+                        assert oracle(w) == coeffs
                         assert membership(w, kind, face, r, k) == coeffs
                         assert membership(w.lift(r + 1), kind, face, r, k) == coeffs
                         if outside is not None:
-                            assert _oracle_coordinates(basis, w + outside) is None
+                            assert oracle(w + outside) is None
                             assert membership(w + outside, kind, face, r, k) is None
     assert empty_bases > 0
 
