@@ -17,7 +17,8 @@ coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import cache
+from typing import Iterator
 
 from . import linalg
 from .extension import cell_table, placed_basis
@@ -169,25 +170,31 @@ def _stacked_rows(elements: list[GlobalBasisElement]) -> Iterator[linalg.Row]:
         }
 
 
+@cache
+def _cell_traces(family: Family, r: int, k: int, fr: FaceRef) -> tuple[PolyForm, ...]:
+    """The basis of the whole space on the fr.n-simplex traced onto fr, stored at degree r.
+
+    It depends only on the space and the local face, so it is built once per
+    process and shared by every mesh; callers must not mutate it.
+    """
+    return tuple(w.trace(fr).lift(r) for w in basis_forms(SpaceKind(family), FaceRef.full(fr.n), r, k))
+
+
 def _constraint_rows(
-    t: Triangulation, cell_basis: Sequence[PolyForm], r: int, k: int
+    t: Triangulation, family: Family, r: int, k: int, per_cell: int
 ) -> Iterator[dict[int, Scalar]]:
     """Trace matching on the shared faces, one sparse row per face term and cell pair.
 
-    Column `cell * len(cell_basis) + b` is the coefficient of basis form b on
-    that cell.  Traces depend only on the local face, so each is taken once.
+    Column `cell * per_cell + b` is the coefficient of the whole space's basis
+    form b on that cell.  Each cell's traces are read from :func:`_cell_traces`.
     """
-    per_cell = len(cell_basis)
-    traces: dict[FaceRef, list[PolyForm]] = {}
     for j in range(k, t.n):
         for face in t.faces(j):
             (c0, fr0), *others = face.incidence
             for ci, fri in others:
                 rows: dict[Key, dict[int, Scalar]] = {}
                 for cell, fr, sign in ((c0, fr0, 1), (ci, fri, -1)):
-                    if fr not in traces:
-                        traces[fr] = [w.trace(fr).lift(r) for w in cell_basis]
-                    for b, tr in enumerate(traces[fr]):
+                    for b, tr in enumerate(_cell_traces(family, r, k, fr)):
                         for key, c in tr.coeffs.items():
                             rows.setdefault(key, {})[cell * per_cell + b] = sign * c
                 yield from rows.values()
@@ -229,9 +236,8 @@ def verify_direct_sum(
         local = local and got == len(forms)
     independent = local or linalg.rank(list(_stacked_rows(elements))) == count
 
-    cell_basis = basis_forms(whole, FaceRef.full(t.n), r, k)
-    ncols = len(cell_basis) * len(t.cells)
-    constrained = ncols - linalg.rank(list(_constraint_rows(t, cell_basis, r, k)))
+    per_cell = len(basis_forms(whole, FaceRef.full(t.n), r, k))
+    constrained = per_cell * len(t.cells) - linalg.rank(list(_constraint_rows(t, family, r, k, per_cell)))
     expected = assembled_dimension(t, family, r, k)
     return DirectSumReport(count, expected, independent, constrained, cells_spanned)
 

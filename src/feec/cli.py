@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .assemble import assemble_basis, verify_direct_sum, verify_single_valued
 from .extension import placed_basis
@@ -187,7 +188,9 @@ def render_decompose(payload: dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="feec",
         description="Exact bases and geometric decompositions of simplicial form spaces.",

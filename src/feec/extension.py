@@ -35,6 +35,8 @@ from . import linalg
 from .dof import dual_images
 from .forms import FaceRef, Key, PolyForm, Scalar, bary_monomial, canonicalize, combination, psi_form, whitney
 from .spaces import (
+    FULL,
+    MINUS,
     Columns,
     Family,
     SpaceKind,
@@ -74,7 +76,7 @@ class ExtensionFamily:
 
     @property
     def space_kind(self) -> SpaceKind:
-        return SpaceKind(self.kind.family)
+        return MINUS if self.kind.family is Family.MINUS else FULL
 
 
 class VanishingOrder(Enum):
@@ -237,27 +239,33 @@ def check_consistency(fam: ExtensionFamily, h: FaceRef) -> ConsistencyResult:
 
     Works in the local coordinates of h, so h may itself be a proper face of
     a larger simplex, and reads the image tables only.  The left side is the
-    trace onto g of a basis member's image on f.  The right side weights
-    the images on f \\cap g by the coordinates there of the member's
-    trace, which are computed once per (f, f \\cap g, member).
+    trace onto g of a basis member's image on f; for disjoint f and g it
+    must vanish.  Otherwise f \\cap g, its place in f and its images in g
+    are looked up once per face pair, and the right side weights those
+    images by the coordinates on f \\cap g of the member's trace, computed
+    once per (f, f \\cap g, member).
     """
-    top = FaceRef.full(h.dim)
-    faces = top.all_subfaces()
+    faces = FaceRef.full(h.dim).all_subfaces()
     for f in faces:
         members = basis_forms(fam.space_kind, f, fam.r, fam.k)
         extended = _images(fam, f)
         restricted: dict[tuple[FaceRef, int], list[Scalar]] = {}
         for g in faces:
             fg = f.intersect(g)
+            if fg is None:
+                for mu, ext in zip(members, extended):
+                    lhs = ext.trace(g)
+                    if not lhs.is_zero:
+                        zero = PolyForm.zero(g.dim, fam.k)
+                        return ConsistencyResult(False, ConsistencyWitness(f, g, mu, lhs, zero))
+                continue
+            f_fg, images = f.to_local(fg), _images(fam, g.to_local(fg))
             for i, (mu, ext) in enumerate(zip(members, extended)):
                 lhs = ext.trace(g)
-                if fg is None:
-                    rhs = PolyForm.zero(g.dim, fam.k)
-                else:
-                    coords = restricted.get((fg, i))
-                    if coords is None:
-                        coords = restricted[fg, i] = _coordinates(fam, mu.trace(f.to_local(fg)), fg)
-                    rhs = combination(g.dim, fam.k, zip(coords, _images(fam, g.to_local(fg))))
+                coords = restricted.get((fg, i))
+                if coords is None:
+                    coords = restricted[fg, i] = _coordinates(fam, mu.trace(f_fg), fg)
+                rhs = combination(g.dim, fam.k, zip(coords, images))
                 if lhs != rhs:
                     return ConsistencyResult(False, ConsistencyWitness(f, g, mu, lhs, rhs))
     return ConsistencyResult(True)

@@ -111,10 +111,12 @@ class FaceRef:
         """All j-dimensional subfaces, in lexicographic vertex order."""
         return [FaceRef(self.n, c) for c in combinations(self.indices, j + 1)]
 
-    def all_subfaces(self) -> list[FaceRef]:
+    @cache
+    def all_subfaces(self) -> tuple[FaceRef, ...]:
         """All subfaces including this face, by increasing dimension."""
-        return [f for j in range(self.dim + 1) for f in self.subfaces(j)]
+        return tuple(f for j in range(self.dim + 1) for f in self.subfaces(j))
 
+    @cache
     def intersect(self, other: FaceRef) -> FaceRef | None:
         """Common subface, or None when the vertex sets are disjoint."""
         common = tuple(i for i in self.indices if i in set(other.indices))
@@ -536,9 +538,14 @@ def dlambda(n: int, sigma: tuple[int, ...]) -> PolyForm:
     return canonicalize(n, len(sigma), [((0,) * (n + 1), tuple(sigma), 1)], degree=0)
 
 
-def whitney(n: int, sigma: tuple[int, ...]) -> PolyForm:
+def whitney(n: int, sigma: Iterable[int]) -> PolyForm:
     """The Whitney form of the subsimplex with the given k+1 vertex indices."""
-    sigma = tuple(sigma)
+    return _whitney(n, tuple(sigma))
+
+
+@cache
+def _whitney(n: int, sigma: tuple[int, ...]) -> PolyForm:
+    """:func:`whitney` on a tuple, built once per process; callers must not mutate it."""
     if any(a >= b for a, b in zip(sigma, sigma[1:])):
         raise ValueError(f"vertex indices must be strictly increasing: {sigma}")
     k = len(sigma) - 1

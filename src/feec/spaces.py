@@ -6,10 +6,11 @@ forms; each comes in a whole-space and a zero-boundary-trace flavor.  The
 spanning sets and the basis side conditions below pick out the standard
 barycentric generators; all independence and membership questions are
 settled by exact rational elimination over canonical coefficients.  The
-realized basis is built once per process for each space and face dimension,
-and its exact inverse on its pivot keys is kept as sparse columns keyed by
-pivot key, so a membership test reads only the columns of the keys the form
-has before it rebuilds the form to check the answer.
+basis generators are enumerated once per process for each space and face,
+and the realized basis is built once for each space and face dimension; its
+exact inverse on its pivot keys is kept as sparse columns keyed by pivot
+key, so a membership test reads only the columns of the keys the form has
+before it rebuilds the form to check the answer.
 """
 
 from __future__ import annotations
@@ -82,9 +83,10 @@ def enumerate_spanning(kind: SpaceKind, face: FaceRef, r: int, k: int) -> list[G
     return _enumerate(kind, face, r, k, basis_only=False)
 
 
-def enumerate_basis(kind: SpaceKind, face: FaceRef, r: int, k: int) -> list[GeneratorDescriptor]:
-    """The subset of spanning generators satisfying the basis side condition."""
-    return _enumerate(kind, face, r, k, basis_only=True)
+@cache
+def enumerate_basis(kind: SpaceKind, face: FaceRef, r: int, k: int) -> tuple[GeneratorDescriptor, ...]:
+    """The spanning generators satisfying the basis side condition, built once per process."""
+    return tuple(_enumerate(kind, face, r, k, basis_only=True))
 
 
 def _enumerate(

@@ -16,7 +16,7 @@ from feec.assemble import (
     verify_direct_sum,
     verify_single_valued,
 )
-from feec import assemble, linalg
+from feec import assemble, linalg, spaces
 from feec.extension import characterization_equality, placed_basis
 from feec.forms import FaceRef, PolyForm, bary_monomial, dlambda, whitney
 from feec.mesh import from_cells
@@ -533,3 +533,35 @@ def test_restrictions_are_the_placed_basis_table():
                             table = placed_basis(zero_kind, r, k, fr)
                             assert len(els) == len(table)
                             assert all(el.restrictions[ci] is w for el, w in zip(els, table))
+
+
+def test_assembly_enumerates_each_face_basis_once_per_process(monkeypatch):
+    calls = Counter()
+    real = spaces._enumerate
+
+    def spy(kind, face, r, k, basis_only):
+        calls[kind, face, r, k, basis_only] += 1
+        return real(kind, face, r, k, basis_only)
+
+    monkeypatch.setattr(spaces, "_enumerate", spy)
+    spaces.enumerate_basis.cache_clear()
+    try:
+        for _ in range(2):
+            assert len(assemble_basis(TET2, Family.FULL, 2, 1)) == assembled_dimension(TET2, Family.FULL, 2, 1)
+    finally:
+        spaces.enumerate_basis.cache_clear()
+    zero_kind = SpaceKind(Family.FULL, zero_trace=True)
+    assert {(zero_kind, FaceRef.full(j), 2, 1, True) for j in (1, 2, 3)} <= set(calls)
+    assert set(calls.values()) == {1}
+
+
+def test_cell_traces_are_the_traced_cell_basis():
+    for n in (2, 3):
+        for family in Family:
+            for r in (1, 2):
+                for k in range(n + 1):
+                    basis = basis_forms(SpaceKind(family), FaceRef.full(n), r, k)
+                    for fr in FaceRef.full(n).all_subfaces():
+                        table = assemble._cell_traces(family, r, k, fr)
+                        assert table == tuple(w.trace(fr).lift(r) for w in basis)
+                        assert assemble._cell_traces(family, r, k, fr) is table

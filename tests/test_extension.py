@@ -361,6 +361,28 @@ def test_a_patched_moment_image_fails_its_consistency_case_with_its_faces(monkey
     assert re.fullmatch(r"faces \([\d, ]+\) vs \([\d, ]+\)", failed[0][1])
 
 
+def test_a_disjoint_pair_needs_a_vanishing_left_side(monkeypatch):
+    # adding lambda_1 to the image of vertex 0 leaves a nonzero trace on vertex 1
+    fam = ExtensionFamily(FamilyKind.MINUS_BARYCENTRIC, 1, 0)
+    vertex = FaceRef(3, (0,))
+    original = extension._images
+
+    def images(family, fr):
+        out = original(family, fr)
+        return (out[0] + bary_monomial(3, (0, 1, 0, 0)),) if (family, fr) == (fam, vertex) else out
+
+    original.cache_clear()
+    monkeypatch.setattr(extension, "_images", images)
+    try:
+        res = check_consistency(fam, FaceRef.full(3))
+    finally:
+        original.cache_clear()
+    assert not res.ok
+    w = res.witness
+    assert (w.f, w.g) == (vertex, FaceRef(3, (1,)))
+    assert not w.lhs.is_zero and w.rhs.is_zero
+
+
 def test_the_naive_control_extends_through_extend_naive(monkeypatch):
     calls = []
 

@@ -519,3 +519,13 @@ def test_combination_matches_chained_addition():
         combination(2, 1, [(1, dlambda(3, (1,)))])
     with pytest.raises(ValueError):
         combination(2, 1, [(1, dlambda(2, (1, 2)))])
+
+
+def test_whitney_forms_and_subface_lists_are_tables():
+    assert whitney(2, [0, 1]) == whitney(2, (0, 1))
+    assert whitney(2, iter((0, 1))) is whitney(2, (0, 1))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        whitney(2, [1, 0])
+    T = FaceRef.full(3)
+    assert type(T.all_subfaces()) is tuple and T.all_subfaces() is T.all_subfaces()
+    assert T.intersect(FaceRef(3, (1, 2))) is T.intersect(FaceRef(3, (1, 2)))

@@ -395,3 +395,15 @@ def test_membership_results_are_not_shared_between_calls():
     first[0] += 7
     first.append(Q(1))
     assert membership(w, MINUS, T, 1, 1) == expected
+
+
+def test_the_basis_enumeration_is_one_table_per_argument_tuple():
+    for n in range(4):
+        for face in FaceRef.full(n).all_subfaces():
+            for kind in ALL_KINDS:
+                for r in range(4):
+                    for k in range(face.dim + 1):
+                        got = enumerate_basis(kind, face, r, k)
+                        assert type(got) is tuple
+                        assert enumerate_basis(kind, face, r, k) is got
+                        assert list(got) == spaces._enumerate(kind, face, r, k, basis_only=True)
