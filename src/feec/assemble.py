@@ -10,8 +10,10 @@ computed independently by imposing the trace-matching constraints on the
 product of the cell spaces.  A member of the assembled space is split into
 its per-face components by one exact coordinate solve per cell against the
 placed zero-trace bases of all the cell's faces, which together are one
-basis of the cell space; the cells that share a face must give it the same
-coordinates.
+basis of the cell space.  The solve reads the form only on the basis's pivot
+keys, so its coordinates are accepted when the form has no key outside the
+basis and they agree with it on every key that is not a pivot; the cells
+that share a face must give it the same coordinates.
 """
 
 from __future__ import annotations
@@ -251,13 +253,14 @@ def decompose(
     Each cell form is solved once against the geometric basis of its cell,
     the placed zero-trace bases of all its local faces together
     (:func:`extension.cell_table`), and its coordinates are accepted only if
-    they rebuild the form exactly.  The traces are single-valued exactly
-    when, on every face, all incident cells give that face's slot the same
-    coordinates; faces are compared in lattice order.  The result maps each
-    face's vertex tuple to its component, the combination of those
-    coordinates with the face's zero-trace basis in its own coordinates,
-    stored at degree max(r, w.r) of the first incident cell's form w; faces
-    whose coordinates all vanish are left out.
+    the form has no key outside that basis and the coordinates agree with it
+    on every off-pivot key (:func:`spaces.coordinates`).  The traces are
+    single-valued exactly when, on every face, all incident cells give that
+    face's slot the same coordinates; faces are compared in lattice order.
+    The result maps each face's vertex tuple to its component, the
+    combination of those coordinates with the face's zero-trace basis in its
+    own coordinates, stored at degree max(r, w.r) of the first incident
+    cell's form w; faces whose coordinates all vanish are left out.
     """
     _check_degree_and_order(t, r, k)
     n = t.n
@@ -270,8 +273,8 @@ def decompose(
     for ci in range(len(t.cells)):
         w = piecewise.get(ci, PolyForm.zero(n, k))
         degree = max(r, w.r)
-        forms, slots, columns = cell_table(zero_kind, n, r, k, degree)
-        coords = coordinates(w.lift(degree), n, k, forms, columns)
+        _, slots, table = cell_table(zero_kind, n, r, k, degree)
+        coords = coordinates(w.lift(degree), n, k, table)
         if coords is None:
             raise ValueError(f"form on cell {ci} is not in the {family.value} space of degree {r}")
         split.append({fr: coords[slot] for fr, slot in slots.items()})

@@ -37,7 +37,7 @@ from .forms import FaceRef, Key, PolyForm, Scalar, bary_monomial, canonicalize, 
 from .spaces import (
     FULL,
     MINUS,
-    Columns,
+    CoordinateTable,
     Family,
     SpaceKind,
     basis_forms,
@@ -136,7 +136,7 @@ def placed_basis(kind: SpaceKind, r: int, k: int, fr: FaceRef) -> tuple[PolyForm
 @cache
 def cell_table(
     kind: SpaceKind, n: int, r: int, k: int, degree: int
-) -> tuple[tuple[PolyForm, ...], dict[FaceRef, slice], Columns]:
+) -> tuple[tuple[PolyForm, ...], dict[FaceRef, slice], CoordinateTable]:
     """The geometric basis of the whole space on the n-simplex, stored at `degree`.
 
     `kind` is a zero-trace space.  The whole space of its family on the cell
@@ -144,8 +144,8 @@ def cell_table(
     extended into the cell, so the :func:`placed_basis` forms of every local
     face of dimension >= k, in lattice order, form one basis of it.
     Returned are those forms, the slot
-    of each local face's forms in that list, and their sparse inverse
-    columns (:func:`spaces.inverse_columns`).  Building the table proves
+    of each local face's forms in that list, and their coordinate table
+    (:func:`spaces.inverse_columns`).  Building the table proves
     the decomposition: it raises ArithmeticError unless the forms are
     independent and as many as the dimension of the cell space.  Built once
     per process for each argument tuple; callers must not mutate it.

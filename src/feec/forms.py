@@ -71,10 +71,10 @@ class FaceRef:
     def __hash__(self) -> int:
         return self._hash
 
-    @classmethod
-    def full(cls, n: int) -> FaceRef:
-        """The whole reference n-simplex as a face of itself."""
-        return cls(n, tuple(range(n + 1)))
+    @staticmethod
+    def full(n: int) -> FaceRef:
+        """The whole reference n-simplex as a face of itself, one object per n per process."""
+        return _full_face(n)
 
     @property
     def complement_indices(self) -> tuple[int, ...]:
@@ -121,6 +121,12 @@ class FaceRef:
         """Common subface, or None when the vertex sets are disjoint."""
         common = tuple(i for i in self.indices if i in set(other.indices))
         return FaceRef(self.n, common) if common else None
+
+
+@cache
+def _full_face(n: int) -> FaceRef:
+    """:meth:`FaceRef.full`, built on first use; a negative n raises and is not kept."""
+    return FaceRef(n, tuple(range(n + 1)))
 
 
 def _sort_sign(seq: Iterable[int]) -> tuple[tuple[int, ...], int] | None:
@@ -327,21 +333,25 @@ class PolyForm:
     def __add__(self, other: PolyForm) -> PolyForm:
         if not isinstance(other, PolyForm):
             return NotImplemented
-        if self.n != other.n or (self.k != other.k and not (self.is_zero or other.is_zero)):
+        a, b = self.coeffs, other.coeffs
+        if self.n != other.n or (self.k != other.k and a and b):
             raise ValueError("cannot add forms of different shape")
-        if self.is_zero:
+        if not a:
             return other
-        if other.is_zero:
+        if not b:
             return self
-        r = max(self.r, other.r)
-        a, b = self.lift(r), other.lift(r)
-        coeffs = dict(a.coeffs)
-        for key, c in b.coeffs.items():
+        r = self.r
+        if other.r != r:
+            r = max(r, other.r)
+            a, b = self.lift(r).coeffs, other.lift(r).coeffs
+        coeffs = dict(a)
+        for key, c in b.items():
             v = coeffs.get(key, 0) + c
             if v:
                 coeffs[key] = v if type(v) is int or v.denominator != 1 else v.numerator
             else:
-                coeffs.pop(key, None)
+                # stored coefficients are nonzero, so a zero sum had a summand here
+                del coeffs[key]
         return PolyForm(self.n, self.k, r, coeffs)
 
     def __neg__(self) -> PolyForm:
@@ -351,10 +361,15 @@ class PolyForm:
         return self + (-other)
 
     def __mul__(self, scalar: Scalar) -> PolyForm:
-        c = _exact(scalar)
+        c = scalar if type(scalar) is int else _exact(scalar)
         if not c:
             return PolyForm.zero(self.n, self.k)
-        return PolyForm(self.n, self.k, self.r, _settle({key: v * c for key, v in self.coeffs.items()}))
+        # a product of nonzero scalars is nonzero; only an integral Fraction needs settling
+        coeffs: dict[Key, Scalar] = {}
+        for key, v in self.coeffs.items():
+            v *= c
+            coeffs[key] = v if type(v) is int or v.denominator != 1 else v.numerator
+        return PolyForm(self.n, self.k, self.r, coeffs)
 
     __rmul__ = __mul__
 

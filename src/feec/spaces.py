@@ -9,8 +9,9 @@ settled by exact rational elimination over canonical coefficients.  The
 basis generators are enumerated once per process for each space and face,
 and the realized basis is built once for each space and face dimension; its
 exact inverse on its pivot keys is kept as sparse columns keyed by pivot
-key, so a membership test reads only the columns of the keys the form has
-before it rebuilds the form to check the answer.
+key, so a membership test reads only the columns of the keys the form has,
+and then checks the answer on the keys that are not pivots, where alone the
+combination could differ from the form.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .combinat import binom, multiindices
 from . import linalg
-from .forms import FaceRef, Key, PolyForm, Scalar, bary_monomial, combination, dlambda, whitney
+from .forms import FaceRef, Key, PolyForm, Scalar, bary_monomial, dlambda, whitney
 
 
 class Family(str, Enum):
@@ -175,13 +176,30 @@ def rank_of(forms: Iterable[PolyForm]) -> int:
 Columns = dict[Key, tuple[tuple[int, Scalar], ...]]
 
 
-def inverse_columns(forms: Sequence[PolyForm], what: str) -> Columns:
-    """The exact inverse of the forms on their pivot keys, as sparse columns.
+class CoordinateTable(NamedTuple):
+    """What an exact coordinate solve in a fixed list of independent forms reads.
+
+    `columns` holds the sparse inverse columns by pivot key, `keys` every
+    key the forms have, and `off_pivot` the forms' own sparse (form index,
+    coefficient) column at each of those keys that is not a pivot.
+    """
+
+    size: int
+    columns: Columns
+    keys: frozenset[Key]
+    off_pivot: Columns
+
+
+def inverse_columns(forms: Sequence[PolyForm], what: str) -> CoordinateTable:
+    """The exact inverse of the forms on their pivot keys, and their off-pivot columns.
 
     The pivot keys are the least independent key columns in key order, so the
     forms restricted to them are square and nonsingular.  The inverse of that
     square matrix is kept column by column, keyed by pivot key, with only its
-    nonzero (form index, entry) pairs.  Dependent forms raise ArithmeticError
+    nonzero (form index, entry) pairs; every other key of the forms keeps the
+    forms' own column, which is all that :func:`coordinates` has left to
+    check.  A full-family basis at its own degree r is square on all its
+    keys and has no off-pivot column.  Dependent forms raise ArithmeticError
     naming `what`.
     """
     pivot_keys = linalg.pivot_columns(w.coeffs for w in forms)
@@ -190,44 +208,55 @@ def inverse_columns(forms: Sequence[PolyForm], what: str) -> Columns:
         inverse = linalg.inverse([[w.coeffs.get(key, 0) for w in forms] for key in pivot_keys])
     if inverse is None:
         raise ArithmeticError(f"dependent basis for {what}")
-    return {
+    columns = {
         key: tuple((i, row[j]) for i, row in enumerate(inverse) if row[j]) for j, key in enumerate(pivot_keys)
     }
+    off_pivot: dict[Key, list[tuple[int, Scalar]]] = {}
+    for i, w in enumerate(forms):
+        for key, c in w.coeffs.items():
+            if key not in columns:
+                off_pivot.setdefault(key, []).append((i, c))
+    keys = frozenset(columns).union(off_pivot)
+    return CoordinateTable(len(forms), columns, keys, {key: tuple(col) for key, col in off_pivot.items()})
 
 
-def coordinates(
-    w: PolyForm, n: int, k: int, forms: Sequence[PolyForm], columns: Columns
-) -> list[Scalar] | None:
+def coordinates(w: PolyForm, n: int, k: int, table: CoordinateTable) -> list[Scalar] | None:
     """Coordinates of w in independent forms, or None when w is not in their span.
 
     The forms and w live on dimension n and are stored at one degree, and
-    `columns` is their :func:`inverse_columns`.  Candidate coordinates come
+    `table` is the forms' :func:`inverse_columns`.  Candidate coordinates come
     from w's coefficients on the pivot keys, through the sparse inverse
-    columns of those keys that w has; they are accepted only if the
-    combination of the forms rebuilds w exactly.
+    columns of those keys that w has, so the combination agrees with w on
+    every pivot key by construction.  They are accepted exactly when that
+    combination is w: every key of w is a key of the forms, and the
+    coordinates agree with w on every off-pivot key.
     """
     if w.n != n:
         raise ValueError(f"form lives on dimension {w.n}, face has dimension {n}")
     if not w.is_zero and w.k != k:
         raise ValueError(f"form order {w.k} does not match k={k}")
-    coords: list[Scalar] = [0] * len(forms)
-    for key, v in w.coeffs.items():
+    target = w.coeffs
+    if not target.keys() <= table.keys:
+        return None
+    coords: list[Scalar] = [0] * table.size
+    columns = table.columns
+    for key, v in target.items():
         for i, a in columns.get(key, ()):
             coords[i] += a * v
-    coords = [c if type(c) is int or c.denominator != 1 else c.numerator for c in coords]
-    if combination(n, k, zip(coords, forms)).coeffs != w.coeffs:
-        return None
-    return coords
+    for key, col in table.off_pivot.items():
+        if sum(coords[i] * c for i, c in col) != target.get(key, 0):
+            return None
+    return [c if type(c) is int or c.denominator != 1 else c.numerator for c in coords]
 
 
 @cache
-def _basis_table(kind: SpaceKind, m: int, r: int, k: int, degree: int) -> tuple[tuple[PolyForm, ...], Columns]:
-    """The basis on an m-face stored at `degree`, and its :func:`inverse_columns`.
+def _basis_table(kind: SpaceKind, m: int, r: int, k: int, degree: int) -> CoordinateTable:
+    """The :func:`inverse_columns` of the basis on an m-face stored at `degree`.
 
     Built once per process for each argument tuple.
     """
-    basis = tuple(b.lift(degree) for b in basis_forms(kind, FaceRef.full(m), r, k))
-    return basis, inverse_columns(basis, f"{kind} r={r} k={k} on dim {m}")
+    basis = [b.lift(degree) for b in basis_forms(kind, FaceRef.full(m), r, k)]
+    return inverse_columns(basis, f"{kind} r={r} k={k} on dim {m}")
 
 
 def membership(
@@ -239,4 +268,4 @@ def membership(
     the storage degree max(r, w.r) through :func:`coordinates`.
     """
     degree = max(r, w.r)
-    return coordinates(w.lift(degree), face.dim, k, *_basis_table(kind, face.dim, r, k, degree))
+    return coordinates(w.lift(degree), face.dim, k, _basis_table(kind, face.dim, r, k, degree))

@@ -284,6 +284,24 @@ def oracle_inverse(rows):
     return [row[n:] for row in m]
 
 
+def rebuild_coordinates(w, forms, table):
+    """Coordinates of w in the forms if their combination rebuilds w exactly, else None.
+
+    The reference for `feec.spaces.coordinates`: the same candidate
+    coordinates from w's pivot keys through the table's inverse columns, but
+    accepted by rebuilding the whole combination and comparing every key.
+    """
+    from feec.forms import combination
+
+    coords = [0] * len(forms)
+    for key, v in w.coeffs.items():
+        for i, a in table.columns.get(key, ()):
+            coords[i] += a * v
+    if combination(w.n, w.k, zip(coords, forms)).coeffs != w.coeffs:
+        return None
+    return [c if type(c) is int or c.denominator != 1 else c.numerator for c in coords]
+
+
 def peel_oracle(t, family, r, k, piecewise):
     """Per-face components of a piecewise form, by peeling face by face.
 

@@ -17,11 +17,11 @@ from feec.assemble import (
     verify_single_valued,
 )
 from feec import assemble, linalg, spaces
-from feec.extension import characterization_equality, placed_basis
-from feec.forms import FaceRef, PolyForm, bary_monomial, dlambda, whitney
+from feec.extension import cell_table, characterization_equality, placed_basis
+from feec.forms import FaceRef, PolyForm, bary_monomial, canonicalize, dlambda, whitney
 from feec.mesh import from_cells
-from feec.spaces import Family, SpaceKind, basis_forms, dim_space, membership, realize
-from helpers import oracle_rank, peel_oracle
+from feec.spaces import Family, SpaceKind, basis_forms, coordinates, dim_space, membership, realize
+from helpers import oracle_rank, peel_oracle, rebuild_coordinates
 
 TRI1 = from_cells(2, [(0, 1, 2)])
 TRI2 = from_cells(2, [(0, 1, 2), (1, 2, 3)])
@@ -495,6 +495,34 @@ def test_decompose_accepts_a_member_stored_above_degree_r():
                     peeled = peel_oracle(mesh, family, r, k, lifted)
                     assert list(peeled) == list(high)
                     assert all(high[f].coeffs == w.coeffs for f, w in peeled.items())
+
+
+def test_decompose_refuses_a_cell_perturbed_off_pivot():
+    # the cell solve reads only the pivot keys; a change on any other key is still caught
+    rng = random.Random(101)
+    for mesh in (FAN3, TET2):
+        n = mesh.n
+        for family in Family:
+            zero_kind = SpaceKind(family, zero_trace=True)
+            for r in (1, 2, 3):
+                for k in range(n + 1):
+                    forms, _, table = cell_table(zero_kind, n, r, k, r)
+                    if family is Family.FULL:
+                        # the geometric basis of P_r Lambda^k is square on the canonical keys
+                        assert not table.off_pivot and len(table.keys) == len(forms)
+                        continue
+                    # P_r^- Lambda^0 = P_r Lambda^0; for k >= 1 the reduced family is smaller
+                    assert bool(table.off_pivot) == (k > 0)
+                    els = assemble_basis(mesh, family, r, k)
+                    member = _member(els, [rng.randint(-2, 2) for _ in els], n, k)
+                    ci = rng.randrange(len(mesh.cells))
+                    for key in rng.sample(sorted(table.off_pivot), min(2, len(table.off_pivot))):
+                        bumped = member[ci] + canonicalize(n, k, [(*key, rng.choice((-1, 2)))], degree=r)
+                        assert coordinates(bumped, n, k, table) is None
+                        assert rebuild_coordinates(bumped, forms, table) is None
+                        message = f"form on cell {ci} is not in the {family.value} space of degree {r}"
+                        with pytest.raises(ValueError, match=message):
+                            decompose(mesh, family, r, k, {**member, ci: bumped})
 
 
 def test_decompose_rejects_keys_that_are_not_cells():

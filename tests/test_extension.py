@@ -187,9 +187,9 @@ def test_placed_bases_of_all_faces_are_one_basis_of_the_cell_space():
         for n, max_r in ((0, 3), (1, 3), (2, 3), (3, 3), (4, 2)):
             for r in range(1, max_r + 1):
                 for k in range(n + 1):
-                    forms, slots, columns = cell_table(zero_kind, n, r, k, r)
+                    forms, slots, table = cell_table(zero_kind, n, r, k, r)
                     assert len(forms) == dim_space(SpaceKind(family), n, r, k)
-                    assert len(columns) == len(forms)
+                    assert table.size == len(table.columns) == len(forms)
                     for fr, slot in slots.items():
                         placed = placed_basis(zero_kind, r, k, fr)
                         assert forms[slot] == placed

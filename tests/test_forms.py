@@ -521,6 +521,76 @@ def test_combination_matches_chained_addition():
         combination(2, 1, [(1, dlambda(2, (1, 2)))])
 
 
+def _same_form(got, want):
+    """Equal coefficient dicts at one storage degree, with equal coefficient types."""
+    assert (got.n, got.k, got.r) == (want.n, want.k, want.r)
+    assert got.coeffs == want.coeffs
+    assert {key: type(c) for key, c in got.coeffs.items()} == {key: type(c) for key, c in want.coeffs.items()}
+
+
+def test_scaling_and_adding_match_combination():
+    rng = random.Random(89)
+    scalars = (0, 1, -2, 3, True, False, Q(1, 2), Q(-3, 2), Q(4, 2), Q(0))
+    for n in (1, 2, 3):
+        for k in range(n + 1):
+            for _ in range(4):
+                w = random_polyform(rng, n, k, rng.randint(0, 2), coeffs=FRACTION_COEFFS)
+                v = random_polyform(rng, n, k, rng.randint(0, 3), coeffs=INTEGER_COEFFS)
+                for c in scalars:
+                    want = combination(n, k, [(c, w)])
+                    _same_form(c * w, want)
+                    _same_form(w * c, want)
+                _same_form(w + v, combination(n, k, [(1, w), (1, v)]))
+                _same_form(v + w, combination(n, k, [(1, v), (1, w)]))
+                _same_form(w - w.lift(w.r + 1), PolyForm.zero(n, k))
+                # a partial cancellation drops exactly the cancelled keys
+                part = canonicalize(n, k, [(*key, c) for key, c in list(w.coeffs.items())[:1]], degree=w.r)
+                _same_form(w - part, combination(n, k, [(1, w), (-1, part)]))
+                assert not set(part.coeffs) & set((w - part).coeffs)
+
+
+def test_scaling_settles_integral_products_and_adding_lifts():
+    half = Q(1, 2) * dlambda(2, (1,)) + bary_monomial(2, (0, 1, 0)).wedge(dlambda(2, (2,)))
+    assert {type(c) for c in half.coeffs.values()} == {int, Q}
+    doubled = 2 * half
+    assert all(type(c) is int for c in doubled.coeffs.values())
+    assert all(type(c) is int for c in (Q(4, 2) * half).coeffs.values())
+    assert all(type(c) is int for c in (half * Q(-2)).coeffs.values())
+    assert (True * half).coeffs == half.coeffs and (False * half).is_zero
+    mixed = dlambda(2, (1,)) + whitney(2, (0, 2)).lift(2)
+    assert mixed.r == 2
+    _same_form(mixed, combination(2, 1, [(1, dlambda(2, (1,))), (1, whitney(2, (0, 2)).lift(2))]))
+    sum_of_halves = Q(1, 2) * dlambda(2, (1,)) + Q(1, 2) * dlambda(2, (1,))
+    _same_form(sum_of_halves, dlambda(2, (1,)))
+
+
+def test_form_arithmetic_refuses_inexact_scalars_and_non_forms():
+    w = whitney(2, (0, 1))
+    for bad in (0.5, 0.0, 2.0):
+        with pytest.raises(TypeError):
+            w * bad
+        with pytest.raises(TypeError):
+            bad * w
+    assert w.__add__(3) is NotImplemented
+    assert w.__add__(Q(1)) is NotImplemented
+    with pytest.raises(TypeError):
+        w + 3
+    with pytest.raises(TypeError):
+        3 + w
+    with pytest.raises(ValueError, match="different shape"):
+        w + dlambda(2, (1, 2))
+
+
+def test_full_face_is_one_object_per_dimension():
+    for n in range(5):
+        T = FaceRef.full(n)
+        assert T is FaceRef.full(n)
+        assert T == FaceRef(n, tuple(range(n + 1))) and T.dim == n
+    for n in (-1, -3):
+        with pytest.raises(ValueError):
+            FaceRef.full(n)
+
+
 def test_whitney_forms_and_subface_lists_are_tables():
     assert whitney(2, [0, 1]) == whitney(2, (0, 1))
     assert whitney(2, iter((0, 1))) is whitney(2, (0, 1))

@@ -6,7 +6,7 @@ import pytest
 
 from feec import spaces
 from feec.combinat import binom, multiindices
-from feec.forms import FaceRef, PolyForm, bary_monomial, dlambda, whitney
+from feec.forms import FaceRef, PolyForm, bary_monomial, canonicalize, combination, dlambda, whitney
 from feec.spaces import (
     FULL,
     FULL_ZERO,
@@ -15,6 +15,7 @@ from feec.spaces import (
     Family,
     SpaceKind,
     basis_forms,
+    coordinates,
     dim_space,
     enumerate_basis,
     enumerate_spanning,
@@ -22,7 +23,7 @@ from feec.spaces import (
     rank_of,
     realize,
 )
-from helpers import FRACTION_COEFFS, dense_echelon, from_polyform, oracle_rank, random_polyform
+from helpers import FRACTION_COEFFS, dense_echelon, from_polyform, oracle_rank, random_polyform, rebuild_coordinates
 
 Q = Fraction
 
@@ -358,6 +359,49 @@ def test_membership_matches_dense_oracle():
                             assert oracle(w + outside) is None
                             assert membership(w + outside, kind, face, r, k) is None
     assert empty_bases > 0
+
+
+def test_coordinates_check_the_off_pivot_keys_exactly():
+    # the off-pivot check gives the rebuild's verdicts and coordinates, for both families
+    rng = random.Random(97)
+    off_pivot_seen = 0
+    for kind in ALL_KINDS:
+        for n in range(4):
+            T = FaceRef.full(n)
+            for r in range(4):
+                for k in range(n + 1):
+                    table = spaces._basis_table(kind, n, r, k, r)
+                    basis = [b.lift(r) for b in basis_forms(kind, T, r, k)]
+                    keys = set().union(*(b.coeffs for b in basis))
+                    assert table.size == len(basis) == len(table.columns)
+                    assert table.keys == keys == set(table.columns) | set(table.off_pivot)
+                    assert not set(table.columns) & set(table.off_pivot)
+                    if kind == FULL:
+                        # square on the canonical keys: dim P_r Lambda^k = C(r + n, n) C(n, k)
+                        assert not table.off_pivot and len(keys) == binom(r + n, n) * binom(n, k)
+                    off_pivot_seen += len(table.off_pivot)
+
+                    coeffs = [rng.choice(FRACTION_COEFFS) for _ in basis]
+                    w = combination(n, k, zip(coeffs, basis))
+                    assert coordinates(w, n, k, table) == rebuild_coordinates(w, basis, table) == coeffs
+                    assert membership(w.lift(r + 1), kind, T, r, k) == coeffs
+                    for key in table.off_pivot:
+                        bumped = w + canonicalize(n, k, [(*key, 1)], degree=r)
+                        assert set(bumped.coeffs) ^ set(w.coeffs) <= {key}
+                        assert coordinates(bumped, n, k, table) is None
+                        assert rebuild_coordinates(bumped, basis, table) is None
+                    stray = [(a, s) for a in multiindices(n, r) for s in combinations(range(1, n + 1), k)]
+                    stray = [key for key in stray if key not in keys]
+                    assert bool(stray) == (len(keys) < binom(r + n, n) * binom(n, k))
+                    for key in stray[:3]:
+                        outside = w + canonicalize(n, k, [(*key, Q(1, 3))], degree=r)
+                        assert coordinates(outside, n, k, table) is None
+                        assert rebuild_coordinates(outside, basis, table) is None
+                    other = random_polyform(rng, n, k, r, coeffs=FRACTION_COEFFS)
+                    got = coordinates(other, n, k, table)
+                    assert got == rebuild_coordinates(other, basis, table)
+                    assert got is None or combination(n, k, zip(got, basis)) == other
+    assert off_pivot_seen > 0
 
 
 def test_realized_basis_depends_only_on_face_dimension():
