@@ -18,9 +18,8 @@ that share a face must give it the same coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import linalg
 from .extension import cell_table, placed_basis
@@ -38,8 +37,7 @@ from .spaces import (
 )
 
 
-@dataclass
-class GlobalBasisElement:
+class GlobalBasisElement(NamedTuple):
     """One assembled basis form: a face generator extended into its cells."""
 
     face: GlobalFace
@@ -77,8 +75,7 @@ def assembled_dimension(t: Triangulation, family: Family, r: int, k: int) -> int
     return sum(dim_space(zero_kind, f.dim, r, k) for f in t.all_faces())
 
 
-@dataclass
-class SingleValuedWitness:
+class SingleValuedWitness(NamedTuple):
     element: GlobalBasisElement | None
     face: GlobalFace
     traces: tuple[PolyForm, PolyForm]
@@ -140,8 +137,7 @@ def verify_single_valued(
     return None
 
 
-@dataclass
-class DirectSumReport:
+class DirectSumReport(NamedTuple):
     count: int
     expected: int
     independent: bool

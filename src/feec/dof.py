@@ -19,16 +19,14 @@ increasing vertex order; only the exact rational values matter here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .forms import FaceRef, PolyForm, Scalar, combination, integral_over_face
 from .spaces import Family, SpaceKind, basis_forms
 
 
-@dataclass(frozen=True)
-class DofFunctional:
+class DofFunctional(NamedTuple):
     """A face moment: integrate the trace against the weight on the face."""
 
     face: FaceRef

@@ -27,9 +27,9 @@ with the convention that an empty intersection contributes zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from typing import NamedTuple
 
 from . import linalg
 from .dof import dual_images
@@ -62,17 +62,15 @@ class FamilyKind(Enum):
         return Family.MINUS if self in (FamilyKind.MINUS_BARYCENTRIC, FamilyKind.DUAL_MINUS) else Family.FULL
 
 
-@dataclass(frozen=True)
-class ExtensionFamily:
+class ExtensionFamily(NamedTuple("ExtensionFamily", [("kind", FamilyKind), ("r", int), ("k", int)])):
     """A family of extension operators E_{f,g} for one space kind."""
 
-    kind: FamilyKind
-    r: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind is FamilyKind.FULL_PSI and self.r == 0 and self.k >= 1:
+    def __new__(cls, kind: FamilyKind, r: int, k: int) -> ExtensionFamily:
+        if kind is FamilyKind.FULL_PSI and r == 0 and k >= 1:
             raise ValueError("the corrected-differential extension needs r >= 1 for k >= 1")
+        return super().__new__(cls, kind, r, k)
 
     @property
     def space_kind(self) -> SpaceKind:
@@ -216,8 +214,7 @@ def extend_form(fam: ExtensionFamily, mu: PolyForm, f: FaceRef, g: FaceRef) -> P
 # -- the compatibility law ------------------------------------------------------
 
 
-@dataclass
-class ConsistencyWitness:
+class ConsistencyWitness(NamedTuple):
     f: FaceRef
     g: FaceRef
     mu: PolyForm
@@ -225,8 +222,7 @@ class ConsistencyWitness:
     rhs: PolyForm
 
 
-@dataclass
-class ConsistencyResult:
+class ConsistencyResult(NamedTuple):
     ok: bool
     witness: ConsistencyWitness | None = None
 

@@ -26,7 +26,6 @@ an inexact scalar (float, Decimal, complex) raises TypeError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -47,29 +46,34 @@ Key = tuple[tuple[int, ...], tuple[int, ...]]
 SignedSigmas = tuple[tuple[tuple[int, ...], int], ...]
 
 
-@dataclass(frozen=True)
 class FaceRef:
-    """A subsimplex of the reference n-simplex, named by its vertex indices."""
+    """A subsimplex of the reference n-simplex, named by its vertex indices; immutable by convention."""
 
-    n: int
-    indices: tuple[int, ...]
-    dim: int = field(init=False, repr=False, compare=False)
     # faces key every trace map, placed table and consistency table; hash once
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("n", "indices", "dim", "_hash")
 
-    def __post_init__(self) -> None:
-        idx = self.indices
-        if not idx:
+    def __init__(self, n: int, indices: tuple[int, ...]) -> None:
+        if not indices:
             raise ValueError("a face needs at least one vertex")
-        if any(a >= b for a, b in zip(idx, idx[1:])):
-            raise ValueError(f"face indices must be sorted and distinct: {idx}")
-        if idx[0] < 0 or idx[-1] > self.n:
-            raise ValueError(f"face indices {idx} not within 0..{self.n}")
-        object.__setattr__(self, "dim", len(idx) - 1)
-        object.__setattr__(self, "_hash", hash((self.n, idx)))
+        if any(a >= b for a, b in zip(indices, indices[1:])):
+            raise ValueError(f"face indices must be sorted and distinct: {indices}")
+        if indices[0] < 0 or indices[-1] > n:
+            raise ValueError(f"face indices {indices} not within 0..{n}")
+        self.n = n
+        self.indices = indices
+        self.dim = len(indices) - 1
+        self._hash = hash((n, indices))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FaceRef):
+            return NotImplemented
+        return self.n == other.n and self.indices == other.indices
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"FaceRef(n={self.n!r}, indices={self.indices!r})"
 
     @staticmethod
     def full(n: int) -> FaceRef:
@@ -119,6 +123,8 @@ class FaceRef:
     @cache
     def intersect(self, other: FaceRef) -> FaceRef | None:
         """Common subface, or None when the vertex sets are disjoint."""
+        if self.n != other.n:
+            raise ValueError(f"{other} and {self} are faces of different simplices")
         common = tuple(i for i in self.indices if i in set(other.indices))
         return FaceRef(self.n, common) if common else None
 

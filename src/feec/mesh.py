@@ -16,8 +16,8 @@ Ids are base-10 non-negative integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .forms import FaceRef
 
@@ -42,8 +42,7 @@ def _number(lineno: int, token: str) -> int:
         raise MeshFormatError(lineno, f"number of {len(token)} digits is too long") from None
 
 
-@dataclass(frozen=True)
-class GlobalFace:
+class GlobalFace(NamedTuple):
     """A face of the mesh with its (cell, local face) incidence list."""
 
     vertices: tuple[int, ...]
@@ -54,25 +53,31 @@ class GlobalFace:
         return len(self.vertices) - 1
 
 
-@dataclass(frozen=True)
 class Triangulation:
-    n: int
-    num_vertices: int
-    cells: tuple[tuple[int, ...], ...]
+    """Sorted cells over vertex ids 0..num_vertices - 1; immutable by convention, equal by value."""
 
-    def __post_init__(self) -> None:
-        for cell in self.cells:
-            if len(set(cell)) != self.n + 1:
-                raise ValueError(f"cell {cell} must have {self.n + 1} distinct vertices")
+    def __init__(self, n: int, num_vertices: int, cells: tuple[tuple[int, ...], ...]) -> None:
+        for cell in cells:
+            if len(set(cell)) != n + 1:
+                raise ValueError(f"cell {cell} must have {n + 1} distinct vertices")
             if tuple(sorted(cell)) != cell:
                 raise ValueError(f"cell {cell} must be sorted")
-            if cell[0] < 0 or cell[-1] >= self.num_vertices:
-                raise ValueError(f"cell {cell} uses ids outside 0..{self.num_vertices - 1}")
+            if cell[0] < 0 or cell[-1] >= num_vertices:
+                raise ValueError(f"cell {cell} uses ids outside 0..{num_vertices - 1}")
         seen = set()
-        for cell in self.cells:
+        for cell in cells:
             if cell in seen:
                 raise ValueError(f"cell {cell} appears twice")
             seen.add(cell)
+        self.n, self.num_vertices, self.cells = n, num_vertices, cells
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Triangulation):
+            return NotImplemented
+        return (self.n, self.num_vertices, self.cells) == (other.n, other.num_vertices, other.cells)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.num_vertices, self.cells))
 
     @cached_property
     def _lattice(self) -> tuple[tuple[GlobalFace, ...], ...]:

@@ -16,7 +16,6 @@ combination could differ from the form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import combinations
@@ -32,8 +31,7 @@ class Family(str, Enum):
     MINUS = "minus"
 
 
-@dataclass(frozen=True)
-class SpaceKind:
+class SpaceKind(NamedTuple):
     """One of the four space flavors: family crossed with boundary condition."""
 
     family: Family
@@ -46,8 +44,7 @@ FULL_ZERO = SpaceKind(Family.FULL, zero_trace=True)
 MINUS_ZERO = SpaceKind(Family.MINUS, zero_trace=True)
 
 
-@dataclass(frozen=True)
-class GeneratorDescriptor:
+class GeneratorDescriptor(NamedTuple):
     """A basis/spanning generator lambda^alpha d lambda_sigma or lambda^alpha phi_sigma.
 
     `alpha` is the exponent tuple over all vertices of the parent simplex of

@@ -10,10 +10,9 @@ selects suites by name and renders the matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import linalg
 from .assemble import assemble_basis, verify_direct_sum, verify_single_valued
@@ -48,8 +47,7 @@ from .spaces import (
 ALL_KINDS = (FULL, MINUS, FULL_ZERO, MINUS_ZERO)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     suite: str
     label: str
     passed: bool

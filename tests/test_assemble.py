@@ -196,10 +196,12 @@ def _globally_independent(elements, r):
 def test_local_independence_certificate_falls_back_to_global_rank():
     els = assemble_basis(TRI2, Family.FULL, 2, 1)
     base = verify_direct_sum(TRI2, els, Family.FULL, 2, 1)
-    assert base.ok and _globally_independent(els, 2)
+    assert base.ok and bool(base) and _globally_independent(els, 2)
 
     dup = verify_direct_sum(TRI2, els + [els[0]], Family.FULL, 2, 1)
     assert not dup.independent and not _globally_independent(els + [els[0]], 2)
+    # a failed report is falsy, although it is a non-empty tuple
+    assert bool(dup) is False
     assert dup == DirectSumReport(
         base.count + 1, base.expected, False, base.constrained_dimension, True
     )

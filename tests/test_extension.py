@@ -155,6 +155,11 @@ def test_each_kind_names_its_space():
         FamilyKind.NAIVE_FULL: FULL,
     }
     assert {kind: ExtensionFamily(kind, 1, 1).space_kind for kind in FamilyKind} == expected
+    # families are values: the image tables are keyed by them
+    for kind in FamilyKind:
+        twin = ExtensionFamily(kind=kind, r=2, k=1)
+        assert twin == ExtensionFamily(kind, 2, 1) and hash(twin) == hash(ExtensionFamily(kind, 2, 1))
+        assert twin != ExtensionFamily(kind, 2, 0)
 
 
 def test_a_family_takes_no_space_override():
@@ -291,7 +296,8 @@ def test_consistency_triangle(kind):
     for r in (1, 2, 3):
         for k in (0, 1, 2):
             fam = ExtensionFamily(kind, r, k)
-            assert check_consistency(fam, FaceRef.full(2)).ok
+            res = check_consistency(fam, FaceRef.full(2))
+            assert res.ok and bool(res)
 
 
 def test_consistency_on_a_proper_face():
@@ -304,6 +310,8 @@ def test_naive_family_fails_consistency():
     fam = ExtensionFamily(FamilyKind.NAIVE_FULL, 2, 1)
     res = check_consistency(fam, FaceRef.full(2))
     assert not res.ok
+    # a failed certificate is falsy, although it is a non-empty tuple
+    assert bool(res) is False
     assert res.witness is not None
     assert res.witness.lhs != res.witness.rhs
     # the first failure in visiting order (f, then g, then basis member)

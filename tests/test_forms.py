@@ -210,6 +210,8 @@ def test_face_hash_agrees_with_equality():
         assert repr(f) == f"FaceRef(n={f.n}, indices={f.indices})"
     assert len(set(faces)) == len(faces)
     assert FaceRef(2, (0, 1)) != FaceRef(3, (0, 1))
+    # a face is not a tuple, and does not compare equal to one
+    assert FaceRef(2, (0, 1)) != (2, (0, 1)) and not isinstance(FaceRef(2, (0, 1)), tuple)
 
 
 def test_whitney_examples():
@@ -599,3 +601,13 @@ def test_whitney_forms_and_subface_lists_are_tables():
     T = FaceRef.full(3)
     assert type(T.all_subfaces()) is tuple and T.all_subfaces() is T.all_subfaces()
     assert T.intersect(FaceRef(3, (1, 2))) is T.intersect(FaceRef(3, (1, 2)))
+
+
+def test_intersect_refuses_faces_of_different_simplices():
+    # as `contains` and `to_local` do: the two faces share no parent
+    edge, other = FaceRef(2, (0, 1)), FaceRef(3, (1, 2))
+    assert not edge.contains(other) and not other.contains(edge)
+    for a, b in ((edge, other), (other, edge)):
+        with pytest.raises(ValueError, match="are faces of different simplices"):
+            a.intersect(b)
+    assert edge.intersect(FaceRef(2, (1, 2))) == FaceRef(2, (1,))

@@ -1,7 +1,7 @@
 """Every module-level import in the package modules is used there, every
 module-level function and class is referenced by the package or the
-benchmark, or exported in `feec.__all__`, and no package module reads the
-process environment.
+benchmark, or exported in `feec.__all__`, no package module reads the
+process environment, and none imports `dataclasses`.
 
 No linter runs on this code, and moving a function between modules tends to
 leave its imports, or the function itself, behind; these checks catch them
@@ -9,6 +9,9 @@ with the standard `ast`.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -165,3 +168,42 @@ def test_detector_flags_an_environment_read():
 def test_package_reads_no_environment(name):
     # every setting arrives as a command-line argument or a function parameter
     assert environment_reads((PACKAGE / name).read_text()) == []
+
+
+def imported_modules(source: str) -> list[str]:
+    """Absolute module names the source imports, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module)
+    return found
+
+
+def test_detector_lists_imported_modules():
+    source = (
+        "import os.path, json as js\n"
+        "from . import forms\n"
+        "from .dataclasses import x\n"
+        "def f():\n"
+        "    from dataclasses import dataclass\n"
+    )
+    assert imported_modules(source) == ["os.path", "json", "dataclasses"]
+
+
+def test_package_does_not_import_dataclasses():
+    # records are NamedTuples or small slotted classes; `dataclasses` was most of the cold start
+    modules = sorted(p.name for p in PACKAGE.glob("*.py"))
+    assert [name for name in modules if "dataclasses" in imported_modules((PACKAGE / name).read_text())] == []
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # -S: no site hooks run, so only the package's own imports can load the module
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    code = "import sys, feec.cli; print('dataclasses' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    assert run.stdout == "False\n"

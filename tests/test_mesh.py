@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from feec.cli import main
@@ -78,6 +80,10 @@ def test_face_count_bound():
 def test_unsorted_input_is_sorted():
     t = loads("simplicial-mesh v1 dim=2 vertices=3 cells=1\n2 0 1\n")
     assert t.cells == ((0, 1, 2),)
+    # meshes are values: the same cells give equal, hash-equal triangulations
+    twin = from_cells(2, [(2, 1, 0)])
+    assert twin == t and hash(twin) == hash(t) == hash(Triangulation(2, 3, ((0, 1, 2),)))
+    assert twin != from_cells(2, [(0, 1, 3)]) and twin != Triangulation(2, 4, ((0, 1, 2),))
 
 
 def test_parse_errors_carry_line_numbers():
@@ -133,13 +139,13 @@ def test_long_numbers_and_repeated_fields_are_mesh_errors(tmp_path, capsys, text
 
 
 def test_validation_of_direct_construction():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("cell (0, 1, 1) must have 3 distinct vertices")):
         Triangulation(2, 3, ((0, 1, 1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("cell (0, 2, 1) must be sorted")):
         Triangulation(2, 3, ((0, 2, 1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("cell (0, 1, 2) appears twice")):
         Triangulation(2, 3, ((0, 1, 2), (0, 1, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("cell (0, 1, 2) uses ids outside 0..1")):
         Triangulation(2, 2, ((0, 1, 2),))
 
 

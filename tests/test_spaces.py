@@ -38,6 +38,9 @@ def test_dim_examples():
     assert dim_space(FULL, 2, 0, 1) == 2
     assert dim_space(FULL_ZERO, 2, 0, 1) == 0
     assert dim_space(MINUS, 2, 0, 1) == 0
+    # kinds are values: built twice, equal and hash-equal
+    assert SpaceKind(Family.FULL, zero_trace=True) == FULL_ZERO != FULL
+    assert hash(SpaceKind(Family.FULL, True)) == hash(FULL_ZERO)
 
 
 def test_dim_formula_symmetry():
