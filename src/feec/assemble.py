@@ -76,38 +76,9 @@ def assembled_dimension(t: Triangulation, family: Family, r: int, k: int) -> int
 
 
 class SingleValuedWitness(NamedTuple):
-    element: GlobalBasisElement | None
+    element: GlobalBasisElement
     face: GlobalFace
     traces: tuple[PolyForm, PolyForm]
-
-
-def _trace_mismatch(
-    restrictions: dict[int, PolyForm],
-    k: int,
-    face: GlobalFace,
-    traces: dict[tuple[int, FaceRef], tuple[PolyForm | None, PolyForm]],
-    agree: set[tuple[int, int]],
-) -> tuple[PolyForm, PolyForm] | None:
-    """The first pair of disagreeing traces on `face`, reading and filling both tables.
-
-    `traces` maps (id of a restriction or of None, local face) to that
-    restriction, held so its id is not reused, and its trace.  `agree`
-    holds the id pairs of traces from `traces` already found equal.
-    """
-    first: PolyForm | None = None
-    for ci, fr in face.incidence:
-        w = restrictions.get(ci)
-        key = (id(w), fr)
-        if key not in traces:
-            traces[key] = (w, w.trace(fr) if w is not None else PolyForm.zero(face.dim, k))
-        tr = traces[key][1]
-        if first is None:
-            first = tr
-        elif tr is not first and (id(first), id(tr)) not in agree:
-            if tr != first:
-                return (first, tr)
-            agree.add((id(first), id(tr)))
-    return None
 
 
 def verify_single_valued(
@@ -116,10 +87,13 @@ def verify_single_valued(
     """Check trace agreement on every shared face; None means all good.
 
     An element can only disagree with itself on a face of one of its own
-    cells, so each element visits just those faces, in face-lattice order.
-    Restrictions are shared `placed_basis` forms, so one trace is taken per
-    (restriction object, local face) and at most one comparison per pair of
-    trace objects; both tables last for this one call.
+    cells, so each element visits just those faces, in face-lattice order,
+    and the witness is its first pair of disagreeing traces there.  One
+    trace is taken per (restriction object, local face): `traces` maps (id
+    of a restriction or of None, local face) to the restriction, held so its
+    id is not reused, and its trace.  `agree` holds the id pairs of traces
+    already found equal, so each pair is compared once; both tables last for
+    this one call.
     """
     shared = [f for j in range(k, t.n) for f in t.faces(j) if len(f.incidence) >= 2]
     faces_of_cell: dict[int, list[int]] = {}
@@ -129,11 +103,21 @@ def verify_single_valued(
     traces: dict[tuple[int, FaceRef], tuple[PolyForm | None, PolyForm]] = {}
     agree: set[tuple[int, int]] = set()
     for el in elements:
-        near = sorted({pos for ci in el.restrictions for pos in faces_of_cell.get(ci, ())})
-        for pos in near:
-            bad = _trace_mismatch(el.restrictions, k, shared[pos], traces, agree)
-            if bad is not None:
-                return SingleValuedWitness(el, shared[pos], bad)
+        for pos in sorted({pos for ci in el.restrictions for pos in faces_of_cell.get(ci, ())}):
+            face = shared[pos]
+            first: PolyForm | None = None
+            for ci, fr in face.incidence:
+                w = el.restrictions.get(ci)
+                key = (id(w), fr)
+                if key not in traces:
+                    traces[key] = (w, w.trace(fr) if w is not None else PolyForm.zero(face.dim, k))
+                tr = traces[key][1]
+                if first is None:
+                    first = tr
+                elif tr is not first and (id(first), id(tr)) not in agree:
+                    if tr != first:
+                        return SingleValuedWitness(el, face, (first, tr))
+                    agree.add((id(first), id(tr)))
     return None
 
 

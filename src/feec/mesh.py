@@ -172,5 +172,5 @@ def load(path: str) -> Triangulation:
 def from_cells(n: int, cells: list[tuple[int, ...]]) -> Triangulation:
     """Build a triangulation from cell vertex tuples, sorting each cell."""
     sorted_cells = tuple(tuple(sorted(c)) for c in cells)
-    nv = 1 + max(max(c) for c in sorted_cells)
+    nv = 1 + max((max(c) for c in sorted_cells), default=-1)
     return Triangulation(n, nv, sorted_cells)

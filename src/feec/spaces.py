@@ -176,14 +176,12 @@ Columns = dict[Key, tuple[tuple[int, Scalar], ...]]
 class CoordinateTable(NamedTuple):
     """What an exact coordinate solve in a fixed list of independent forms reads.
 
-    `columns` holds the sparse inverse columns by pivot key, `keys` every
-    key the forms have, and `off_pivot` the forms' own sparse (form index,
-    coefficient) column at each of those keys that is not a pivot.
+    `columns` holds the sparse inverse columns by pivot key, one per form, and
+    `off_pivot` the forms' own sparse (form index, coefficient) column at each
+    other key of theirs, so every key of the forms is in exactly one of them.
     """
 
-    size: int
     columns: Columns
-    keys: frozenset[Key]
     off_pivot: Columns
 
 
@@ -194,10 +192,10 @@ def inverse_columns(forms: Sequence[PolyForm], what: str) -> CoordinateTable:
     forms restricted to them are square and nonsingular.  The inverse of that
     square matrix is kept column by column, keyed by pivot key, with only its
     nonzero (form index, entry) pairs; every other key of the forms keeps the
-    forms' own column, which is all that :func:`coordinates` has left to
-    check.  A full-family basis at its own degree r is square on all its
-    keys and has no off-pivot column.  Dependent forms raise ArithmeticError
-    naming `what`.
+    forms' own column.  Together the two key sets are the forms' keys, and
+    they are all that :func:`coordinates` reads.  A full-family basis at its
+    own degree r has no off-pivot column.  Dependent forms raise
+    ArithmeticError naming `what`.
     """
     pivot_keys = linalg.pivot_columns(w.coeffs for w in forms)
     inverse = None
@@ -213,8 +211,7 @@ def inverse_columns(forms: Sequence[PolyForm], what: str) -> CoordinateTable:
         for key, c in w.coeffs.items():
             if key not in columns:
                 off_pivot.setdefault(key, []).append((i, c))
-    keys = frozenset(columns).union(off_pivot)
-    return CoordinateTable(len(forms), columns, keys, {key: tuple(col) for key, col in off_pivot.items()})
+    return CoordinateTable(columns, {key: tuple(col) for key, col in off_pivot.items()})
 
 
 def coordinates(w: PolyForm, n: int, k: int, table: CoordinateTable) -> list[Scalar] | None:
@@ -225,22 +222,26 @@ def coordinates(w: PolyForm, n: int, k: int, table: CoordinateTable) -> list[Sca
     from w's coefficients on the pivot keys, through the sparse inverse
     columns of those keys that w has, so the combination agrees with w on
     every pivot key by construction.  They are accepted exactly when that
-    combination is w: every key of w is a key of the forms, and the
-    coordinates agree with w on every off-pivot key.
+    combination is w: every key of w is a key of the forms, which the same
+    pass over w's keys checks, and the coordinates agree with w on every
+    off-pivot key.
     """
     if w.n != n:
         raise ValueError(f"form lives on dimension {w.n}, face has dimension {n}")
     if not w.is_zero and w.k != k:
         raise ValueError(f"form order {w.k} does not match k={k}")
     target = w.coeffs
-    if not target.keys() <= table.keys:
-        return None
-    coords: list[Scalar] = [0] * table.size
-    columns = table.columns
+    columns, off_pivot = table
+    coords: list[Scalar] = [0] * len(columns)
     for key, v in target.items():
-        for i, a in columns.get(key, ()):
+        col = columns.get(key)
+        if col is None:
+            if key not in off_pivot:
+                return None
+            continue
+        for i, a in col:
             coords[i] += a * v
-    for key, col in table.off_pivot.items():
+    for key, col in off_pivot.items():
         if sum(coords[i] * c for i, c in col) != target.get(key, 0):
             return None
     return [c if type(c) is int or c.denominator != 1 else c.numerator for c in coords]

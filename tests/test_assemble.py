@@ -511,7 +511,7 @@ def test_decompose_refuses_a_cell_perturbed_off_pivot():
                     forms, _, table = cell_table(zero_kind, n, r, k, r)
                     if family is Family.FULL:
                         # the geometric basis of P_r Lambda^k is square on the canonical keys
-                        assert not table.off_pivot and len(table.keys) == len(forms)
+                        assert not table.off_pivot and len(table.columns) == len(forms)
                         continue
                     # P_r^- Lambda^0 = P_r Lambda^0; for k >= 1 the reduced family is smaller
                     assert bool(table.off_pivot) == (k > 0)

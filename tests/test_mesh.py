@@ -149,6 +149,12 @@ def test_validation_of_direct_construction():
         Triangulation(2, 2, ((0, 1, 2),))
 
 
+def test_no_cells_is_the_empty_triangulation():
+    empty = loads("simplicial-mesh v1 dim=2 vertices=0 cells=0")
+    assert from_cells(2, []) == empty
+    assert empty.num_vertices == 0 and empty.cells == () and empty.all_faces() == []
+
+
 def test_load_from_file(tmp_path):
     p = tmp_path / "mesh.txt"
     p.write_text(TWO_TRIANGLES)

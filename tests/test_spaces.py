@@ -376,8 +376,8 @@ def test_coordinates_check_the_off_pivot_keys_exactly():
                     table = spaces._basis_table(kind, n, r, k, r)
                     basis = [b.lift(r) for b in basis_forms(kind, T, r, k)]
                     keys = set().union(*(b.coeffs for b in basis))
-                    assert table.size == len(basis) == len(table.columns)
-                    assert table.keys == keys == set(table.columns) | set(table.off_pivot)
+                    assert len(basis) == len(table.columns)
+                    assert keys == set(table.columns) | set(table.off_pivot)
                     assert not set(table.columns) & set(table.off_pivot)
                     if kind == FULL:
                         # square on the canonical keys: dim P_r Lambda^k = C(r + n, n) C(n, k)
@@ -405,6 +405,32 @@ def test_coordinates_check_the_off_pivot_keys_exactly():
                     assert got == rebuild_coordinates(other, basis, table)
                     assert got is None or combination(n, k, zip(got, basis)) == other
     assert off_pivot_seen > 0
+
+
+def test_coordinates_refuse_a_key_outside_both_columns():
+    # the pass over w's keys is the only place a key the basis lacks is refused
+    rng = random.Random(103)
+    stray_seen = 0
+    for kind in ALL_KINDS:
+        for m in range(4):
+            T = FaceRef.full(m)
+            for r in range(3):
+                for k in range(m + 1):
+                    for degree in (r, r + 1):
+                        table = spaces._basis_table(kind, m, r, k, degree)
+                        basis = [b.lift(degree) for b in basis_forms(kind, T, r, k)]
+                        keys = [key for b in basis for key in b.coeffs]
+                        assert all((key in table.columns) != (key in table.off_pivot) for key in keys)
+                        member = combination(m, k, zip([rng.choice(FRACTION_COEFFS) for _ in basis], basis))
+                        canonical = [(a, s) for a in multiindices(m, degree) for s in combinations(range(1, m + 1), k)]
+                        for key in canonical:
+                            if key in table.columns or key in table.off_pivot:
+                                continue
+                            stray_seen += 1
+                            outside = member + canonicalize(m, k, [(*key, Q(2, 7))], degree=degree)
+                            assert coordinates(outside, m, k, table) is None
+                            assert membership(outside, kind, T, r, k) is None
+    assert stray_seen > 0
 
 
 def test_realized_basis_depends_only_on_face_dimension():
