@@ -22,7 +22,11 @@ the compatibility law for a family E, which is checked on the tables alone:
 
     tr_{h,g} E_{f,h} = E_{f \\cap g, g} tr_{f, f \\cap g}   for f, g inside h,
 
-with the convention that an empty intersection contributes zero.
+with the convention that an empty intersection contributes zero.  As traces
+compose, facet pairs suffice: g = h is the identity, and the law for (f, g')
+on h with g' a facet and for (f \\cap g', g) on g' gives it for g inside g'.
+So it is checked on facets for d = h.dim down to 1; a failure below h.dim
+is reported under its vertex indices on h, where the law fails too.
 """
 
 from __future__ import annotations
@@ -230,40 +234,40 @@ class ConsistencyResult(NamedTuple):
         return self.ok
 
 
+@cache
+def _trace_coordinates(fam: ExtensionFamily, fr: FaceRef) -> tuple[list[Scalar], ...]:
+    """Coordinates on fr of the trace of each basis member of the reference fr.n-simplex; do not mutate."""
+    members = basis_forms(fam.space_kind, FaceRef.full(fr.n), fam.r, fam.k)
+    return tuple(_coordinates(fam, mu.trace(fr), fr) for mu in members)
+
+
 def check_consistency(fam: ExtensionFamily, h: FaceRef) -> ConsistencyResult:
     """Verify the compatibility law on every basis element, all face pairs in h.
 
     Works in the local coordinates of h, so h may itself be a proper face of
-    a larger simplex, and reads the image tables only.  The left side is the
-    trace onto g of a basis member's image on f; for disjoint f and g it
-    must vanish.  Otherwise f \\cap g, its place in f and its images in g
-    are looked up once per face pair, and the right side weights those
-    images by the coordinates on f \\cap g of the member's trace, computed
-    once per (f, f \\cap g, member).
+    a larger simplex, and reads the image tables only.  By the facet lemma
+    above it checks, for d = h.dim down to 1, each face f of the reference
+    d-simplex in lattice order against its facets g in order: the trace onto
+    g of a member's image on f must equal the images of f \\cap g in g weighted
+    by the coordinates of the member's trace on f \\cap g (zero if disjoint).
+    The first failure is the witness, under its vertex indices on h.
     """
-    faces = FaceRef.full(h.dim).all_subfaces()
-    for f in faces:
-        members = basis_forms(fam.space_kind, f, fam.r, fam.k)
-        extended = _images(fam, f)
-        restricted: dict[tuple[FaceRef, int], list[Scalar]] = {}
-        for g in faces:
-            fg = f.intersect(g)
-            if fg is None:
-                for mu, ext in zip(members, extended):
-                    lhs = ext.trace(g)
-                    if not lhs.is_zero:
-                        zero = PolyForm.zero(g.dim, fam.k)
-                        return ConsistencyResult(False, ConsistencyWitness(f, g, mu, lhs, zero))
-                continue
-            f_fg, images = f.to_local(fg), _images(fam, g.to_local(fg))
-            for i, (mu, ext) in enumerate(zip(members, extended)):
-                lhs = ext.trace(g)
-                coords = restricted.get((fg, i))
-                if coords is None:
-                    coords = restricted[fg, i] = _coordinates(fam, mu.trace(f_fg), fg)
-                rhs = combination(g.dim, fam.k, zip(coords, images))
-                if lhs != rhs:
-                    return ConsistencyResult(False, ConsistencyWitness(f, g, mu, lhs, rhs))
+    for d in range(h.dim, 0, -1):
+        faces = FaceRef.full(d).all_subfaces()
+        facets = [g for g in faces if g.dim == d - 1]
+        for f in faces:
+            members, extended = basis_forms(fam.space_kind, f, fam.r, fam.k), _images(fam, f)
+            for g in facets:
+                fg = f.intersect(g)
+                if fg is None:
+                    rows, images = [()] * len(members), ()
+                else:
+                    rows, images = _trace_coordinates(fam, f.to_local(fg)), _images(fam, g.to_local(fg))
+                for mu, ext, row in zip(members, extended, rows):
+                    lhs, rhs = ext.trace(g), combination(g.dim, fam.k, zip(row, images))
+                    if lhs != rhs:
+                        w = ConsistencyWitness(FaceRef(h.dim, f.indices), FaceRef(h.dim, g.indices), mu, lhs, rhs)
+                        return ConsistencyResult(False, w)
     return ConsistencyResult(True)
 
 

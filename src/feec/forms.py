@@ -95,10 +95,10 @@ class FaceRef:
 
     @cache
     def to_local(self, sub: FaceRef) -> FaceRef:
-        """Re-express a subface of this face with this face as the parent."""
+        """A subface with this face as the parent, from `FaceRef.full(self.dim).all_subfaces()`."""
         if not self.contains(sub):
             raise ValueError(f"{sub} is not a subface of {self}")
-        return FaceRef(self.dim, tuple(self.position(i) for i in sub.indices))
+        return _lattice(self.dim)[tuple(self.position(i) for i in sub.indices)]
 
     def place(self, alpha: Iterable[int]) -> tuple[int, ...]:
         """A face-local exponent tuple as one over the parent's n + 1 vertices."""
@@ -117,22 +117,28 @@ class FaceRef:
 
     @cache
     def all_subfaces(self) -> tuple[FaceRef, ...]:
-        """All subfaces including this face, by increasing dimension."""
-        return tuple(f for j in range(self.dim + 1) for f in self.subfaces(j))
+        """All subfaces by increasing dimension, ending with this face itself."""
+        return tuple(f for j in range(self.dim) for f in self.subfaces(j)) + (self,)
 
     @cache
     def intersect(self, other: FaceRef) -> FaceRef | None:
-        """Common subface, or None when the vertex sets are disjoint."""
+        """Common subface, from `FaceRef.full(n).all_subfaces()`; None when disjoint."""
         if self.n != other.n:
             raise ValueError(f"{other} and {self} are faces of different simplices")
         common = tuple(i for i in self.indices if i in set(other.indices))
-        return FaceRef(self.n, common) if common else None
+        return _lattice(self.n)[common] if common else None
 
 
 @cache
 def _full_face(n: int) -> FaceRef:
     """:meth:`FaceRef.full`, built on first use; a negative n raises and is not kept."""
     return FaceRef(n, tuple(range(n + 1)))
+
+
+@cache
+def _lattice(n: int) -> dict[tuple[int, ...], FaceRef]:
+    """The faces of ``FaceRef.full(n).all_subfaces()`` by vertex indices, one object each."""
+    return {f.indices: f for f in _full_face(n).all_subfaces()}
 
 
 def _sort_sign(seq: Iterable[int]) -> tuple[tuple[int, ...], int] | None:

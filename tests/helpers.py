@@ -340,3 +340,46 @@ def peel_oracle(t, family, r, k, piecewise):
         if not w.is_zero:
             raise ValueError(f"nonzero residual on cell {ci} after peeling")
     return components
+
+
+def all_pairs_consistency(fam, h):
+    """The compatibility law checked by brute force on every face pair (f, g) of h.
+
+    The reference for `feec.extension.check_consistency`, which checks only
+    facet pairs, one simplex dimension at a time.  Works in the local
+    coordinates of h and reads the image tables through the module, so a
+    patched `extension._images` is seen.  The left side is the trace onto g
+    of a basis member's image on f; for disjoint f and g it must vanish.
+    Otherwise the right side weights the images of f \\cap g in g by the
+    coordinates on f \\cap g of the member's trace, computed once per
+    (f, f \\cap g, member).  Returns the first failure in (f, g, member) order.
+    """
+    from feec import extension
+    from feec.forms import FaceRef, PolyForm, combination
+    from feec.spaces import basis_forms
+
+    result, witness = extension.ConsistencyResult, extension.ConsistencyWitness
+    faces = FaceRef.full(h.dim).all_subfaces()
+    for f in faces:
+        members = basis_forms(fam.space_kind, f, fam.r, fam.k)
+        extended = extension._images(fam, f)
+        restricted = {}
+        for g in faces:
+            fg = f.intersect(g)
+            if fg is None:
+                for mu, ext in zip(members, extended):
+                    lhs = ext.trace(g)
+                    if not lhs.is_zero:
+                        zero = PolyForm.zero(g.dim, fam.k)
+                        return result(False, witness(f, g, mu, lhs, zero))
+                continue
+            f_fg, images = f.to_local(fg), extension._images(fam, g.to_local(fg))
+            for i, (mu, ext) in enumerate(zip(members, extended)):
+                lhs = ext.trace(g)
+                coords = restricted.get((fg, i))
+                if coords is None:
+                    coords = restricted[fg, i] = extension._coordinates(fam, mu.trace(f_fg), fg)
+                rhs = combination(g.dim, fam.k, zip(coords, images))
+                if lhs != rhs:
+                    return result(False, witness(f, g, mu, lhs, rhs))
+    return result(True)

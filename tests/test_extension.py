@@ -8,7 +8,7 @@ import pytest
 
 from feec import extension
 from feec.dof import dual_extend
-from feec.forms import FaceRef, PolyForm, bary_monomial, canonicalize, dlambda, one, whitney
+from feec.forms import FaceRef, PolyForm, bary_monomial, canonicalize, combination, dlambda, one, whitney
 from feec.extension import (
     ExtensionFamily,
     FamilyKind,
@@ -38,7 +38,7 @@ from feec.spaces import (
     realize,
 )
 from feec.verify import suite_consistency
-from helpers import from_polyform, oracle_directional_derivative, oracle_trace
+from helpers import all_pairs_consistency, from_polyform, oracle_directional_derivative, oracle_trace
 
 Q = Fraction
 
@@ -370,14 +370,15 @@ def test_a_patched_moment_image_fails_its_consistency_case_with_its_faces(monkey
 
 
 def test_a_disjoint_pair_needs_a_vanishing_left_side(monkeypatch):
-    # adding lambda_1 to the image of vertex 0 leaves a nonzero trace on vertex 1
-    fam = ExtensionFamily(FamilyKind.MINUS_BARYCENTRIC, 1, 0)
+    # lambda_1 lambda_2 lambda_3 vanishes on every facet through vertex 0, so
+    # adding it to the image of vertex 0 first shows on the opposite facet
+    fam = ExtensionFamily(FamilyKind.MINUS_BARYCENTRIC, 3, 0)
     vertex = FaceRef(3, (0,))
     original = extension._images
 
     def images(family, fr):
         out = original(family, fr)
-        return (out[0] + bary_monomial(3, (0, 1, 0, 0)),) if (family, fr) == (fam, vertex) else out
+        return (out[0] + bary_monomial(3, (0, 1, 1, 1)),) if (family, fr) == (fam, vertex) else out
 
     original.cache_clear()
     monkeypatch.setattr(extension, "_images", images)
@@ -387,7 +388,7 @@ def test_a_disjoint_pair_needs_a_vanishing_left_side(monkeypatch):
         original.cache_clear()
     assert not res.ok
     w = res.witness
-    assert (w.f, w.g) == (vertex, FaceRef(3, (1,)))
+    assert (w.f, w.g) == (vertex, FaceRef(3, (1, 2, 3)))
     assert not w.lhs.is_zero and w.rhs.is_zero
 
 
@@ -460,14 +461,75 @@ def test_consistency_takes_coordinates_once_per_restricted_member(monkeypatch):
 
     monkeypatch.setattr(extension, "membership", spy)
     fam = ExtensionFamily(FamilyKind.MINUS_BARYCENTRIC, 2, 1)
-    tet = FaceRef.full(3)
-    assert check_consistency(fam, tet).ok
-    faces = tet.all_subfaces()
-    expected = Counter()
-    for f in faces:
-        for fg in {f.intersect(g) for g in faces} - {None}:
-            expected[fg] += len(basis_forms(MINUS, f, 2, 1))
-    assert calls == expected
+    extension._trace_coordinates.cache_clear()
+    assert check_consistency(fam, FaceRef.full(3)).ok
+    # a local face of f names both f.dim (its n) and f cap g placed in f
+    local = set()
+    for d in (1, 2, 3):
+        faces = FaceRef.full(d).all_subfaces()
+        for f in faces:
+            for g in faces:
+                fg = f.intersect(g)
+                if g.dim == d - 1 and fg is not None:
+                    local.add(f.to_local(fg))
+    assert calls == Counter({fr: len(basis_forms(MINUS, FaceRef.full(fr.n), 2, 1)) for fr in local})
+    # the table outlives the call: a second proof takes no coordinates
+    calls.clear()
+    assert check_consistency(fam, FaceRef.full(3)).ok
+    assert not calls
+
+
+def test_facet_pairs_give_the_all_pairs_verdict():
+    # every family of the default sweep on the tetrahedron, and the naive control
+    for kind, top_r in ((FamilyKind.MINUS_BARYCENTRIC, 3), (FamilyKind.FULL_PSI, 3),
+                        (FamilyKind.DUAL_FULL, 2), (FamilyKind.DUAL_MINUS, 2)):
+        for r in range(1, top_r + 1):
+            for k in range(3):
+                fam = ExtensionFamily(kind, r, k)
+                assert check_consistency(fam, FaceRef.full(3)).ok == all_pairs_consistency(fam, FaceRef.full(3)).ok
+    naive = ExtensionFamily(FamilyKind.NAIVE_FULL, 2, 1)
+    assert check_consistency(naive, FaceRef.full(2)).ok is all_pairs_consistency(naive, FaceRef.full(2)).ok is False
+
+
+def test_facet_pairs_catch_every_perturbed_image_table(monkeypatch):
+    # lambda_0^r d lambda_1..k added to image 0 of one local-face table at a
+    # time, for every table the tetrahedron's proof reads
+    original = extension._images
+    cases = 0
+    for kind in (FamilyKind.MINUS_BARYCENTRIC, FamilyKind.FULL_PSI, FamilyKind.DUAL_FULL, FamilyKind.DUAL_MINUS):
+        for r in (1, 2):
+            for k in range(3):
+                fam = ExtensionFamily(kind, r, k)
+                for d in range(k, 4):
+                    bump = canonicalize(d, k, [((r,) + (0,) * d, tuple(range(1, k + 1)), 1)])
+                    for patched in FaceRef.full(d).all_subfaces():
+                        if patched.dim < k:
+                            continue
+
+                        def images(family, fr, fam=fam, patched=patched, bump=bump):
+                            out = original(family, fr)
+                            return (out[0] + bump,) + out[1:] if (family, fr) == (fam, patched) else out
+
+                        monkeypatch.setattr(extension, "_images", images)
+                        facets = check_consistency(fam, FaceRef.full(3))
+                        pairs = all_pairs_consistency(fam, FaceRef.full(3))
+                        assert facets.ok is pairs.ok is False, (fam, patched)
+                        assert _law_sides(fam, facets.witness) == (facets.witness.lhs, facets.witness.rhs)
+                        cases += 1
+    assert cases == 384
+
+
+def _law_sides(fam, witness):
+    """Both sides of the law for the witness's member at its faces of the tetrahedron."""
+    f, g = witness.f, witness.g
+    assert f.n == g.n == 3
+    i = basis_forms(fam.space_kind, f, fam.r, fam.k).index(witness.mu)
+    lhs = extension._images(fam, f)[i].trace(g)
+    fg = f.intersect(g)
+    if fg is None:
+        return lhs, PolyForm.zero(g.dim, fam.k)
+    coords = extension._coordinates(fam, witness.mu.trace(f.to_local(fg)), fg)
+    return lhs, combination(g.dim, fam.k, zip(coords, extension._images(fam, g.to_local(fg))))
 
 
 def test_naive_discrepancy_is_the_bubble_form():

@@ -19,6 +19,7 @@ from feec.forms import (
     psi_one_form,
     whitney,
 )
+from feec.spaces import FULL, FULL_ZERO, MINUS, MINUS_ZERO, basis_forms
 from helpers import (
     FRACTION_COEFFS,
     INTEGER_COEFFS,
@@ -602,6 +603,35 @@ def test_whitney_forms_and_subface_lists_are_tables():
     T = FaceRef.full(3)
     assert type(T.all_subfaces()) is tuple and T.all_subfaces() is T.all_subfaces()
     assert T.intersect(FaceRef(3, (1, 2))) is T.intersect(FaceRef(3, (1, 2)))
+
+
+def test_intersect_returns_the_face_from_the_subface_table():
+    # equal faces are one object, so tables keyed by faces match on identity
+    tables = [{f.indices: f for f in FaceRef.full(n).all_subfaces()} for n in range(5)]
+    for n, table in enumerate(tables):
+        assert table[tuple(range(n + 1))] is FaceRef.full(n)
+        for f in FaceRef.full(n).all_subfaces():
+            for g in FaceRef.full(n).all_subfaces():
+                common = tuple(i for i in f.indices if i in g.indices)
+                expected = table[common] if common else None
+                assert f.intersect(g) is expected
+                assert FaceRef(n, f.indices).intersect(FaceRef(n, g.indices)) is expected
+                if common == f.indices:
+                    assert g.to_local(f) is tables[g.dim][tuple(g.indices.index(i) for i in f.indices)]
+
+
+def test_traces_compose_through_a_facet():
+    # the kernel fact behind proving the consistency law on facet pairs
+    for n in range(1, 5):
+        T = FaceRef.full(n)
+        for kind in (FULL, MINUS, FULL_ZERO, MINUS_ZERO):
+            for r in (1, 2):
+                for k in range(n + 1):
+                    for w in basis_forms(kind, T, r, k):
+                        for g1 in T.subfaces(n - 1):
+                            on_g1 = w.trace(g1)
+                            for g in g1.all_subfaces():
+                                assert on_g1.trace(g1.to_local(g)) == w.trace(g)
 
 
 def test_intersect_refuses_faces_of_different_simplices():
