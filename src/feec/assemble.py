@@ -7,13 +7,18 @@ checks below establish the two halves of the direct-sum property: the
 assembled elements are linearly independent, and their count equals the
 dimension of the space of piecewise forms with single-valued traces,
 computed independently by imposing the trace-matching constraints on the
-product of the cell spaces.  A member of the assembled space is split into
-its per-face components by one exact coordinate solve per cell against the
-placed zero-trace bases of all the cell's faces, which together are one
-basis of the cell space.  The solve reads the form only on the basis's pivot
-keys, so its coordinates are accepted when the form has no key outside the
-basis and they agree with it on every key that is not a pivot; the cells
-that share a face must give it the same coordinates.
+product of the cell spaces.  Both rest on one rule: traces compose, so cells
+whose traces agree on an immediate coface of a face (the face plus one
+vertex) agree on the face.  Going down from the facets, a face's cells need
+comparing only across the classes that chains of shared immediate cofaces
+leave apart, one representative each; a facet's cells are each their own
+class.  A member of the assembled space is split into its per-face
+components by one exact coordinate solve per cell against the placed
+zero-trace bases of all the cell's faces, which together are one basis of
+the cell space.  The solve reads the form only on the basis's pivot keys, so
+its coordinates are accepted when the form has no key outside the basis and
+they agree with it on every key that is not a pivot; the cells that share a
+face must give it the same coordinates.
 """
 
 from __future__ import annotations
@@ -29,10 +34,12 @@ from .spaces import (
     Family,
     GeneratorDescriptor,
     SpaceKind,
+    _basis_table,
     basis_forms,
     coordinates,
     dim_space,
     enumerate_basis,
+    membership,
     rank_of,
 )
 
@@ -81,32 +88,53 @@ class SingleValuedWitness(NamedTuple):
     traces: tuple[PolyForm, PolyForm]
 
 
+def _linked(t: Triangulation, face: GlobalFace) -> tuple[tuple[int, FaceRef], ...]:
+    """The first (cell, local face) of each class of the face's cells, in incidence order.
+
+    A class is joined by chains of cells, each consecutive pair sharing an
+    immediate coface; a facet's cells share none, so its incidence comes back.
+    """
+    if face.dim == t.n - 1:
+        return face.incidence
+    classes: dict[tuple[int, FaceRef], set[int]] = {}  # representative: outer vertices of its class
+    for ci, fr in face.incidence:
+        outer = set(t.cells[ci]).difference(face.vertices)  # one vertex per immediate coface
+        hit = [rep for rep, vs in classes.items() if vs & outer] or [(ci, fr)]
+        classes[hit[0]] = outer.union(classes.get(hit[0], ()), *(classes.pop(rep) for rep in hit[1:]))
+    return tuple(classes)
+
+
 def verify_single_valued(
     t: Triangulation, elements: list[GlobalBasisElement], k: int
 ) -> SingleValuedWitness | None:
     """Check trace agreement on every shared face; None means all good.
 
-    An element can only disagree with itself on a face of one of its own
-    cells, so each element visits just those faces, in face-lattice order,
-    and the witness is its first pair of disagreeing traces there.  One
-    trace is taken per (restriction object, local face): `traces` maps (id
-    of a restriction or of None, local face) to the restriction, held so its
-    id is not reused, and its trace.  `agree` holds the id pairs of traces
-    already found equal, so each pair is compared once; both tables last for
-    this one call.
+    A scan of an element visits the shared faces of its cells in face-lattice
+    order and stops at its first pair of disagreeing traces.  Cells agreeing
+    on a shared immediate coface of a face agree on the face, so, down from
+    the facets, an element is single-valued exactly when its scan over the
+    class representatives (:func:`_linked`) of faces of two or more classes
+    passes; the first element that fails is scanned again over full incidence
+    for its witness.  One trace is taken per (restriction object, local face):
+    `traces` maps (id of a restriction or of None, local face) to the
+    restriction, held so its id is not reused, and its trace.  `agree` holds
+    the id pairs of traces found equal, so each pair is compared once; both
+    tables last one call.
     """
     shared = [f for j in range(k, t.n) for f in t.faces(j) if len(f.incidence) >= 2]
+    linked = [reps if len(reps := _linked(t, f)) >= 2 else () for f in shared]
     faces_of_cell: dict[int, list[int]] = {}
     for pos, face in enumerate(shared):
         for ci, _ in face.incidence:
             faces_of_cell.setdefault(ci, []).append(pos)
     traces: dict[tuple[int, FaceRef], tuple[PolyForm | None, PolyForm]] = {}
     agree: set[tuple[int, int]] = set()
-    for el in elements:
+
+    def scan(el: GlobalBasisElement, full: bool) -> SingleValuedWitness | None:
         for pos in sorted({pos for ci in el.restrictions for pos in faces_of_cell.get(ci, ())}):
             face = shared[pos]
             first: PolyForm | None = None
-            for ci, fr in face.incidence:
+            for ci, fr in face.incidence if full else linked[pos]:
                 w = el.restrictions.get(ci)
                 key = (id(w), fr)
                 if key not in traces:
@@ -118,7 +146,10 @@ def verify_single_valued(
                     if tr != first:
                         return SingleValuedWitness(el, face, (first, tr))
                     agree.add((id(first), id(tr)))
-    return None
+        return None
+
+    failing = next((el for el in elements if scan(el, full=False) is not None), None)
+    return None if failing is None else scan(failing, full=True)
 
 
 class DirectSumReport(NamedTuple):
@@ -153,31 +184,38 @@ def _stacked_rows(elements: list[GlobalBasisElement]) -> Iterator[linalg.Row]:
 
 
 @cache
-def _cell_traces(family: Family, r: int, k: int, fr: FaceRef) -> tuple[PolyForm, ...]:
-    """The basis of the whole space on the fr.n-simplex traced onto fr, stored at degree r.
+def _cell_traces(family: Family, r: int, k: int, fr: FaceRef) -> tuple[dict[Key, Scalar], ...]:
+    """The whole space's basis on the fr.n-simplex traced onto fr at degree r, on the face space's pivot keys.
 
-    It depends only on the space and the local face, so it is built once per
-    process and shared by every mesh; callers must not mutate it.
+    Each trace is first proved a member of the space on the face, else
+    ArithmeticError; so a combination of them vanishes exactly when it does on
+    the pivot keys of that space's basis.  Built once per process; do not mutate.
     """
-    return tuple(w.trace(fr).lift(r) for w in basis_forms(SpaceKind(family), FaceRef.full(fr.n), r, k))
+    kind = SpaceKind(family)
+    traces = [w.trace(fr).lift(r) for w in basis_forms(kind, FaceRef.full(fr.n), r, k)]
+    if any(membership(tr, kind, FaceRef.full(fr.dim), r, k) is None for tr in traces):
+        raise ArithmeticError(f"a {family.value} basis trace onto {fr} leaves the face space")
+    pivots = _basis_table(kind, fr.dim, r, k, r).columns
+    return tuple({key: c for key, c in tr.coeffs.items() if key in pivots} for tr in traces)
 
 
 def _constraint_rows(
     t: Triangulation, family: Family, r: int, k: int, per_cell: int
 ) -> Iterator[dict[int, Scalar]]:
-    """Trace matching on the shared faces, one sparse row per face term and cell pair.
+    """Trace matching between each face's class representatives, one sparse row per pivot key and pair.
 
     Column `cell * per_cell + b` is the coefficient of the whole space's basis
-    form b on that cell.  Each cell's traces are read from :func:`_cell_traces`.
+    form b on that cell.  By the module's coface rule these rows cut out the
+    space all cell pairs on all keys do; traces come from :func:`_cell_traces`.
     """
     for j in range(k, t.n):
         for face in t.faces(j):
-            (c0, fr0), *others = face.incidence
+            (c0, fr0), *others = _linked(t, face)
             for ci, fri in others:
                 rows: dict[Key, dict[int, Scalar]] = {}
                 for cell, fr, sign in ((c0, fr0, 1), (ci, fri, -1)):
                     for b, tr in enumerate(_cell_traces(family, r, k, fr)):
-                        for key, c in tr.coeffs.items():
+                        for key, c in tr.items():
                             rows.setdefault(key, {})[cell * per_cell + b] = sign * c
                 yield from rows.values()
 
@@ -195,7 +233,9 @@ def verify_direct_sum(
     elements stacked over all cells decides.  A cell's rank depends only on
     the set of restriction objects touching it, so it is computed once per
     distinct set within this one call; `got == len(forms)` still sees a
-    repeated object.
+    repeated object.  The constrained space matches traces only between each
+    face's class representatives (:func:`_linked`), on the face space's pivot
+    keys: cells agreeing on a shared immediate coface agree on the face.
     """
     count = len(elements)
     whole = SpaceKind(family)
@@ -244,7 +284,7 @@ def decompose(
     """
     _check_degree_and_order(t, r, k)
     n = t.n
-    extra = [key for key in piecewise if key not in range(len(t.cells))]
+    extra = [key for key in piecewise if type(key) is not int or key not in range(len(t.cells))]
     if extra:
         raise ValueError(f"piecewise key {extra[0]!r} is not a cell index (0..{len(t.cells) - 1})")
     zero_kind = SpaceKind(family, zero_trace=True)

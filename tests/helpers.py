@@ -383,3 +383,35 @@ def all_pairs_consistency(fam, h):
                 if lhs != rhs:
                     return result(False, witness(f, g, mu, lhs, rhs))
     return result(True)
+
+
+def all_pairs_constrained_dimension(t, family, r, k):
+    """Dimension of the piecewise forms with single-valued traces, matching every cell pair on every key.
+
+    The reference for `verify_direct_sum(...).constrained_dimension`, which
+    matches only the class representatives of each face, on the pivot keys of
+    the face space.  Here each shared face compares its first cell with every
+    other one, one sparse row per trace key, over columns `cell * per_cell + b`
+    for the whole space's basis form b on that cell.
+    """
+    from feec import linalg
+    from feec.forms import FaceRef
+    from feec.spaces import SpaceKind, basis_forms
+
+    basis = basis_forms(SpaceKind(family), FaceRef.full(t.n), r, k)
+    per_cell = len(basis)
+    cell_traces = {}
+    rows = []
+    for j in range(k, t.n):
+        for face in t.faces(j):
+            (c0, fr0), *others = face.incidence
+            for ci, fri in others:
+                face_rows = {}
+                for cell, fr, sign in ((c0, fr0, 1), (ci, fri, -1)):
+                    if fr not in cell_traces:
+                        cell_traces[fr] = [w.trace(fr).lift(r) for w in basis]
+                    for b, tr in enumerate(cell_traces[fr]):
+                        for key, c in tr.coeffs.items():
+                            face_rows.setdefault(key, {})[cell * per_cell + b] = sign * c
+                rows.extend(face_rows.values())
+    return per_cell * len(t.cells) - linalg.rank(rows)

@@ -21,13 +21,20 @@ from feec.extension import cell_table, characterization_equality, placed_basis
 from feec.forms import FaceRef, PolyForm, bary_monomial, canonicalize, dlambda, whitney
 from feec.mesh import from_cells
 from feec.spaces import Family, SpaceKind, basis_forms, coordinates, dim_space, membership, realize
-from helpers import oracle_rank, peel_oracle, rebuild_coordinates
+from feec.verify import builtin_meshes
+from helpers import all_pairs_constrained_dimension, oracle_rank, peel_oracle, rebuild_coordinates
 
 TRI1 = from_cells(2, [(0, 1, 2)])
 TRI2 = from_cells(2, [(0, 1, 2), (1, 2, 3)])
 FAN3 = from_cells(2, [(0, 1, 2), (0, 2, 3), (0, 3, 4)])
 TET1 = from_cells(3, [(0, 1, 2, 3)])
 TET2 = from_cells(3, [(0, 1, 2, 3), (1, 2, 3, 4)])
+# non-manifold meshes: cells meeting on a face of dimension below n - 1, or three on one facet
+TRI_ON_VERTEX = from_cells(2, [(0, 1, 2), (0, 3, 4)])
+TET3_ON_TRIANGLE = from_cells(3, [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5)])
+TET_ON_EDGE = from_cells(3, [(0, 1, 2, 3), (0, 1, 4, 5)])
+PENT_ON_VERTEX = from_cells(4, [(0, 1, 2, 3, 4), (0, 5, 6, 7, 8)])
+NON_MANIFOLD = (TRI_ON_VERTEX, TET3_ON_TRIANGLE, TET_ON_EDGE, PENT_ON_VERTEX)
 
 
 def test_lowest_order_edge_elements():
@@ -101,7 +108,15 @@ def _exhaustive_witness(t, elements, k):
 
 def test_first_witness_matches_exhaustive_scan():
     rng = random.Random(23)
-    for mesh, family, r, k in [(FAN3, Family.FULL, 2, 1), (TET2, Family.MINUS, 2, 1)]:
+    for mesh, family, r, k in [
+        (FAN3, Family.FULL, 2, 1),
+        (TET2, Family.MINUS, 2, 1),
+        (TRI_ON_VERTEX, Family.FULL, 2, 0),
+        (TET3_ON_TRIANGLE, Family.MINUS, 2, 1),
+        (TET_ON_EDGE, Family.FULL, 2, 0),
+        (TET_ON_EDGE, Family.MINUS, 1, 1),
+        (PENT_ON_VERTEX, Family.FULL, 1, 0),
+    ]:
         els = assemble_basis(mesh, family, r, k)
         for _ in range(6):
             scaled = [
@@ -117,6 +132,30 @@ def test_first_witness_matches_exhaustive_scan():
             else:
                 assert (witness.element, witness.face) == expected
 
+    # one element scaled on its last cell disagrees only on faces of that cell
+    # it shares; the class scan sees the failure on `linked`, a face of two
+    # classes, and the witness is the first failing face in lattice order
+    for mesh, family, r, k, owner, linked, first in [
+        (TRI_ON_VERTEX, Family.FULL, 1, 0, (0,), (0,), (0,)),
+        (TET_ON_EDGE, Family.MINUS, 1, 1, (0, 1), (0, 1), (0, 1)),
+        (TET_ON_EDGE, Family.FULL, 2, 0, (0,), (0, 1), (0,)),
+        (PENT_ON_VERTEX, Family.FULL, 2, 0, (0,), (0,), (0,)),
+    ]:
+        els = assemble_basis(mesh, family, r, k)
+        i = next(i for i, el in enumerate(els) if el.face.vertices == owner)
+        last = max(els[i].restrictions)
+        scaled = [
+            GlobalBasisElement(el.face, el.descriptor, {
+                ci: 2 * w if (j, ci) == (i, last) else w for ci, w in el.restrictions.items()
+            })
+            for j, el in enumerate(els)
+        ]
+        face = next(f for f in mesh.all_faces() if f.vertices == linked)
+        assert len(assemble._linked(mesh, face)) == 2 and face.dim < mesh.n - 1
+        witness = verify_single_valued(mesh, scaled, k)
+        assert (witness.element, witness.face) == _exhaustive_witness(mesh, scaled, k)
+        assert witness.element is scaled[i] and witness.face.vertices == first
+
 
 def test_first_witness_matches_exhaustive_scan_with_shared_restrictions():
     # the shared placed_basis objects stay, so the trace and comparison tables hit;
@@ -128,12 +167,16 @@ def test_first_witness_matches_exhaustive_scan_with_shared_restrictions():
         (FAN3, Family.FULL, 2, 1),
         (TET2, Family.MINUS, 2, 1),
         (_shuffled_grid(random.Random(5), 2, 2), Family.FULL, 2, 0),
+        (TRI_ON_VERTEX, Family.FULL, 2, 0),
+        (TET3_ON_TRIANGLE, Family.MINUS, 1, 1),
+        (TET_ON_EDGE, Family.FULL, 2, 0),
+        (PENT_ON_VERTEX, Family.FULL, 2, 0),
     ]:
         els = assemble_basis(mesh, family, r, k)
         slots = [(i, ci) for i, el in enumerate(els) if len(el.restrictions) >= 2
                  for ci in el.restrictions]
         for _ in range(8):
-            factors = {slot: rng.choice((1, 2)) for slot in rng.sample(slots, 3)}
+            factors = {slot: rng.choice((1, 2)) for slot in rng.sample(slots, min(3, len(slots)))}
             altered = [
                 GlobalBasisElement(el.face, el.descriptor, {
                     ci: factors[i, ci] * w if (i, ci) in factors else w
@@ -530,9 +573,11 @@ def test_decompose_refuses_a_cell_perturbed_off_pivot():
 def test_decompose_rejects_keys_that_are_not_cells():
     w0, w1 = whitney(2, (1, 2)), whitney(2, (0, 1))
     assert decompose(TRI2, Family.MINUS, 1, 1, {0: w0, 1: w1})
-    for key in (7, -1, 2, "0"):
+    # False, 0.0, True and 1.0 equal a cell index without being one; the key goes
+    # first, because a dict keeps the first of equal keys
+    for key in (7, -1, 2, "0", False, 0.0, True, 1.0):
         with pytest.raises(ValueError, match=f"piecewise key {key!r} is not a cell index"):
-            decompose(TRI2, Family.MINUS, 1, 1, {0: w0, 1: w1, key: w0})
+            decompose(TRI2, Family.MINUS, 1, 1, {key: w0, 0: w0, 1: w1})
 
 
 def test_cached_restrictions_are_not_mutated():
@@ -588,10 +633,114 @@ def test_assembly_enumerates_each_face_basis_once_per_process(monkeypatch):
 def test_cell_traces_are_the_traced_cell_basis():
     for n in (2, 3):
         for family in Family:
+            kind = SpaceKind(family)
             for r in (1, 2):
                 for k in range(n + 1):
-                    basis = basis_forms(SpaceKind(family), FaceRef.full(n), r, k)
+                    basis = basis_forms(kind, FaceRef.full(n), r, k)
                     for fr in FaceRef.full(n).all_subfaces():
                         table = assemble._cell_traces(family, r, k, fr)
-                        assert table == tuple(w.trace(fr).lift(r) for w in basis)
+                        pivots = spaces._basis_table(kind, fr.dim, r, k, r).columns
+                        traces = [w.trace(fr).lift(r) for w in basis]
+                        assert all(membership(tr, kind, FaceRef.full(fr.dim), r, k) is not None for tr in traces)
+                        assert table == tuple({key: c for key, c in tr.coeffs.items() if key in pivots} for tr in traces)
                         assert assemble._cell_traces(family, r, k, fr) is table
+
+
+def test_a_trace_outside_the_face_space_is_refused(monkeypatch):
+    # the pivot-key rows are sound only for members of the face space
+    real = PolyForm.trace
+    member = basis_forms(SpaceKind(Family.MINUS), FaceRef.full(3), 1, 1)[0]
+    facet = FaceRef(3, (1, 2, 3))
+    outside = bary_monomial(2, (1, 0, 0)).wedge(dlambda(2, (1,)))  # degree 1, not a Whitney form
+    assert membership(outside, SpaceKind(Family.MINUS), FaceRef.full(2), 1, 1) is None
+
+    def bent(self, face):
+        tr = real(self, face)
+        return tr + outside if self is member and face == facet else tr
+
+    els = assemble_basis(TET2, Family.MINUS, 1, 1)
+    assert verify_direct_sum(TET2, els, Family.MINUS, 1, 1).ok
+    monkeypatch.setattr(PolyForm, "trace", bent)
+    assemble._cell_traces.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="leaves the face space"):
+            verify_direct_sum(TET2, els, Family.MINUS, 1, 1)
+    finally:
+        assemble._cell_traces.cache_clear()
+
+
+def _classes(t, face):
+    """The components of the face's cells linked by a shared immediate coface, each as its first (cell, local face)."""
+    left = list(face.incidence)
+    out = []
+    while left:
+        component = [left.pop(0)]
+        for ci, _ in component:
+            outer = set(t.cells[ci]) - set(face.vertices)
+            joined = [c for c in left if outer & set(t.cells[c[0]])]
+            left = [c for c in left if c not in joined]
+            component += joined
+        out.append(component[0])
+    return tuple(out)
+
+
+def test_linked_classes_follow_shared_immediate_cofaces():
+    rng = random.Random(37)
+    grids = [_shuffled_grid(rng, 2, 2), _shuffled_grid(rng, 3, 2)]
+    for mesh in (*grids, *builtin_meshes().values(), *NON_MANIFOLD):
+        for face in mesh.all_faces():
+            linked = assemble._linked(mesh, face)
+            assert linked == _classes(mesh, face)
+            if face.dim == mesh.n - 1:
+                assert linked == face.incidence
+            elif mesh in grids:
+                # a face of a manifold below the facets has a connected link
+                assert len(linked) == 1
+    counts = {
+        (i, face.vertices): len(assemble._linked(mesh, face))
+        for i, mesh in enumerate(NON_MANIFOLD) for face in mesh.all_faces() if len(face.incidence) >= 2
+    }
+    assert counts == {
+        (0, (0,)): 2,
+        (1, (0,)): 1, (1, (1,)): 1, (1, (2,)): 1,
+        (1, (0, 1)): 1, (1, (0, 2)): 1, (1, (1, 2)): 1, (1, (0, 1, 2)): 3,
+        (2, (0,)): 1, (2, (1,)): 1, (2, (0, 1)): 2,
+        (3, (0,)): 2,
+    }
+
+
+def test_single_valued_takes_no_trace_onto_a_face_of_one_class(monkeypatch):
+    traced = []
+    real = PolyForm.trace
+
+    def spy(self, face):
+        traced.append(face)
+        return real(self, face)
+
+    mesh = _shuffled_grid(random.Random(43), 3, 2)
+    # in the grid every shared edge is one class and every shared triangle two
+    shared = [f for j in (1, 2) for f in mesh.faces(j) if len(f.incidence) >= 2]
+    assert {(f.dim, len(assemble._linked(mesh, f))) for f in shared} == {(1, 1), (2, 2)}
+    monkeypatch.setattr(PolyForm, "trace", spy)
+    for family, r in [(Family.MINUS, 1), (Family.FULL, 2)]:
+        els = assemble_basis(mesh, family, r, 1)
+        traced.clear()
+        assert verify_single_valued(mesh, els, 1) is None
+        assert traced and {fr.dim for fr in traced} == {2}
+
+
+def test_constrained_dimension_matches_all_pairs_oracle():
+    rng = random.Random(47)
+    meshes = [
+        *builtin_meshes().values(),
+        _shuffled_grid(rng, 2, 2),
+        _shuffled_grid(rng, 3, 2),
+        *NON_MANIFOLD,
+    ]
+    for mesh in meshes:
+        for family in Family:
+            for r in (1, 2):
+                for k in range(mesh.n + 1):
+                    report = verify_direct_sum(mesh, assemble_basis(mesh, family, r, k), family, r, k)
+                    assert report.ok
+                    assert report.constrained_dimension == all_pairs_constrained_dimension(mesh, family, r, k)
