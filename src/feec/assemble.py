@@ -290,8 +290,9 @@ def decompose(
     zero_kind = SpaceKind(family, zero_trace=True)
     split: list[dict[FaceRef, list[Scalar]]] = []
     degrees: list[int] = []
+    zero = PolyForm.zero(n, k)
     for ci in range(len(t.cells)):
-        w = piecewise.get(ci, PolyForm.zero(n, k))
+        w = piecewise.get(ci, zero)
         degree = max(r, w.r)
         _, slots, table = cell_table(zero_kind, n, r, k, degree)
         coords = coordinates(w.lift(degree), n, k, table)

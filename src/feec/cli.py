@@ -7,9 +7,9 @@ input errors.  All output is deterministic for fixed arguments.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii as escape
 
 from .assemble import assemble_basis, verify_direct_sum, verify_single_valued
 from .extension import placed_basis
@@ -131,7 +131,43 @@ def decompose_payload(mesh_path: str, family: Family, r: int, k: int) -> tuple[d
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+    """Exactly ``json.dumps(payload, indent=2, sort_keys=True)``, written directly.
+
+    The stdlib sends any ``indent`` through its pure-Python encoder.  This
+    writer takes str-keyed dicts, lists, strings (ASCII-escaped by the C
+    function the stdlib uses), ints, booleans and None, and raises TypeError
+    for anything else: a float, a Fraction, a tuple, a key that is not a str.
+    Each all-int list's text is built once per (indent, values) in one call.
+    """
+    ints: dict[tuple[str, tuple[int, ...]], str] = {}
+
+    def write(value: object, indent: str) -> str:
+        kind = type(value)
+        if kind is str:
+            return escape(value)
+        if kind is int:
+            return int.__repr__(value)
+        if kind is list or kind is dict:
+            if not value:
+                return "[]" if kind is list else "{}"
+            inner = indent + "  "
+            sep = ",\n" + inner
+            if kind is dict:  # sorted() or escape() raises TypeError on a key that is not a str
+                body = sep.join([escape(key) + ": " + write(value[key], inner) for key in sorted(value)])
+                return "{\n" + inner + body + "\n" + indent + "}"
+            if all(type(v) is int for v in value):
+                memo = (indent, tuple(value))
+                if memo not in ints:
+                    ints[memo] = "[\n" + inner + sep.join(map(int.__repr__, value)) + "\n" + indent + "]"
+                return ints[memo]
+            return "[\n" + inner + sep.join([write(v, inner) for v in value]) + "\n" + indent + "]"
+        if kind is bool:
+            return "true" if value else "false"
+        if value is None:
+            return "null"
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+    return write(payload, "")
 
 
 def render_dim(payload: dict, fmt: str) -> str:

@@ -31,8 +31,8 @@ class MeshFormatError(ValueError):
 
 
 def _is_id(token: str) -> bool:
-    # ASCII decimal digits only; str.isdigit would admit other scripts
-    return bool(token) and all("0" <= ch <= "9" for ch in token)
+    # ASCII decimal digits only; str.isdigit alone would admit other scripts and superscripts
+    return token.isascii() and token.isdigit()
 
 
 def _number(lineno: int, token: str) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cache
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -19,15 +20,12 @@ def _coeff_prefix(c: Scalar, style: str) -> str:
     return body
 
 
-def format_monomial(
-    alpha: tuple[int, ...], style: str = "plain", labels: Sequence[int] | None = None
-) -> str:
-    """lambda^alpha, with lambda_i named labels[i] (default i)."""
+def format_monomial(alpha: tuple[int, ...], style: str = "plain") -> str:
+    """lambda^alpha."""
     parts = []
-    for p, e in enumerate(alpha):
+    for i, e in enumerate(alpha):
         if e == 0:
             continue
-        i = p if labels is None else labels[p]
         if style == "latex":
             parts.append(f"\\lambda_{{{i}}}" + (f"^{{{e}}}" if e > 1 else ""))
         else:
@@ -77,12 +75,21 @@ def format_generator(
     family: str,
     labels: Sequence[int] | None = None,
 ) -> str:
-    """Render lambda^alpha (d lambda_sigma | phi_sigma) as plain text; vertex p is named labels[p] if given."""
-    if labels is not None:
-        sigma = tuple(labels[s] for s in sigma)
-    mono = format_monomial(alpha, labels=labels)
-    tail = "phi_" + "".join(str(s) for s in sigma) if family == "minus" else format_dlambda(sigma)
-    pieces = [p for p in (mono, tail) if p]
-    if mono == "1" and tail:
-        pieces = [tail]
-    return " ".join(pieces) if pieces else "1"
+    """Render lambda^alpha (d lambda_sigma | phi_sigma) as plain text; vertex p is named labels[p] (default p).
+
+    The text is a cached template per (alpha, sigma, family), such as
+    ``"l{0}*l{2}^2 phi_{0}{1}"``, filled with ``str.format(*labels)``.
+    """
+    if labels is None:
+        labels = range(len(alpha))
+    return _generator_template(alpha, sigma, family).format(*labels)
+
+
+@cache
+def _generator_template(alpha: tuple[int, ...], sigma: tuple[int, ...], family: str) -> str:
+    mono = "*".join(f"l{{{p}}}" + (f"^{e}" if e > 1 else "") for p, e in enumerate(alpha) if e)
+    if family == "minus":
+        tail = "phi_" + "".join(f"{{{s}}}" for s in sigma)
+    else:
+        tail = "^".join(f"dl{{{s}}}" for s in sigma)
+    return " ".join(p for p in (mono, tail) if p) or "1"

@@ -1,8 +1,10 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -130,6 +132,46 @@ def test_basis_json_roundtrip(capsys):
     parsed = json.loads(out)
     assert render_json(parsed) == out.strip()
     assert parsed == basis_payload(Family.MINUS, 2, 2, 1)
+
+
+# quotes, backslashes, control characters, non-ASCII and astral characters,
+# lone surrogates and plain ASCII
+JSON_CHARS = '"\\/\x00\x01\x08\t\n\x0c\r\x1f\x7f é中\u2028\U0001f600\ud800\udfffaZ09_'
+JSON_SCALARS = (True, False, 0, 1, -1, None, -(2**64) - 1, 2**64, 2**64 + 1, 10**40, -7)
+
+
+def random_document(rng: random.Random, depth: int):
+    def text() -> str:
+        return "".join(rng.choice(JSON_CHARS) for _ in range(rng.randrange(6)))
+
+    roll = rng.random()
+    if depth == 0 or roll < 0.35:
+        return rng.choice(JSON_SCALARS + (rng.randint(-(10**6), 10**6), text()))
+    size = rng.randrange(5)  # empty containers included
+    if roll < 0.55:  # all-int lists, repeated so the writer's memo is hit
+        return rng.choice(([1, 0, 2], [2**70, -3], [0], [1, 2, 3, 4]))
+    if roll < 0.8:
+        return [random_document(rng, depth - 1) for _ in range(size)]
+    return {text(): random_document(rng, depth - 1) for _ in range(size)}
+
+
+def test_render_json_matches_json_dumps_on_random_documents():
+    rng = random.Random(20250)
+    for _ in range(600):
+        doc = {"doc": random_document(rng, 5), "twin": [[True, 1], [False, 0], [1, True]]}
+        assert render_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    assert render_json({}) == "{}" and render_json({"a": [[], {}, [[]]]}) == json.dumps(
+        {"a": [[], {}, [[]]]}, indent=2, sort_keys=True
+    )
+
+
+@pytest.mark.parametrize(
+    "doc", [{"x": 0.5}, {"x": [1, Fraction(1, 2)]}, {"x": (1, 2)}, {1: "one"}, {"a": {2: 0, "b": 1}}],
+    ids=["float", "fraction", "tuple", "int-key", "mixed-keys"],
+)
+def test_render_json_refuses_what_is_not_a_payload(doc):
+    with pytest.raises(TypeError):
+        render_json(doc)
 
 
 def test_decompose_command(tmp_path, capsys):

@@ -138,6 +138,25 @@ def test_long_numbers_and_repeated_fields_are_mesh_errors(tmp_path, capsys, text
     assert out.err == f"mesh error: {err.value}\n"
 
 
+@pytest.mark.parametrize("token", ["١", "²", "１２", "3٣"])
+@pytest.mark.parametrize("where", ["cell", "header"])
+def test_digits_outside_ascii_are_not_ids(tmp_path, capsys, token, where):
+    if where == "cell":
+        text = f"simplicial-mesh v1 dim=2 vertices=4 cells=1\n0 1 {token}\n"
+        line, message = 2, "expected 3 non-negative vertex ids"
+    else:
+        text = f"simplicial-mesh v1 dim=2 vertices={token} cells=1\n0 1 2\n"
+        line, message = 1, f"bad header field 'vertices={token}'"
+    with pytest.raises(MeshFormatError) as err:
+        loads(text)
+    assert err.value.line == line and str(err.value) == f"line {line}: {message}"
+    mesh = tmp_path / "bad.mesh"
+    mesh.write_text(text, encoding="utf-8")
+    code = main(["decompose", "--mesh", str(mesh), "--family", "minus", "-r", "1", "-k", "1"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == "" and out.err == f"mesh error: {err.value}\n"
+
+
 def test_validation_of_direct_construction():
     with pytest.raises(ValueError, match=re.escape("cell (0, 1, 1) must have 3 distinct vertices")):
         Triangulation(2, 3, ((0, 1, 1),))
