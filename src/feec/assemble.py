@@ -11,36 +11,37 @@ product of the cell spaces.  Both rest on one rule: traces compose, so cells
 whose traces agree on an immediate coface of a face (the face plus one
 vertex) agree on the face.  Going down from the facets, a face's cells need
 comparing only across the classes that chains of shared immediate cofaces
-leave apart, one representative each; a facet's cells are each their own
-class.  A member of the assembled space is split into its per-face
-components by one exact coordinate solve per cell against the placed
-zero-trace bases of all the cell's faces, which together are one basis of
-the cell space.  The solve reads the form only on the basis's pivot keys, so
-its coordinates are accepted when the form has no key outside the basis and
-they agree with it on every key that is not a pivot; the cells that share a
-face must give it the same coordinates.
+leave apart, one representative each (`Triangulation.classes`, walked once
+per face and mesh); a facet's cells are each their own class.  The count
+matches traces by their coordinates in the face space's basis, from the
+table `spaces.trace_coordinates` that the consistency proof reads too.  A
+member of the assembled space is split into its per-face components by one
+exact coordinate solve per cell against the placed zero-trace bases of all
+the cell's faces, which together are one basis of the cell space.  The
+solve reads the form only on the basis's pivot keys, so its coordinates are
+accepted when the form has no key outside the basis and they agree with it
+on every key that is not a pivot; the cells that share a face must give it
+the same coordinates.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Iterator, NamedTuple
 
 from . import linalg
 from .extension import cell_table, placed_basis
-from .forms import FaceRef, Key, PolyForm, Scalar, combination
+from .forms import FaceRef, PolyForm, Scalar, combination
 from .mesh import GlobalFace, Triangulation
 from .spaces import (
     Family,
     GeneratorDescriptor,
     SpaceKind,
-    _basis_table,
     basis_forms,
     coordinates,
     dim_space,
     enumerate_basis,
-    membership,
     rank_of,
+    trace_coordinates,
 )
 
 
@@ -88,22 +89,6 @@ class SingleValuedWitness(NamedTuple):
     traces: tuple[PolyForm, PolyForm]
 
 
-def _linked(t: Triangulation, face: GlobalFace) -> tuple[tuple[int, FaceRef], ...]:
-    """The first (cell, local face) of each class of the face's cells, in incidence order.
-
-    A class is joined by chains of cells, each consecutive pair sharing an
-    immediate coface; a facet's cells share none, so its incidence comes back.
-    """
-    if face.dim == t.n - 1:
-        return face.incidence
-    classes: dict[tuple[int, FaceRef], set[int]] = {}  # representative: outer vertices of its class
-    for ci, fr in face.incidence:
-        outer = set(t.cells[ci]).difference(face.vertices)  # one vertex per immediate coface
-        hit = [rep for rep, vs in classes.items() if vs & outer] or [(ci, fr)]
-        classes[hit[0]] = outer.union(classes.get(hit[0], ()), *(classes.pop(rep) for rep in hit[1:]))
-    return tuple(classes)
-
-
 def verify_single_valued(
     t: Triangulation, elements: list[GlobalBasisElement], k: int
 ) -> SingleValuedWitness | None:
@@ -113,16 +98,16 @@ def verify_single_valued(
     order and stops at its first pair of disagreeing traces.  Cells agreeing
     on a shared immediate coface of a face agree on the face, so, down from
     the facets, an element is single-valued exactly when its scan over the
-    class representatives (:func:`_linked`) of faces of two or more classes
-    passes; the first element that fails is scanned again over full incidence
-    for its witness.  One trace is taken per (restriction object, local face):
-    `traces` maps (id of a restriction or of None, local face) to the
-    restriction, held so its id is not reused, and its trace.  `agree` holds
-    the id pairs of traces found equal, so each pair is compared once; both
-    tables last one call.
+    class representatives (:meth:`Triangulation.classes`) of faces of two or
+    more classes passes; the first element that fails is scanned again over
+    full incidence for its witness.  One trace is taken per (restriction
+    object, local face): `traces` maps (id of a restriction or of None, local
+    face) to the restriction, held so its id is not reused, and its trace.
+    `agree` holds the id pairs of traces found equal, so each pair is
+    compared once; both tables last one call.
     """
     shared = [f for j in range(k, t.n) for f in t.faces(j) if len(f.incidence) >= 2]
-    linked = [reps if len(reps := _linked(t, f)) >= 2 else () for f in shared]
+    linked = [reps if len(reps := t.classes(f)) >= 2 else () for f in shared]
     faces_of_cell: dict[int, list[int]] = {}
     for pos, face in enumerate(shared):
         for ci, _ in face.incidence:
@@ -183,40 +168,26 @@ def _stacked_rows(elements: list[GlobalBasisElement]) -> Iterator[linalg.Row]:
         }
 
 
-@cache
-def _cell_traces(family: Family, r: int, k: int, fr: FaceRef) -> tuple[dict[Key, Scalar], ...]:
-    """The whole space's basis on the fr.n-simplex traced onto fr at degree r, on the face space's pivot keys.
-
-    Each trace is first proved a member of the space on the face, else
-    ArithmeticError; so a combination of them vanishes exactly when it does on
-    the pivot keys of that space's basis.  Built once per process; do not mutate.
-    """
-    kind = SpaceKind(family)
-    traces = [w.trace(fr).lift(r) for w in basis_forms(kind, FaceRef.full(fr.n), r, k)]
-    if any(membership(tr, kind, FaceRef.full(fr.dim), r, k) is None for tr in traces):
-        raise ArithmeticError(f"a {family.value} basis trace onto {fr} leaves the face space")
-    pivots = _basis_table(kind, fr.dim, r, k, r).columns
-    return tuple({key: c for key, c in tr.coeffs.items() if key in pivots} for tr in traces)
-
-
 def _constraint_rows(
     t: Triangulation, family: Family, r: int, k: int, per_cell: int
 ) -> Iterator[dict[int, Scalar]]:
-    """Trace matching between each face's class representatives, one sparse row per pivot key and pair.
+    """Trace matching between each face's class representatives, one sparse row per face coordinate and pair.
 
     Column `cell * per_cell + b` is the coefficient of the whole space's basis
-    form b on that cell.  By the module's coface rule these rows cut out the
-    space all cell pairs on all keys do; traces come from :func:`_cell_traces`.
+    form b on that cell, and row i compares the traces' coordinates i in the
+    face space's basis (:func:`spaces.trace_coordinates`).  By the module's
+    coface rule these rows cut out the space all cell pairs on all keys do.
     """
     for j in range(k, t.n):
         for face in t.faces(j):
-            (c0, fr0), *others = _linked(t, face)
+            (c0, fr0), *others = t.classes(face)
             for ci, fri in others:
-                rows: dict[Key, dict[int, Scalar]] = {}
+                rows: dict[int, dict[int, Scalar]] = {}
                 for cell, fr, sign in ((c0, fr0, 1), (ci, fri, -1)):
-                    for b, tr in enumerate(_cell_traces(family, r, k, fr)):
-                        for key, c in tr.items():
-                            rows.setdefault(key, {})[cell * per_cell + b] = sign * c
+                    for b, coords in enumerate(trace_coordinates(SpaceKind(family), r, k, fr)):
+                        for i, c in enumerate(coords):
+                            if c:
+                                rows.setdefault(i, {})[cell * per_cell + b] = sign * c
                 yield from rows.values()
 
 
@@ -234,8 +205,8 @@ def verify_direct_sum(
     the set of restriction objects touching it, so it is computed once per
     distinct set within this one call; `got == len(forms)` still sees a
     repeated object.  The constrained space matches traces only between each
-    face's class representatives (:func:`_linked`), on the face space's pivot
-    keys: cells agreeing on a shared immediate coface agree on the face.
+    face's class representatives (:meth:`Triangulation.classes`), in the face
+    space's basis: cells agreeing on a shared immediate coface agree on the face.
     """
     count = len(elements)
     whole = SpaceKind(family)

@@ -18,7 +18,8 @@ kind alone names the space a family extends.  The placed zero-trace bases
 of all faces of a simplex together form one basis of its whole space, the
 geometric decomposition, kept with its inverse as one cached table per
 cell space.  The naive control is a right inverse of the trace but fails
-the compatibility law for a family E, which is checked on the tables alone:
+the compatibility law for a family E, which is checked on the image tables
+and the traced-basis table `spaces.trace_coordinates` alone:
 
     tr_{h,g} E_{f,h} = E_{f \\cap g, g} tr_{f, f \\cap g}   for f, g inside h,
 
@@ -50,6 +51,7 @@ from .spaces import (
     inverse_columns,
     membership,
     rank_of,
+    trace_coordinates,
 )
 
 
@@ -196,23 +198,16 @@ def _images(fam: ExtensionFamily, fr: FaceRef) -> tuple[PolyForm, ...]:
     return placed_basis(fam.space_kind, fam.r, fam.k, fr)
 
 
-def _coordinates(fam: ExtensionFamily, mu: PolyForm, f: FaceRef) -> list[Scalar]:
-    """mu's coordinates in the basis of the family's space on f.
+def extend_form(fam: ExtensionFamily, mu: PolyForm, f: FaceRef, g: FaceRef) -> PolyForm:
+    """The family's extension of a space member on f to g.
 
-    Raises ValueError when mu is not a member of that space.
+    mu's coordinates in the basis on f weight the images of that basis;
+    raises ValueError when mu is not a member of that space.
     """
     coords = membership(mu, fam.space_kind, f, fam.r, fam.k)
     if coords is None:
         raise ValueError(f"form is not a member of the degree-{fam.r} space on {f.indices}")
-    return coords
-
-
-def extend_form(fam: ExtensionFamily, mu: PolyForm, f: FaceRef, g: FaceRef) -> PolyForm:
-    """The family's extension of a space member on f to g.
-
-    mu's coordinates in the basis on f weight the images of that basis.
-    """
-    return combination(g.dim, fam.k, zip(_coordinates(fam, mu, f), _images(fam, g.to_local(f))))
+    return combination(g.dim, fam.k, zip(coords, _images(fam, g.to_local(f))))
 
 
 # -- the compatibility law ------------------------------------------------------
@@ -234,13 +229,6 @@ class ConsistencyResult(NamedTuple):
         return self.ok
 
 
-@cache
-def _trace_coordinates(fam: ExtensionFamily, fr: FaceRef) -> tuple[list[Scalar], ...]:
-    """Coordinates on fr of the trace of each basis member of the reference fr.n-simplex; do not mutate."""
-    members = basis_forms(fam.space_kind, FaceRef.full(fr.n), fam.r, fam.k)
-    return tuple(_coordinates(fam, mu.trace(fr), fr) for mu in members)
-
-
 def check_consistency(fam: ExtensionFamily, h: FaceRef) -> ConsistencyResult:
     """Verify the compatibility law on every basis element, all face pairs in h.
 
@@ -249,7 +237,8 @@ def check_consistency(fam: ExtensionFamily, h: FaceRef) -> ConsistencyResult:
     above it checks, for d = h.dim down to 1, each face f of the reference
     d-simplex in lattice order against its facets g in order: the trace onto
     g of a member's image on f must equal the images of f \\cap g in g weighted
-    by the coordinates of the member's trace on f \\cap g (zero if disjoint).
+    by the coordinates of the member's trace on f \\cap g (zero if disjoint),
+    which every family of the space reads from :func:`spaces.trace_coordinates`.
     The first failure is the witness, under its vertex indices on h.
     """
     for d in range(h.dim, 0, -1):
@@ -262,7 +251,8 @@ def check_consistency(fam: ExtensionFamily, h: FaceRef) -> ConsistencyResult:
                 if fg is None:
                     rows, images = [()] * len(members), ()
                 else:
-                    rows, images = _trace_coordinates(fam, f.to_local(fg)), _images(fam, g.to_local(fg))
+                    rows = trace_coordinates(fam.space_kind, fam.r, fam.k, f.to_local(fg))
+                    images = _images(fam, g.to_local(fg))
                 for mu, ext, row in zip(members, extended, rows):
                     lhs, rhs = ext.trace(g), combination(g.dim, fam.k, zip(row, images))
                     if lhs != rhs:

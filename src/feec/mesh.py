@@ -70,6 +70,7 @@ class Triangulation:
                 raise ValueError(f"cell {cell} appears twice")
             seen.add(cell)
         self.n, self.num_vertices, self.cells = n, num_vertices, cells
+        self._classes: dict[tuple[int, ...], tuple[tuple[int, FaceRef], ...]] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Triangulation):
@@ -106,6 +107,27 @@ class Triangulation:
     def all_faces(self) -> list[GlobalFace]:
         """The whole face lattice, by increasing dimension then vertex tuple."""
         return [f for level in self._lattice for f in level]
+
+    def classes(self, face: GlobalFace) -> tuple[tuple[int, FaceRef], ...]:
+        """The first (cell, local face) of each class of the face's cells, in incidence order.
+
+        A class is joined by chains of cells, each consecutive pair sharing an
+        immediate coface (the face plus one vertex); a facet's cells share
+        none.  Each face is walked once per triangulation, when first asked for.
+        """
+        if face.vertices not in self._classes:
+            self._classes[face.vertices] = self._walk_classes(face)
+        return self._classes[face.vertices]
+
+    def _walk_classes(self, face: GlobalFace) -> tuple[tuple[int, FaceRef], ...]:
+        if face.dim == self.n - 1:
+            return face.incidence
+        classes: dict[tuple[int, FaceRef], set[int]] = {}  # representative: outer vertices of its class
+        for ci, fr in face.incidence:
+            outer = set(self.cells[ci]).difference(face.vertices)  # one vertex per immediate coface
+            hit = [rep for rep, vs in classes.items() if vs & outer] or [(ci, fr)]
+            classes[hit[0]] = outer.union(classes.get(hit[0], ()), *(classes.pop(rep) for rep in hit[1:]))
+        return tuple(classes)
 
 
 def loads(text: str) -> Triangulation:

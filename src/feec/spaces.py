@@ -11,7 +11,8 @@ and the realized basis is built once for each space and face dimension; its
 exact inverse on its pivot keys is kept as sparse columns keyed by pivot
 key, so a membership test reads only the columns of the keys the form has,
 and then checks the answer on the keys that are not pivots, where alone the
-combination could differ from the form.
+combination could differ from the form.  The coordinates of a simplex's
+basis traced onto each of its faces are tabled once per process too.
 """
 
 from __future__ import annotations
@@ -267,3 +268,16 @@ def membership(
     """
     degree = max(r, w.r)
     return coordinates(w.lift(degree), face.dim, k, _basis_table(kind, face.dim, r, k, degree))
+
+
+@cache
+def trace_coordinates(kind: SpaceKind, r: int, k: int, fr: FaceRef) -> tuple[list[Scalar], ...]:
+    """Coordinates on fr of the trace of each basis member of the reference fr.n-simplex.
+
+    A trace outside the space on the face raises ArithmeticError.  Built once
+    per process for each argument tuple; callers must not mutate it.
+    """
+    coords = tuple(membership(w.trace(fr), kind, fr, r, k) for w in _reference_basis(kind, fr.n, r, k))
+    if None in coords:
+        raise ArithmeticError(f"a {kind.family.value} basis trace onto {fr} leaves the face space")
+    return coords

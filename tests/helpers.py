@@ -352,11 +352,13 @@ def all_pairs_consistency(fam, h):
     of a basis member's image on f; for disjoint f and g it must vanish.
     Otherwise the right side weights the images of f \\cap g in g by the
     coordinates on f \\cap g of the member's trace, computed once per
-    (f, f \\cap g, member).  Returns the first failure in (f, g, member) order.
+    (f, f \\cap g, member) by `membership`, not read from the shared table
+    `spaces.trace_coordinates`.  Returns the first failure in (f, g, member)
+    order.
     """
     from feec import extension
     from feec.forms import FaceRef, PolyForm, combination
-    from feec.spaces import basis_forms
+    from feec.spaces import basis_forms, membership
 
     result, witness = extension.ConsistencyResult, extension.ConsistencyWitness
     faces = FaceRef.full(h.dim).all_subfaces()
@@ -378,7 +380,7 @@ def all_pairs_consistency(fam, h):
                 lhs = ext.trace(g)
                 coords = restricted.get((fg, i))
                 if coords is None:
-                    coords = restricted[fg, i] = extension._coordinates(fam, mu.trace(f_fg), fg)
+                    coords = restricted[fg, i] = membership(mu.trace(f_fg), fam.space_kind, fg, fam.r, fam.k)
                 rhs = combination(g.dim, fam.k, zip(coords, images))
                 if lhs != rhs:
                     return result(False, witness(f, g, mu, lhs, rhs))
@@ -389,8 +391,8 @@ def all_pairs_constrained_dimension(t, family, r, k):
     """Dimension of the piecewise forms with single-valued traces, matching every cell pair on every key.
 
     The reference for `verify_direct_sum(...).constrained_dimension`, which
-    matches only the class representatives of each face, on the pivot keys of
-    the face space.  Here each shared face compares its first cell with every
+    matches only the class representatives of each face, by the traces'
+    coordinates in the face space's basis.  Here each shared face compares its first cell with every
     other one, one sparse row per trace key, over columns `cell * per_cell + b`
     for the whole space's basis form b on that cell.
     """
@@ -415,3 +417,92 @@ def all_pairs_constrained_dimension(t, family, r, k):
                             face_rows.setdefault(key, {})[cell * per_cell + b] = sign * c
                 rows.extend(face_rows.values())
     return per_cell * len(t.cells) - linalg.rank(rows)
+
+
+def pivot_key_constrained_dimension(t, family, r, k):
+    """The constrained dimension from trace-matching rows at the face space's pivot keys.
+
+    The reference for `verify_direct_sum(...).constrained_dimension`, which
+    matches each face's class representatives (`Triangulation.classes`) by
+    the traces' coordinates in the face space's basis.  Here the same pairs
+    match the traces themselves, one sparse row per pivot key of the face
+    basis at degree r, over columns `cell * per_cell + b` for the whole
+    space's basis form b on that cell.  Each trace is first checked to be a
+    member of the face space, without which the pivot keys would not decide
+    it; the rows then differ from the coordinate rows by the face basis's
+    square nonsingular pivot block, so the rank is the same.
+    """
+    from feec import linalg
+    from feec.forms import FaceRef
+    from feec.spaces import SpaceKind, _basis_table, basis_forms, membership
+
+    kind = SpaceKind(family)
+    basis = basis_forms(kind, FaceRef.full(t.n), r, k)
+    per_cell = len(basis)
+    cell_traces = {}
+
+    def traces(fr):
+        if fr not in cell_traces:
+            full = [w.trace(fr).lift(r) for w in basis]
+            assert all(membership(tr, kind, fr, r, k) is not None for tr in full)
+            pivots = _basis_table(kind, fr.dim, r, k, r).columns
+            cell_traces[fr] = [{key: c for key, c in tr.coeffs.items() if key in pivots} for tr in full]
+        return cell_traces[fr]
+
+    rows = []
+    for j in range(k, t.n):
+        for face in t.faces(j):
+            (c0, fr0), *others = t.classes(face)
+            for ci, fri in others:
+                face_rows = {}
+                for cell, fr, sign in ((c0, fr0, 1), (ci, fri, -1)):
+                    for b, tr in enumerate(traces(fr)):
+                        for key, c in tr.items():
+                            face_rows.setdefault(key, {})[cell * per_cell + b] = sign * c
+                rows.extend(face_rows.values())
+    return per_cell * len(t.cells) - linalg.rank(rows)
+
+
+def shuffled_grid(rng, dim, m):
+    """Freudenthal (2-D) or Kuhn (3-D and up) triangulation of an m^dim grid, vertex ids and cells shuffled."""
+    from itertools import permutations, product
+
+    from feec.mesh import from_cells
+
+    side = m + 1
+    ids = list(range(side**dim))
+    rng.shuffle(ids)
+
+    def vid(p):
+        out = 0
+        for x in p:
+            out = out * side + x
+        return ids[out]
+
+    cells = []
+    for corner in product(range(m), repeat=dim):
+        for order in permutations(range(dim)):
+            p = list(corner)
+            path = [vid(p)]
+            for axis in order:
+                p[axis] += 1
+                path.append(vid(p))
+            cells.append(tuple(path))
+    rng.shuffle(cells)
+    return from_cells(dim, cells)
+
+
+def non_manifold_meshes():
+    """Cells meeting on a face of dimension below n - 1, or three on one facet.
+
+    Two triangles on a vertex, three tetrahedra on a triangle, two tetrahedra
+    on an edge, and two 4-simplices on a vertex.
+    """
+    from feec.mesh import from_cells
+
+    return (
+        from_cells(2, [(0, 1, 2), (0, 3, 4)]),
+        from_cells(3, [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5)]),
+        from_cells(3, [(0, 1, 2, 3), (0, 1, 4, 5)]),
+        from_cells(4, [(0, 1, 2, 3, 4), (0, 5, 6, 7, 8)]),
+    )

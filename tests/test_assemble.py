@@ -3,7 +3,6 @@ import sys
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import permutations, product
 
 import pytest
 
@@ -17,24 +16,34 @@ from feec.assemble import (
     verify_single_valued,
 )
 from feec import assemble, linalg, spaces
-from feec.extension import cell_table, characterization_equality, placed_basis
+from feec.extension import (
+    ExtensionFamily,
+    FamilyKind,
+    cell_table,
+    characterization_equality,
+    check_consistency,
+    placed_basis,
+)
 from feec.forms import FaceRef, PolyForm, bary_monomial, canonicalize, dlambda, whitney
 from feec.mesh import from_cells
 from feec.spaces import Family, SpaceKind, basis_forms, coordinates, dim_space, membership, realize
 from feec.verify import builtin_meshes
-from helpers import all_pairs_constrained_dimension, oracle_rank, peel_oracle, rebuild_coordinates
+from helpers import (
+    all_pairs_constrained_dimension,
+    non_manifold_meshes,
+    oracle_rank,
+    peel_oracle,
+    pivot_key_constrained_dimension,
+    rebuild_coordinates,
+    shuffled_grid,
+)
 
 TRI1 = from_cells(2, [(0, 1, 2)])
 TRI2 = from_cells(2, [(0, 1, 2), (1, 2, 3)])
 FAN3 = from_cells(2, [(0, 1, 2), (0, 2, 3), (0, 3, 4)])
 TET1 = from_cells(3, [(0, 1, 2, 3)])
 TET2 = from_cells(3, [(0, 1, 2, 3), (1, 2, 3, 4)])
-# non-manifold meshes: cells meeting on a face of dimension below n - 1, or three on one facet
-TRI_ON_VERTEX = from_cells(2, [(0, 1, 2), (0, 3, 4)])
-TET3_ON_TRIANGLE = from_cells(3, [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5)])
-TET_ON_EDGE = from_cells(3, [(0, 1, 2, 3), (0, 1, 4, 5)])
-PENT_ON_VERTEX = from_cells(4, [(0, 1, 2, 3, 4), (0, 5, 6, 7, 8)])
-NON_MANIFOLD = (TRI_ON_VERTEX, TET3_ON_TRIANGLE, TET_ON_EDGE, PENT_ON_VERTEX)
+NON_MANIFOLD = TRI_ON_VERTEX, TET3_ON_TRIANGLE, TET_ON_EDGE, PENT_ON_VERTEX = non_manifold_meshes()
 
 
 def test_lowest_order_edge_elements():
@@ -151,7 +160,7 @@ def test_first_witness_matches_exhaustive_scan():
             for j, el in enumerate(els)
         ]
         face = next(f for f in mesh.all_faces() if f.vertices == linked)
-        assert len(assemble._linked(mesh, face)) == 2 and face.dim < mesh.n - 1
+        assert len(mesh.classes(face)) == 2 and face.dim < mesh.n - 1
         witness = verify_single_valued(mesh, scaled, k)
         assert (witness.element, witness.face) == _exhaustive_witness(mesh, scaled, k)
         assert witness.element is scaled[i] and witness.face.vertices == first
@@ -166,7 +175,7 @@ def test_first_witness_matches_exhaustive_scan_with_shared_restrictions():
     for mesh, family, r, k in [
         (FAN3, Family.FULL, 2, 1),
         (TET2, Family.MINUS, 2, 1),
-        (_shuffled_grid(random.Random(5), 2, 2), Family.FULL, 2, 0),
+        (shuffled_grid(random.Random(5), 2, 2), Family.FULL, 2, 0),
         (TRI_ON_VERTEX, Family.FULL, 2, 0),
         (TET3_ON_TRIANGLE, Family.MINUS, 1, 1),
         (TET_ON_EDGE, Family.FULL, 2, 0),
@@ -323,7 +332,7 @@ def test_certificates_share_work_between_identical_restrictions(monkeypatch):
 
     monkeypatch.setattr(PolyForm, "trace", trace_spy)
     monkeypatch.setattr(assemble, "rank_of", rank_spy)
-    mesh = _shuffled_grid(random.Random(31), 3, 2)
+    mesh = shuffled_grid(random.Random(31), 3, 2)
     for family, r, k in [(Family.MINUS, 1, 1), (Family.FULL, 2, 1)]:
         els = assemble_basis(mesh, family, r, k)
         traced.clear()
@@ -429,31 +438,6 @@ def test_assemble_validates_arguments():
                 decompose(TRI2, family, r, k, {})
 
 
-def _shuffled_grid(rng, dim, m):
-    """Freudenthal (2-D) or Kuhn (3-D) triangulation of an m^dim grid, vertex ids shuffled."""
-    side = m + 1
-    ids = list(range(side**dim))
-    rng.shuffle(ids)
-
-    def vid(p):
-        out = 0
-        for x in p:
-            out = out * side + x
-        return ids[out]
-
-    cells = []
-    for corner in product(range(m), repeat=dim):
-        for order in permutations(range(dim)):
-            p = list(corner)
-            path = [vid(p)]
-            for axis in order:
-                p[axis] += 1
-                path.append(vid(p))
-            cells.append(tuple(path))
-    rng.shuffle(cells)
-    return from_cells(dim, cells)
-
-
 def _member(elements, coeffs, n, k):
     piecewise = {}
     for c, el in zip(coeffs, elements):
@@ -487,7 +471,7 @@ def _outside_forms(family, n, r, k):
 def test_peel_roundtrip_on_random_meshes():
     # decompose against the realized generators and against the face-by-face peel
     rng = random.Random(67)
-    meshes = [_shuffled_grid(rng, 2, 2), _shuffled_grid(rng, 3, 1)]
+    meshes = [shuffled_grid(rng, 2, 2), shuffled_grid(rng, 3, 1)]
     for mesh in meshes:
         n = mesh.n
         for family in (Family.MINUS, Family.FULL):
@@ -525,7 +509,7 @@ def test_peel_roundtrip_on_random_meshes():
 
 def test_decompose_accepts_a_member_stored_above_degree_r():
     rng = random.Random(71)
-    for mesh in (FAN3, _shuffled_grid(rng, 3, 1)):
+    for mesh in (FAN3, shuffled_grid(rng, 3, 1)):
         n = mesh.n
         for family in Family:
             for r in (1, 2):
@@ -630,24 +614,10 @@ def test_assembly_enumerates_each_face_basis_once_per_process(monkeypatch):
     assert set(calls.values()) == {1}
 
 
-def test_cell_traces_are_the_traced_cell_basis():
-    for n in (2, 3):
-        for family in Family:
-            kind = SpaceKind(family)
-            for r in (1, 2):
-                for k in range(n + 1):
-                    basis = basis_forms(kind, FaceRef.full(n), r, k)
-                    for fr in FaceRef.full(n).all_subfaces():
-                        table = assemble._cell_traces(family, r, k, fr)
-                        pivots = spaces._basis_table(kind, fr.dim, r, k, r).columns
-                        traces = [w.trace(fr).lift(r) for w in basis]
-                        assert all(membership(tr, kind, FaceRef.full(fr.dim), r, k) is not None for tr in traces)
-                        assert table == tuple({key: c for key, c in tr.coeffs.items() if key in pivots} for tr in traces)
-                        assert assemble._cell_traces(family, r, k, fr) is table
-
-
 def test_a_trace_outside_the_face_space_is_refused(monkeypatch):
-    # the pivot-key rows are sound only for members of the face space
+    # coordinates in the face basis stand for a trace only when it is a member
+    # of the face space; the shared table refuses one that is not, for the
+    # direct-sum count and the consistency proof alike
     real = PolyForm.trace
     member = basis_forms(SpaceKind(Family.MINUS), FaceRef.full(3), 1, 1)[0]
     facet = FaceRef(3, (1, 2, 3))
@@ -659,54 +629,19 @@ def test_a_trace_outside_the_face_space_is_refused(monkeypatch):
         return tr + outside if self is member and face == facet else tr
 
     els = assemble_basis(TET2, Family.MINUS, 1, 1)
+    fam = ExtensionFamily(FamilyKind.MINUS_BARYCENTRIC, 1, 1)
     assert verify_direct_sum(TET2, els, Family.MINUS, 1, 1).ok
+    assert check_consistency(fam, FaceRef.full(3)).ok
     monkeypatch.setattr(PolyForm, "trace", bent)
-    assemble._cell_traces.cache_clear()
+    spaces.trace_coordinates.cache_clear()
     try:
         with pytest.raises(ArithmeticError, match="leaves the face space"):
             verify_direct_sum(TET2, els, Family.MINUS, 1, 1)
+        spaces.trace_coordinates.cache_clear()
+        with pytest.raises(ArithmeticError, match="leaves the face space"):
+            check_consistency(fam, FaceRef.full(3))
     finally:
-        assemble._cell_traces.cache_clear()
-
-
-def _classes(t, face):
-    """The components of the face's cells linked by a shared immediate coface, each as its first (cell, local face)."""
-    left = list(face.incidence)
-    out = []
-    while left:
-        component = [left.pop(0)]
-        for ci, _ in component:
-            outer = set(t.cells[ci]) - set(face.vertices)
-            joined = [c for c in left if outer & set(t.cells[c[0]])]
-            left = [c for c in left if c not in joined]
-            component += joined
-        out.append(component[0])
-    return tuple(out)
-
-
-def test_linked_classes_follow_shared_immediate_cofaces():
-    rng = random.Random(37)
-    grids = [_shuffled_grid(rng, 2, 2), _shuffled_grid(rng, 3, 2)]
-    for mesh in (*grids, *builtin_meshes().values(), *NON_MANIFOLD):
-        for face in mesh.all_faces():
-            linked = assemble._linked(mesh, face)
-            assert linked == _classes(mesh, face)
-            if face.dim == mesh.n - 1:
-                assert linked == face.incidence
-            elif mesh in grids:
-                # a face of a manifold below the facets has a connected link
-                assert len(linked) == 1
-    counts = {
-        (i, face.vertices): len(assemble._linked(mesh, face))
-        for i, mesh in enumerate(NON_MANIFOLD) for face in mesh.all_faces() if len(face.incidence) >= 2
-    }
-    assert counts == {
-        (0, (0,)): 2,
-        (1, (0,)): 1, (1, (1,)): 1, (1, (2,)): 1,
-        (1, (0, 1)): 1, (1, (0, 2)): 1, (1, (1, 2)): 1, (1, (0, 1, 2)): 3,
-        (2, (0,)): 1, (2, (1,)): 1, (2, (0, 1)): 2,
-        (3, (0,)): 2,
-    }
+        spaces.trace_coordinates.cache_clear()
 
 
 def test_single_valued_takes_no_trace_onto_a_face_of_one_class(monkeypatch):
@@ -717,10 +652,10 @@ def test_single_valued_takes_no_trace_onto_a_face_of_one_class(monkeypatch):
         traced.append(face)
         return real(self, face)
 
-    mesh = _shuffled_grid(random.Random(43), 3, 2)
+    mesh = shuffled_grid(random.Random(43), 3, 2)
     # in the grid every shared edge is one class and every shared triangle two
     shared = [f for j in (1, 2) for f in mesh.faces(j) if len(f.incidence) >= 2]
-    assert {(f.dim, len(assemble._linked(mesh, f))) for f in shared} == {(1, 1), (2, 2)}
+    assert {(f.dim, len(mesh.classes(f))) for f in shared} == {(1, 1), (2, 2)}
     monkeypatch.setattr(PolyForm, "trace", spy)
     for family, r in [(Family.MINUS, 1), (Family.FULL, 2)]:
         els = assemble_basis(mesh, family, r, 1)
@@ -733,8 +668,8 @@ def test_constrained_dimension_matches_all_pairs_oracle():
     rng = random.Random(47)
     meshes = [
         *builtin_meshes().values(),
-        _shuffled_grid(rng, 2, 2),
-        _shuffled_grid(rng, 3, 2),
+        shuffled_grid(rng, 2, 2),
+        shuffled_grid(rng, 3, 2),
         *NON_MANIFOLD,
     ]
     for mesh in meshes:
@@ -744,3 +679,32 @@ def test_constrained_dimension_matches_all_pairs_oracle():
                     report = verify_direct_sum(mesh, assemble_basis(mesh, family, r, k), family, r, k)
                     assert report.ok
                     assert report.constrained_dimension == all_pairs_constrained_dimension(mesh, family, r, k)
+
+
+def test_constrained_dimension_matches_the_pivot_key_rows_on_the_builtin_meshes():
+    # the count's rows compare the traces' coordinates in the face basis; the
+    # oracle's compare the traces themselves at the face basis's pivot keys
+    for mesh in builtin_meshes().values():
+        for family in Family:
+            for r in (1, 2, 3):
+                for k in range(mesh.n + 1):
+                    report = verify_direct_sum(mesh, assemble_basis(mesh, family, r, k), family, r, k)
+                    assert report.constrained_dimension == pivot_key_constrained_dimension(mesh, family, r, k)
+
+
+def test_constraint_rows_keep_their_count_and_rank_on_the_grids():
+    # a 50-triangle Freudenthal grid and a 48-tet Kuhn grid: one row per face
+    # coordinate gives as many rows, of the same rank, as one per pivot key
+    rng = random.Random(53)
+    for dim, m, family, r, k, count, rank in [
+        (2, 5, Family.FULL, 2, 1, 195, 195),
+        (3, 2, Family.MINUS, 1, 1, 216, 190),
+    ]:
+        mesh = shuffled_grid(rng, dim, m)
+        per_cell = len(basis_forms(SpaceKind(family), FaceRef.full(dim), r, k))
+        rows = list(assemble._constraint_rows(mesh, family, r, k, per_cell))
+        assert (len(rows), linalg.rank(rows)) == (count, rank)
+        report = verify_direct_sum(mesh, assemble_basis(mesh, family, r, k), family, r, k)
+        assert report.ok
+        constrained = per_cell * len(mesh.cells) - rank
+        assert report.constrained_dimension == constrained == pivot_key_constrained_dimension(mesh, family, r, k)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from feec import extension
+from feec import extension, spaces
 from feec.dof import dual_extend
 from feec.forms import FaceRef, PolyForm, bary_monomial, canonicalize, combination, dlambda, one, whitney
 from feec.extension import (
@@ -35,6 +35,7 @@ from feec.spaces import (
     basis_forms,
     dim_space,
     enumerate_basis,
+    membership,
     realize,
 )
 from feec.verify import suite_consistency
@@ -451,32 +452,47 @@ def test_naive_extension_rejects_a_non_member():
             extend_form(ExtensionFamily(kind, 2, 1), mu, edge, T)
 
 
-def test_consistency_takes_coordinates_once_per_restricted_member(monkeypatch):
+def test_consistency_suite_builds_each_trace_table_entry_once(monkeypatch):
+    # FULL_PSI, DUAL_FULL and NAIVE_FULL read the full space's entries, and
+    # MINUS_BARYCENTRIC and DUAL_MINUS the reduced space's: one table serves them
     calls = Counter()
-    real = extension.membership
+    real = spaces.membership
 
     def spy(w, kind, face, r, k):
-        calls[face] += 1
+        calls[kind, r, k, face] += 1
         return real(w, kind, face, r, k)
 
-    monkeypatch.setattr(extension, "membership", spy)
-    fam = ExtensionFamily(FamilyKind.MINUS_BARYCENTRIC, 2, 1)
-    extension._trace_coordinates.cache_clear()
-    assert check_consistency(fam, FaceRef.full(3)).ok
+    monkeypatch.setattr(spaces, "membership", spy)
+    spaces.trace_coordinates.cache_clear()
+    try:
+        assert all(res.passed for res in suite_consistency())
+        built = calls.copy()
+        # the table outlives the suite: a second proof takes no coordinates
+        calls.clear()
+        assert check_consistency(ExtensionFamily(FamilyKind.DUAL_FULL, 2, 1), FaceRef.full(3)).ok
+        assert not calls
+    finally:
+        spaces.trace_coordinates.cache_clear()
+    families = [(ExtensionFamily(kind, r, k), FaceRef.full(3))
+                for kind, top_r in ((FamilyKind.MINUS_BARYCENTRIC, 3), (FamilyKind.FULL_PSI, 3),
+                                    (FamilyKind.DUAL_FULL, 2), (FamilyKind.DUAL_MINUS, 2))
+                for r in range(1, top_r + 1) for k in range(3)]
+    families.append((ExtensionFamily(FamilyKind.NAIVE_FULL, 2, 1), FaceRef.full(2)))
+    read = set()  # (family, table entry) pairs the proofs read
+    for fam, h in families:
+        for d in range(h.dim, 0, -1):
+            faces = FaceRef.full(d).all_subfaces()
+            for f in faces:
+                for g in faces:
+                    fg = f.intersect(g)
+                    if g.dim == d - 1 and fg is not None:
+                        read.add((fam, (fam.space_kind, fam.r, fam.k, f.to_local(fg))))
+    entries = {entry for _, entry in read}
+    assert len(entries) < len(read)
     # a local face of f names both f.dim (its n) and f cap g placed in f
-    local = set()
-    for d in (1, 2, 3):
-        faces = FaceRef.full(d).all_subfaces()
-        for f in faces:
-            for g in faces:
-                fg = f.intersect(g)
-                if g.dim == d - 1 and fg is not None:
-                    local.add(f.to_local(fg))
-    assert calls == Counter({fr: len(basis_forms(MINUS, FaceRef.full(fr.n), 2, 1)) for fr in local})
-    # the table outlives the call: a second proof takes no coordinates
-    calls.clear()
-    assert check_consistency(fam, FaceRef.full(3)).ok
-    assert not calls
+    assert built == Counter({
+        (kind, r, k, fr): len(basis_forms(kind, FaceRef.full(fr.n), r, k)) for kind, r, k, fr in entries
+    })
 
 
 def test_facet_pairs_give_the_all_pairs_verdict():
@@ -528,7 +544,7 @@ def _law_sides(fam, witness):
     fg = f.intersect(g)
     if fg is None:
         return lhs, PolyForm.zero(g.dim, fam.k)
-    coords = extension._coordinates(fam, witness.mu.trace(f.to_local(fg)), fg)
+    coords = membership(witness.mu.trace(f.to_local(fg)), fam.space_kind, fg, fam.r, fam.k)
     return lhs, combination(g.dim, fam.k, zip(coords, extension._images(fam, g.to_local(fg))))
 
 

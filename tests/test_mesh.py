@@ -1,9 +1,14 @@
+import random
 import re
+from collections import Counter
 
 import pytest
 
+from feec import Family, assemble_basis, verify_direct_sum, verify_single_valued
 from feec.cli import main
 from feec.mesh import MeshFormatError, Triangulation, from_cells, load, loads
+from feec.verify import builtin_meshes, suite_decomposition
+from helpers import non_manifold_meshes, shuffled_grid
 
 TWO_TRIANGLES = """\
 # two triangles sharing an edge
@@ -179,3 +184,68 @@ def test_load_from_file(tmp_path):
     p.write_text(TWO_TRIANGLES)
     t = load(str(p))
     assert t.cells == ((0, 1, 2), (1, 2, 3))
+
+
+def _classes(t, face):
+    """The components of the face's cells linked by a shared immediate coface, each as its first (cell, local face)."""
+    left = list(face.incidence)
+    out = []
+    while left:
+        component = [left.pop(0)]
+        for ci, _ in component:
+            outer = set(t.cells[ci]) - set(face.vertices)
+            joined = [c for c in left if outer & set(t.cells[c[0]])]
+            left = [c for c in left if c not in joined]
+            component += joined
+        out.append(component[0])
+    return tuple(out)
+
+
+def test_classes_follow_shared_immediate_cofaces():
+    rng = random.Random(37)
+    grids = [shuffled_grid(rng, 2, 2), shuffled_grid(rng, 3, 2)]
+    non_manifold = non_manifold_meshes()
+    for mesh in (*grids, *builtin_meshes().values(), *non_manifold):
+        for face in mesh.all_faces():
+            classes = mesh.classes(face)
+            assert classes == _classes(mesh, face)
+            assert mesh.classes(face) is classes
+            if face.dim == mesh.n - 1:
+                assert classes == face.incidence
+            elif mesh in grids:
+                # a face of a manifold below the facets has a connected link
+                assert len(classes) == 1
+    counts = {
+        (i, face.vertices): len(mesh.classes(face))
+        for i, mesh in enumerate(non_manifold) for face in mesh.all_faces() if len(face.incidence) >= 2
+    }
+    assert counts == {
+        (0, (0,)): 2,
+        (1, (0,)): 1, (1, (1,)): 1, (1, (2,)): 1,
+        (1, (0, 1)): 1, (1, (0, 2)): 1, (1, (1, 2)): 1, (1, (0, 1, 2)): 3,
+        (2, (0,)): 1, (2, (1,)): 1, (2, (0, 1)): 2,
+        (3, (0,)): 2,
+    }
+
+
+def test_certificates_walk_each_face_once_per_mesh(monkeypatch):
+    walks = Counter()
+    real = Triangulation._walk_classes
+
+    def spy(self, face):
+        walks[id(self), face.vertices] += 1
+        return real(self, face)
+
+    monkeypatch.setattr(Triangulation, "_walk_classes", spy)
+    mesh = shuffled_grid(random.Random(41), 3, 2)
+    for _ in range(2):
+        for family, r, k in [(Family.MINUS, 1, 1), (Family.FULL, 2, 0)]:
+            els = assemble_basis(mesh, family, r, k)
+            assert verify_single_valued(mesh, els, k) is None
+            assert verify_direct_sum(mesh, els, family, r, k).ok
+    shared = {f.vertices for j in range(mesh.n) for f in mesh.faces(j) if len(f.incidence) >= 2}
+    assert shared <= {vs for _, vs in walks} and set(walks.values()) == {1}
+    # the decomposition suite certifies each built-in mesh at every r, family and k
+    walks.clear()
+    assert all(res.passed for res in suite_decomposition(max_r=2))
+    assert walks and set(walks.values()) == {1}

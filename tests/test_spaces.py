@@ -480,3 +480,17 @@ def test_the_basis_enumeration_is_one_table_per_argument_tuple():
                         assert type(got) is tuple
                         assert enumerate_basis(kind, face, r, k) is got
                         assert list(got) == spaces._enumerate(kind, face, r, k, basis_only=True)
+
+
+def test_trace_coordinates_are_the_traced_basis_coordinates():
+    # one entry per (kind, r, k, local face), built once and shared
+    for n in range(4):
+        for kind in (FULL, MINUS):
+            for r in range(3):
+                for k in range(n + 1):
+                    basis = basis_forms(kind, FaceRef.full(n), r, k)
+                    for fr in FaceRef.full(n).all_subfaces():
+                        table = spaces.trace_coordinates(kind, r, k, fr)
+                        want = tuple(membership(w.trace(fr), kind, FaceRef.full(fr.dim), r, k) for w in basis)
+                        assert None not in want and table == want
+                        assert spaces.trace_coordinates(kind, r, k, fr) is table
