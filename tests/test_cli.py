@@ -10,11 +10,16 @@ from pathlib import Path
 
 import pytest
 
+from feec import cli, verify
+from feec.assemble import SingleValuedWitness
 from feec.cli import basis_payload, main, render_json
+from feec.forms import PolyForm
 from feec.spaces import Family
+from feec.verify import CheckResult
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-CLI_GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CLI_GOLDEN = GOLDEN / "cli"
 
 TWO_TRIANGLES = """\
 simplicial-mesh v1 dim=2 vertices=4 cells=2
@@ -289,3 +294,79 @@ def test_verify_output_is_deterministic(capsys):
     code2, out2, _ = run_cli(capsys, "verify", "--suite", "dims", "-n", "2", "-r", "2")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("detail", ["traces differ on [0,1]", ""], ids=["detail", "no-detail"])
+def test_verify_failure_exits_1_with_the_first_failure_on_stderr(monkeypatch, capsys, detail):
+    def failing_suite(**bounds):
+        yield CheckResult("whitney", "n=1 passes", True)
+        yield CheckResult("whitney", "n=2 fails", False, detail)
+        yield CheckResult("whitney", "n=3 fails too", False, "second")
+
+    monkeypatch.setitem(verify.SUITES, "whitney", failing_suite)
+    argv = ("verify", "--suite", "whitney", "-n", "2", "-r", "1")
+    tail = f"  ({detail})" if detail else ""
+    assert run_cli(capsys, *argv) == (
+        1,
+        "PASS whitney          n=1 passes\n"
+        f"FAIL whitney          n=2 fails{tail}\n"
+        "FAIL whitney          n=3 fails too  (second)\n"
+        "1/3 checks passed\n",
+        f"first failure: whitney n=2 fails: {detail}\n",
+    )
+    results = [
+        ("n=1 passes", "true", ""), ("n=2 fails", "false", detail), ("n=3 fails too", "false", "second")
+    ]
+    doc = ",\n".join(
+        f'    {{\n      "case": "{case}",\n      "detail": "{text}",\n'
+        f'      "passed": {passed},\n      "suite": "whitney"\n    }}'
+        for case, passed, text in results
+    )
+    assert run_cli(capsys, *argv, "--format", "json") == (
+        1,
+        f'{{\n  "command": "verify",\n  "failed": 2,\n  "results": [\n{doc}\n  ]\n}}\n',
+        f"first failure: whitney n=2 fails: {detail}\n",
+    )
+
+
+DECOMPOSE_PLAIN = """\
+5 basis elements on 2 cells (expected 5)
+  dimension 1: 5
+face (0, 1): phi_01
+face (0, 2): phi_02
+face (1, 2): phi_12
+face (1, 3): phi_13
+face (2, 3): phi_23
+single-valued: {}; direct sum: {}
+"""
+
+
+def test_decompose_failures_exit_1_with_the_failing_check_on_stderr(monkeypatch, capsys):
+    mesh = GOLDEN / "two-triangles.mesh"
+    passing = (GOLDEN / "two-triangles.minus-r1-k1.json").read_text()
+    argv = ("decompose", "--mesh", str(mesh), "--family", "minus", "-r", "1", "-k", "1")
+    real_single_valued, real_direct_sum = cli.verify_single_valued, cli.verify_direct_sum
+
+    def multivalued(t, elements, k):
+        assert real_single_valued(t, elements, k) is None
+        edge = next(f for f in t.faces(1) if f.vertices == (1, 2))
+        return SingleValuedWitness(elements[2], edge, (elements[2].restrictions[0], PolyForm.zero(1, 1)))
+
+    def short_direct_sum(t, elements, family, r, k):
+        report = real_direct_sum(t, elements, family, r, k)
+        return report._replace(constrained_dimension=report.constrained_dimension + 1)
+
+    monkeypatch.setattr(cli, "verify_single_valued", multivalued)
+    assert run_cli(capsys, *argv) == (
+        1, DECOMPOSE_PLAIN.format("NO", "yes"), "multivalued trace on face (1, 2)\n"
+    )
+    assert run_cli(capsys, *argv, "--format", "json") == (
+        1, passing.replace('"single_valued": true', '"single_valued": false'), "multivalued trace on face (1, 2)\n"
+    )
+    monkeypatch.setattr(cli, "verify_single_valued", real_single_valued)
+    monkeypatch.setattr(cli, "verify_direct_sum", short_direct_sum)
+    failed = "direct sum failed: 5 elements, expected 5, constrained dimension 6\n"
+    assert run_cli(capsys, *argv) == (1, DECOMPOSE_PLAIN.format("yes", "NO"), failed)
+    assert run_cli(capsys, *argv, "--format", "json") == (
+        1, passing.replace('"direct_sum": true', '"direct_sum": false'), failed
+    )

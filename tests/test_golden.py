@@ -12,6 +12,8 @@ Under `golden/cli/`:
   --family <family> -n <n> -r <r> -k <k> --format <format>`;
 * `verify-n2-r2.json` is the stdout of `feec verify -n 2 -r 2 --format json`
   with every suite but `consistency` selected;
+* `verify-whitney-homotopy-n2-r1.plain` is the plain stdout of `feec verify
+  --suite whitney --suite homotopy -n 2 -r 1`;
 * `verify-consistency-n1-r1.json` is the stdout of `feec verify --suite
   consistency -n 1 -r 1 --format json`, compared in `test_cli.py` by the
   test that already makes that run;
@@ -106,3 +108,8 @@ def test_basis_matches_golden(name):
 def test_verify_json_matches_golden(monkeypatch):
     monkeypatch.delenv("FEEC_MAX_DEGREE", raising=False)
     assert cli_stdout(VERIFY_ARGV) == (CLI_GOLDEN / "verify-n2-r2.json").read_text()
+
+
+def test_verify_plain_matches_golden():
+    argv = ["verify", "--suite", "whitney", "--suite", "homotopy", "-n", "2", "-r", "1"]
+    assert cli_stdout(argv) == (CLI_GOLDEN / "verify-whitney-homotopy-n2-r1.plain").read_text()
