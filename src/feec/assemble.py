@@ -102,9 +102,8 @@ def verify_single_valued(
     more classes passes; the first element that fails is scanned again over
     full incidence for its witness.  One trace is taken per (restriction
     object, local face): `traces` maps (id of a restriction or of None, local
-    face) to the restriction, held so its id is not reused, and its trace.
-    `agree` holds the id pairs of traces found equal, so each pair is
-    compared once; both tables last one call.
+    face) to its trace for this one call, while `elements` holds every
+    restriction, so no id is reused.
     """
     shared = [f for j in range(k, t.n) for f in t.faces(j) if len(f.incidence) >= 2]
     linked = [reps if len(reps := t.classes(f)) >= 2 else () for f in shared]
@@ -112,8 +111,7 @@ def verify_single_valued(
     for pos, face in enumerate(shared):
         for ci, _ in face.incidence:
             faces_of_cell.setdefault(ci, []).append(pos)
-    traces: dict[tuple[int, FaceRef], tuple[PolyForm | None, PolyForm]] = {}
-    agree: set[tuple[int, int]] = set()
+    traces: dict[tuple[int, FaceRef], PolyForm] = {}
 
     def scan(el: GlobalBasisElement, full: bool) -> SingleValuedWitness | None:
         for pos in sorted({pos for ci in el.restrictions for pos in faces_of_cell.get(ci, ())}):
@@ -123,14 +121,12 @@ def verify_single_valued(
                 w = el.restrictions.get(ci)
                 key = (id(w), fr)
                 if key not in traces:
-                    traces[key] = (w, w.trace(fr) if w is not None else PolyForm.zero(face.dim, k))
-                tr = traces[key][1]
+                    traces[key] = w.trace(fr) if w is not None else PolyForm.zero(face.dim, k)
+                tr = traces[key]
                 if first is None:
                     first = tr
-                elif tr is not first and (id(first), id(tr)) not in agree:
-                    if tr != first:
-                        return SingleValuedWitness(el, face, (first, tr))
-                    agree.add((id(first), id(tr)))
+                elif tr is not first and tr != first:
+                    return SingleValuedWitness(el, face, (first, tr))
         return None
 
     failing = next((el for el in elements if scan(el, full=False) is not None), None)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 from functools import cache
 from json.encoder import encode_basestring_ascii as escape
 
@@ -81,7 +82,8 @@ def basis_payload(family: Family, n: int, r: int, k: int) -> dict:
     }
 
 
-def decompose_payload(mesh_path: str, family: Family, r: int, k: int) -> tuple[dict, bool, str]:
+def decompose_payload(mesh_path: str, family: Family, r: int, k: int) -> tuple[dict, str | None]:
+    """The `feec decompose` document and its first failed certificate, None when both pass."""
     t = load(mesh_path)
     elements = assemble_basis(t, family, r, k)
     witness = verify_single_valued(t, elements, k)
@@ -106,12 +108,11 @@ def decompose_payload(mesh_path: str, family: Family, r: int, k: int) -> tuple[d
                 ),
             }
         )
-    ok = witness is None and report.ok
-    detail = ""
+    failure = None
     if witness is not None:
-        detail = f"multivalued trace on face {witness.face.vertices}"
+        failure = f"multivalued trace on face {witness.face.vertices}"
     elif not report.ok:
-        detail = (
+        failure = (
             f"direct sum failed: {report.count} elements, expected {report.expected}, "
             f"constrained dimension {report.constrained_dimension}"
         )
@@ -127,7 +128,25 @@ def decompose_payload(mesh_path: str, family: Family, r: int, k: int) -> tuple[d
         "groups": groups,
         "verified": {"single_valued": witness is None, "direct_sum": report.ok},
     }
-    return payload, ok, detail
+    return payload, failure
+
+
+def verify_payload(names: list[str] | None, max_n: int, max_r: int) -> tuple[dict, str | None]:
+    """The `feec verify` document and its first failing case, None when every case passes."""
+    results = run_suites(names, max_n=max_n, max_r=max_r)
+    failed = [res for res in results if not res.passed]
+    payload = {
+        "command": "verify",
+        "results": [
+            {"suite": res.suite, "case": res.label, "passed": res.passed, "detail": res.detail}
+            for res in results
+        ],
+        "failed": len(failed),
+    }
+    if not failed:
+        return payload, None
+    first = failed[0]
+    return payload, f"first failure: {first.suite} {first.label}: {first.detail}"
 
 
 def render_json(payload: dict) -> str:
@@ -171,8 +190,6 @@ def render_json(payload: dict) -> str:
 
 
 def render_dim(payload: dict, fmt: str) -> str:
-    if fmt == "json":
-        return render_json(payload)
     name = ("P{r}-Lambda{k}" if payload["family"] == "minus" else "P{r} Lambda{k}").format(
         r=payload["r"], k=payload["k"]
     )
@@ -188,8 +205,6 @@ def render_dim(payload: dict, fmt: str) -> str:
 
 
 def render_basis(payload: dict, fmt: str) -> str:
-    if fmt == "json":
-        return render_json(payload)
     lines = [
         f"basis of {'P-' if payload['family'] == 'minus' else 'P'}_{payload['r']} "
         f"Lambda^{payload['k']} on the {payload['n']}-simplex "
@@ -205,8 +220,6 @@ def render_basis(payload: dict, fmt: str) -> str:
 
 
 def render_decompose(payload: dict, fmt: str) -> str:
-    if fmt == "json":
-        return render_json(payload)
     lines = [
         f"{payload['total']} basis elements on {payload['mesh']['cells']} cells "
         f"(expected {payload['expected']})"
@@ -222,6 +235,25 @@ def render_decompose(payload: dict, fmt: str) -> str:
         f"direct sum: {'yes' if v['direct_sum'] else 'NO'}"
     )
     return "\n".join(lines)
+
+
+def render_verify(payload: dict, fmt: str) -> str:
+    lines = []
+    for res in payload["results"]:
+        tail = f"  ({res['detail']})" if res["detail"] and not res["passed"] else ""
+        lines.append(f"{'PASS' if res['passed'] else 'FAIL'} {res['suite']:16s} {res['case']}{tail}")
+    total = len(payload["results"])
+    lines.append(f"{total - payload['failed']}/{total} checks passed")
+    return "\n".join(lines)
+
+
+def _finish(render: Callable[[dict, str], str], fmt: str, payload: dict, failure: str | None = None) -> int:
+    """Print the payload in `fmt` and any failure to stderr; exit code 1 when a verification failed, else 0."""
+    print(render_json(payload) if fmt == "json" else render(payload, fmt))
+    if failure is None:
+        return 0
+    print(failure, file=sys.stderr)
+    return 1
 
 
 @cache
@@ -277,13 +309,12 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"need 0 <= k <= n, got k={args.k} n={args.n}")
         if args.r < 0:
             parser.error(f"need r >= 0, got r={args.r}")
-        try:
-            text = render_dim(dim_payload(args.family, args.n, args.r, args.k, args.zero_trace), args.format)
-        except ValueError:  # longer than the interpreter's integer-string limit
+        try:  # rendering included: str() of an int past the interpreter's integer-string limit raises
+            payload = dim_payload(args.family, args.n, args.r, args.k, args.zero_trace)
+            return _finish(render_dim, args.format, payload)
+        except ValueError:
             print("invalid request: the dimension has too many digits to print", file=sys.stderr)
             return 2
-        print(text)
-        return 0
 
     if args.command == "basis":
         if args.n < 1 or args.n > 4:
@@ -292,13 +323,11 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("basis listing needs r >= 1")
         if not (0 <= args.k <= args.n):
             parser.error(f"need 0 <= k <= n, got k={args.k} n={args.n}")
-        payload = basis_payload(args.family, args.n, args.r, args.k)
-        print(render_basis(payload, args.format))
-        return 0
+        return _finish(render_basis, args.format, basis_payload(args.family, args.n, args.r, args.k))
 
     if args.command == "decompose":
         try:
-            payload, ok, detail = decompose_payload(args.mesh, args.family, args.r, args.k)
+            payload, failure = decompose_payload(args.mesh, args.family, args.r, args.k)
         except MeshFormatError as err:
             print(f"mesh error: {err}", file=sys.stderr)
             return 2
@@ -308,54 +337,13 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as err:
             print(f"invalid request: {err}", file=sys.stderr)
             return 2
-        print(render_decompose(payload, args.format))
-        if not ok:
-            print(detail, file=sys.stderr)
-            return 1
-        return 0
+        return _finish(render_decompose, args.format, payload, failure)
 
-    if args.command == "verify":
-        if args.n < 1 or args.n > 4 or args.r < 1:
-            parser.error("verification sweeps support 1 <= n <= 4 and r >= 1")
-        if args.r > 12:
-            parser.error(f"verification sweeps support r <= 12, got r={args.r}")
-        results = run_suites(args.suite, max_n=args.n, max_r=args.r)
-        failed = [res for res in results if not res.passed]
-        if args.format == "json":
-            print(
-                render_json(
-                    {
-                        "command": "verify",
-                        "results": [
-                            {
-                                "suite": res.suite,
-                                "case": res.label,
-                                "passed": res.passed,
-                                "detail": res.detail,
-                            }
-                            for res in results
-                        ],
-                        "failed": len(failed),
-                    }
-                )
-            )
-        else:
-            for res in results:
-                mark = "PASS" if res.passed else "FAIL"
-                tail = f"  ({res.detail})" if res.detail and not res.passed else ""
-                print(f"{mark} {res.suite:16s} {res.label}{tail}")
-            print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-        if failed:
-            first = failed[0]
-            print(
-                f"first failure: {first.suite} {first.label}: {first.detail}",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-
-    parser.error("unknown command")
-    return 2
+    if args.n < 1 or args.n > 4 or args.r < 1:  # verify, the one command left
+        parser.error("verification sweeps support 1 <= n <= 4 and r >= 1")
+    if args.r > 12:
+        parser.error(f"verification sweeps support r <= 12, got r={args.r}")
+    return _finish(render_verify, args.format, *verify_payload(args.suite, args.n, args.r))
 
 
 if __name__ == "__main__":

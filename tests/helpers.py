@@ -463,21 +463,23 @@ def pivot_key_constrained_dimension(t, family, r, k):
     return per_cell * len(t.cells) - linalg.rank(rows)
 
 
-def shuffled_grid(rng, dim, m):
-    """Freudenthal (2-D) or Kuhn (3-D and up) triangulation of an m^dim grid, vertex ids and cells shuffled."""
+def grid_cells(dim, m):
+    """Freudenthal (2-D) or Kuhn (3-D and up) triangulation of an m^dim grid of unit cubes.
+
+    Grid point p is vertex p[0] * side^(dim-1) + ... + p[-1], side = m + 1.
+    Cubes come in lexicographic order of their lowest corner, each as dim!
+    cells, one per axis order: the path from that corner that steps along the
+    axes in that order.
+    """
     from itertools import permutations, product
 
-    from feec.mesh import from_cells
-
     side = m + 1
-    ids = list(range(side**dim))
-    rng.shuffle(ids)
 
     def vid(p):
         out = 0
         for x in p:
             out = out * side + x
-        return ids[out]
+        return out
 
     cells = []
     for corner in product(range(m), repeat=dim):
@@ -488,6 +490,16 @@ def shuffled_grid(rng, dim, m):
                 p[axis] += 1
                 path.append(vid(p))
             cells.append(tuple(path))
+    return cells
+
+
+def shuffled_grid(rng, dim, m):
+    """The triangulation of :func:`grid_cells`, vertex ids shuffled first, then the cells."""
+    from feec.mesh import from_cells
+
+    ids = list(range((m + 1) ** dim))
+    rng.shuffle(ids)
+    cells = [tuple(ids[v] for v in cell) for cell in grid_cells(dim, m)]
     rng.shuffle(cells)
     return from_cells(dim, cells)
 
