@@ -12,9 +12,14 @@ whose traces agree on an immediate coface of a face (the face plus one
 vertex) agree on the face.  Going down from the facets, a face's cells need
 comparing only across the classes that chains of shared immediate cofaces
 leave apart, one representative each (`Triangulation.classes`, walked once
-per face and mesh); a facet's cells are each their own class.  The count
-matches traces by their coordinates in the face space's basis, from the
-table `spaces.trace_coordinates` that the consistency proof reads too.  A
+per face and mesh); a facet's cells are each their own class.  Both checks
+work per face, not per element: an element's trace on a shared face depends
+only on its restriction there, so single-valuedness takes one tuple of
+traces per (column of a group's restrictions, local face) and compares each
+distinct pair of tuples once, and the count builds its rows from one
+per-coordinate table per local face.  The count matches traces by their
+coordinates in the face space's basis, from the table
+`spaces.trace_coordinates` that the consistency proof reads too.  A
 member of the assembled space is split into its per-face components by one
 exact coordinate solve per cell against the placed zero-trace bases of all
 the cell's faces, which together are one basis of the cell space.  The
@@ -26,6 +31,7 @@ the same coordinates.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Iterator, NamedTuple
 
 from . import linalg
@@ -78,9 +84,9 @@ def assemble_basis(t: Triangulation, family: Family, r: int, k: int) -> list[Glo
 
 
 def assembled_dimension(t: Triangulation, family: Family, r: int, k: int) -> int:
-    """Sum of zero-trace dimensions over the face lattice."""
+    """Sum of zero-trace dimensions over the face lattice, one per face dimension."""
     zero_kind = SpaceKind(family, zero_trace=True)
-    return sum(dim_space(zero_kind, f.dim, r, k) for f in t.all_faces())
+    return sum(len(t.faces(j)) * dim_space(zero_kind, j, r, k) for j in range(t.n + 1))
 
 
 class SingleValuedWitness(NamedTuple):
@@ -94,43 +100,66 @@ def verify_single_valued(
 ) -> SingleValuedWitness | None:
     """Check trace agreement on every shared face; None means all good.
 
-    A scan of an element visits the shared faces of its cells in face-lattice
-    order and stops at its first pair of disagreeing traces.  Cells agreeing
-    on a shared immediate coface of a face agree on the face, so, down from
-    the facets, an element is single-valued exactly when its scan over the
-    class representatives (:meth:`Triangulation.classes`) of faces of two or
-    more classes passes; the first element that fails is scanned again over
-    full incidence for its witness.  One trace is taken per (restriction
-    object, local face): `traces` maps (id of a restriction or of None, local
-    face) to its trace for this one call, while `elements` holds every
-    restriction, so no id is reused.
+    Cells agreeing on a shared immediate coface of a face agree on the face,
+    so, down from the facets, an element is single-valued exactly when its
+    traces agree across the class representatives (:meth:`Triangulation.classes`)
+    of every face of two or more classes.  The check runs on groups: runs of
+    consecutive elements with the same face object and the same cells.  A
+    group's restrictions at a cell form one column, interned by their ids;
+    one tuple of traces is taken per (column, local face), a cell outside the
+    group giving a tuple of zeros, and each distinct pair of tuples is
+    compared once.  A group passes exactly when each of its elements does.
+    Only the first failing group is scanned element by element, in
+    face-lattice order, and its first failing element is scanned again over
+    full incidence for the witness.
     """
     shared = [f for j in range(k, t.n) for f in t.faces(j) if len(f.incidence) >= 2]
     linked = [reps if len(reps := t.classes(f)) >= 2 else () for f in shared]
-    faces_of_cell: dict[int, list[int]] = {}
+    # by cell, the positions of its shared faces: all of them, or (not full) those of two or more classes
+    faces_of_cell: dict[bool, dict[int, list[int]]] = {True: {}, False: {}}
     for pos, face in enumerate(shared):
         for ci, _ in face.incidence:
-            faces_of_cell.setdefault(ci, []).append(pos)
-    traces: dict[tuple[int, FaceRef], PolyForm] = {}
+            faces_of_cell[True].setdefault(ci, []).append(pos)
+            if linked[pos]:
+                faces_of_cell[False].setdefault(ci, []).append(pos)
+    # every table lives for this one call and holds what it keys by id
+    columns: dict[tuple[int, ...], tuple[PolyForm | None, ...]] = {}
+    traces: dict[tuple[int, FaceRef], tuple[PolyForm, ...]] = {}
+    agree: dict[tuple[int, int], bool] = {}
 
-    def scan(el: GlobalBasisElement, full: bool) -> SingleValuedWitness | None:
-        for pos in sorted({pos for ci in el.restrictions for pos in faces_of_cell.get(ci, ())}):
-            face = shared[pos]
-            first: PolyForm | None = None
-            for ci, fr in face.incidence if full else linked[pos]:
-                w = el.restrictions.get(ci)
-                key = (id(w), fr)
-                if key not in traces:
-                    traces[key] = w.trace(fr) if w is not None else PolyForm.zero(face.dim, k)
-                tr = traces[key]
+    def scan(group: list[GlobalBasisElement], full: bool) -> tuple[int, tuple, tuple] | None:
+        """A shared face where the group's trace tuples differ, with two of them; when full, the first in lattice order."""
+        cols = {}
+        for ci in (*group[0].restrictions, None):  # None: any cell outside the group
+            col = tuple(el.restrictions.get(ci) for el in group)
+            cols[ci] = columns.setdefault(tuple(map(id, col)), col)
+        near = {pos for ci in cols for pos in faces_of_cell[full].get(ci, ())}
+        for pos in sorted(near) if full else near:  # only the witness needs lattice order
+            first = None
+            for ci, fr in shared[pos].incidence if full else linked[pos]:
+                col = cols.get(ci, cols[None])
+                tr = traces.get((id(col), fr))
+                if tr is None:
+                    tr = traces[id(col), fr] = tuple(
+                        PolyForm.zero(fr.dim, k) if w is None else w.trace(fr) for w in col
+                    )
                 if first is None:
                     first = tr
-                elif tr is not first and tr != first:
-                    return SingleValuedWitness(el, face, (first, tr))
+                elif tr is not first:
+                    same = agree.get((id(first), id(tr)))
+                    if same is None:
+                        same = agree[id(first), id(tr)] = tr == first
+                    if not same:
+                        return pos, first, tr
         return None
 
-    failing = next((el for el in elements if scan(el, full=False) is not None), None)
-    return None if failing is None else scan(failing, full=True)
+    groups = (list(g) for _, g in groupby(elements, key=lambda el: (id(el.face), el.restrictions.keys())))
+    failing = next((group for group in groups if scan(group, full=False)), None)
+    if failing is None:
+        return None
+    el = next(el for el in failing if scan([el], full=False))
+    pos, first, tr = scan([el], full=True)
+    return SingleValuedWitness(el, shared[pos], (first[0], tr[0]))
 
 
 class DirectSumReport(NamedTuple):
@@ -173,18 +202,27 @@ def _constraint_rows(
     form b on that cell, and row i compares the traces' coordinates i in the
     face space's basis (:func:`spaces.trace_coordinates`).  By the module's
     coface rule these rows cut out the space all cell pairs on all keys do.
+    Each local face's table is transposed once per call into the (b, c)
+    entries of each coordinate i, so a row is two of those lists offset by
+    their cells.
     """
+    entries: dict[FaceRef, dict[int, list[tuple[int, Scalar]]]] = {}
     for j in range(k, t.n):
         for face in t.faces(j):
             (c0, fr0), *others = t.classes(face)
             for ci, fri in others:
-                rows: dict[int, dict[int, Scalar]] = {}
-                for cell, fr, sign in ((c0, fr0, 1), (ci, fri, -1)):
-                    for b, coords in enumerate(trace_coordinates(SpaceKind(family), r, k, fr)):
-                        for i, c in enumerate(coords):
-                            if c:
-                                rows.setdefault(i, {})[cell * per_cell + b] = sign * c
-                yield from rows.values()
+                for fr in (fr0, fri):
+                    if fr not in entries:
+                        entries[fr] = {}
+                        for b, coords in enumerate(trace_coordinates(SpaceKind(family), r, k, fr)):
+                            for i, c in enumerate(coords):
+                                if c:
+                                    entries[fr].setdefault(i, []).append((b, c))
+                first, other = entries[fr0], entries[fri]
+                for i in {**first, **other}:  # first's coordinates, then the rest of other's
+                    row = {c0 * per_cell + b: c for b, c in first.get(i, ())}
+                    row.update((ci * per_cell + b, -c) for b, c in other.get(i, ()))
+                    yield row
 
 
 def verify_direct_sum(

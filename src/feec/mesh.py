@@ -113,7 +113,10 @@ class Triangulation:
 
         A class is joined by chains of cells, each consecutive pair sharing an
         immediate coface (the face plus one vertex); a facet's cells share
-        none.  Each face is walked once per triangulation, when first asked for.
+        none, and a face with an empty link, a cell, is its own class.  The
+        walk is a union-find over the cells' outer vertices, so its cost grows
+        about linearly with the incidence.  Each face is walked once per
+        triangulation, when first asked for.
         """
         if face.vertices not in self._classes:
             self._classes[face.vertices] = self._walk_classes(face)
@@ -122,12 +125,21 @@ class Triangulation:
     def _walk_classes(self, face: GlobalFace) -> tuple[tuple[int, FaceRef], ...]:
         if face.dim == self.n - 1:
             return face.incidence
-        classes: dict[tuple[int, FaceRef], set[int]] = {}  # representative: outer vertices of its class
-        for ci, fr in face.incidence:
-            outer = set(self.cells[ci]).difference(face.vertices)  # one vertex per immediate coface
-            hit = [rep for rep, vs in classes.items() if vs & outer] or [(ci, fr)]
-            classes[hit[0]] = outer.union(classes.get(hit[0], ()), *(classes.pop(rep) for rep in hit[1:]))
-        return tuple(classes)
+        parent = list(range(len(face.incidence)))  # each class's root is its first position
+
+        def root(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            return i
+
+        inner = set(face.vertices)
+        owner: dict[int, int] = {}  # outer vertex (one per immediate coface): first position holding it
+        for pos, (ci, _) in enumerate(face.incidence):
+            for v in self.cells[ci]:
+                if v not in inner:
+                    a, b = root(pos), root(owner.setdefault(v, pos))
+                    parent[max(a, b)] = min(a, b)
+        return tuple(inc for pos, inc in enumerate(face.incidence) if parent[pos] == pos)
 
 
 def loads(text: str) -> Triangulation:

@@ -30,6 +30,7 @@ from feec.spaces import Family, SpaceKind, basis_forms, coordinates, dim_space, 
 from feec.verify import builtin_meshes
 from helpers import (
     all_pairs_constrained_dimension,
+    grid_cells,
     non_manifold_meshes,
     oracle_rank,
     peel_oracle,
@@ -202,6 +203,95 @@ def test_first_witness_matches_exhaustive_scan_with_shared_restrictions():
                 assert (witness.element, witness.face) == expected
                 assert witness.traces[0] != witness.traces[1]
     assert outcomes == {True, False}
+
+
+def test_group_pass_matches_the_per_element_scan():
+    # the certificate checks runs of elements with one face object and one set
+    # of cells at once; each change below splits, merges or alters those runs,
+    # and the verdict and witness must stay those of the element-by-element scan
+    rng = random.Random(59)
+    outcomes = Counter()
+    for mesh, family, r, k in [
+        (FAN3, Family.FULL, 2, 1),
+        (TET2, Family.FULL, 3, 1),
+        (shuffled_grid(random.Random(7), 2, 2), Family.FULL, 4, 0),
+        (TRI_ON_VERTEX, Family.FULL, 4, 0),
+        (TET3_ON_TRIANGLE, Family.FULL, 3, 1),
+        (TET_ON_EDGE, Family.MINUS, 3, 1),
+        (PENT_ON_VERTEX, Family.FULL, 2, 0),
+    ]:
+        els = assemble_basis(mesh, family, r, k)
+        # members inside a run over two or more cells; a mesh sharing only a
+        # vertex of one generator has none, and any shared element stands in
+        middles = [
+            i for i in range(1, len(els) - 1)
+            if els[i - 1].face is els[i].face is els[i + 1].face and len(els[i].restrictions) >= 2
+        ] or [i for i, el in enumerate(els) if len(el.restrictions) >= 2]
+        for change in ("shuffle", "duplicate", "scale", "copy", "reorder"):
+            for _ in range(4):
+                altered = list(els)
+                if change in ("shuffle", "duplicate") and rng.random() < 0.5:
+                    # a fault anywhere, so the changed order meets failing elements too
+                    i = rng.choice(middles)
+                    last = max(els[i].restrictions)
+                    altered[i] = els[i]._replace(restrictions={
+                        ci: 2 * w if ci == last else w for ci, w in els[i].restrictions.items()
+                    })
+                if change == "shuffle":
+                    rng.shuffle(altered)
+                elif change == "duplicate":
+                    i = rng.randrange(len(altered))
+                    altered.insert(rng.choice((i, i + 1, rng.randrange(len(altered)))), altered[i])
+                else:
+                    i = rng.choice(middles)
+                    el = els[i]
+                    cell = rng.choice(list(el.restrictions))
+                    if change == "scale":
+                        restrictions = {ci: 2 * w if ci == cell else w for ci, w in el.restrictions.items()}
+                    elif change == "copy":
+                        restrictions = {ci: 1 * w if ci == cell else w for ci, w in el.restrictions.items()}
+                        assert restrictions[cell] is not el.restrictions[cell]
+                    else:
+                        restrictions = dict(reversed(el.restrictions.items()))
+                    altered[i] = el._replace(restrictions=restrictions)
+                witness = verify_single_valued(mesh, altered, k)
+                expected = _exhaustive_witness(mesh, altered, k)
+                outcomes[change, expected is None] += 1
+                if expected is None:
+                    assert witness is None
+                else:
+                    assert (witness.element, witness.face) == expected
+                    assert witness.traces[0] != witness.traces[1]
+    # every change meets passing lists, and the ones that can fault meet failing lists
+    assert {key for key, _ in outcomes} == {"shuffle", "duplicate", "scale", "copy", "reorder"}
+    assert all(outcomes[change, False] for change in ("shuffle", "duplicate", "scale"))
+    assert all(outcomes[change, True] for change in ("shuffle", "duplicate", "copy", "reorder"))
+
+
+def test_single_valued_work_does_not_grow_with_the_mesh(monkeypatch):
+    # one trace tuple per (column, local face) and one comparison per distinct
+    # pair of tuples: on the Kuhn grids every size repeats the same columns
+    counts = Counter()
+    real_eq, real_trace = PolyForm.__eq__, PolyForm.trace
+
+    def eq_spy(self, other):
+        counts["__eq__"] += 1
+        return real_eq(self, other)
+
+    def trace_spy(self, face):
+        counts["trace"] += 1
+        return real_trace(self, face)
+
+    monkeypatch.setattr(PolyForm, "__eq__", eq_spy)
+    monkeypatch.setattr(PolyForm, "trace", trace_spy)
+    seen = []
+    for m in (2, 3, 4):
+        mesh = from_cells(3, grid_cells(3, m))
+        els = assemble_basis(mesh, Family.FULL, 2, 1)
+        counts.clear()
+        assert verify_single_valued(mesh, els, 1) is None
+        seen.append((counts["__eq__"], counts["trace"]))
+    assert seen[0][0] > 0 and seen[0][1] > 0 and seen == [seen[0]] * 3
 
 
 def test_zero_trace_on_faces_not_containing_owner():

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from collections import Counter
 
 import pytest
@@ -226,6 +227,23 @@ def test_classes_follow_shared_immediate_cofaces():
         (2, (0,)): 1, (2, (1,)): 1, (2, (0, 1)): 2,
         (3, (0,)): 2,
     }
+
+
+def test_classes_of_a_shuffled_fan_hub_take_linear_time():
+    # the hub's cells, in shuffled incidence order, link up only through long
+    # chains of shared edges, so a walk that checks each cell against every
+    # open class is quadratic in the fan's size
+    cells = [(0, i, i + 1) for i in range(1, 20001)]
+    random.Random(61).shuffle(cells)
+    mesh = from_cells(2, cells)
+    hub = mesh.faces(0)[0]
+    start = time.perf_counter()
+    classes = mesh.classes(hub)
+    assert time.perf_counter() - start < 1.0
+    assert classes == (hub.incidence[0],)
+    # a face with an empty link, a cell, is its own class
+    top = mesh.faces(2)[0]
+    assert mesh.classes(top) == top.incidence
 
 
 def test_certificates_walk_each_face_once_per_mesh(monkeypatch):
