@@ -111,17 +111,17 @@ def verify_single_valued(
     compared once.  A group passes exactly when each of its elements does.
     Only the first failing group is scanned element by element, in
     face-lattice order, and its first failing element is scanned again over
-    full incidence for the witness.
+    every shared face and full incidence for the witness (faces away from
+    its cells compare equal zero tuples).
     """
     shared = [f for j in range(k, t.n) for f in t.faces(j) if len(f.incidence) >= 2]
     linked = [reps if len(reps := t.classes(f)) >= 2 else () for f in shared]
-    # by cell, the positions of its shared faces: all of them, or (not full) those of two or more classes
-    faces_of_cell: dict[bool, dict[int, list[int]]] = {True: {}, False: {}}
+    # by cell, the positions of its shared faces of two or more classes
+    faces_of_cell: dict[int, list[int]] = {}
     for pos, face in enumerate(shared):
-        for ci, _ in face.incidence:
-            faces_of_cell[True].setdefault(ci, []).append(pos)
-            if linked[pos]:
-                faces_of_cell[False].setdefault(ci, []).append(pos)
+        if linked[pos]:
+            for ci, _ in face.incidence:
+                faces_of_cell.setdefault(ci, []).append(pos)
     # every table lives for this one call and holds what it keys by id
     columns: dict[tuple[int, ...], tuple[PolyForm | None, ...]] = {}
     traces: dict[tuple[int, FaceRef], tuple[PolyForm, ...]] = {}
@@ -133,8 +133,8 @@ def verify_single_valued(
         for ci in (*group[0].restrictions, None):  # None: any cell outside the group
             col = tuple(el.restrictions.get(ci) for el in group)
             cols[ci] = columns.setdefault(tuple(map(id, col)), col)
-        near = {pos for ci in cols for pos in faces_of_cell[full].get(ci, ())}
-        for pos in sorted(near) if full else near:  # only the witness needs lattice order
+        near = range(len(shared)) if full else {pos for ci in cols for pos in faces_of_cell.get(ci, ())}
+        for pos in near:
             first = None
             for ci, fr in shared[pos].incidence if full else linked[pos]:
                 col = cols.get(ci, cols[None])
@@ -263,8 +263,7 @@ def verify_direct_sum(
         local = local and got == len(forms)
     independent = local or linalg.rank(list(_stacked_rows(elements))) == count
 
-    per_cell = len(basis_forms(whole, FaceRef.full(t.n), r, k))
-    constrained = per_cell * len(t.cells) - linalg.rank(list(_constraint_rows(t, family, r, k, per_cell)))
+    constrained = want * len(t.cells) - linalg.rank(list(_constraint_rows(t, family, r, k, want)))
     expected = assembled_dimension(t, family, r, k)
     return DirectSumReport(count, expected, independent, constrained, cells_spanned)
 

@@ -10,6 +10,7 @@ import argparse
 import sys
 from collections.abc import Callable
 from functools import cache
+from itertools import groupby
 from json.encoder import encode_basestring_ascii as escape
 
 from .assemble import assemble_basis, verify_direct_sum, verify_single_valued
@@ -90,24 +91,22 @@ def decompose_payload(mesh_path: str, family: Family, r: int, k: int) -> tuple[d
     report = verify_direct_sum(t, elements, family, r, k)
     counts_by_dim: dict[int, int] = {}
     groups = []
-    current = None
-    for el in elements:
-        counts_by_dim[el.face.dim] = counts_by_dim.get(el.face.dim, 0) + 1
-        if current is None or current["face"] != list(el.face.vertices):
-            current = {"face": list(el.face.vertices), "dim": el.face.dim, "generators": []}
-            groups.append(current)
+    # assemble_basis emits each face's elements consecutively
+    for face, group in groupby(elements, key=lambda el: el.face):
         # descriptor indices are positions within the face; label with the
         # global vertex ids instead
-        desc = el.descriptor
-        current["generators"].append(
+        gens = [
             {
-                "alpha": list(desc.alpha),
-                "sigma": list(desc.sigma),
+                "alpha": list(el.descriptor.alpha),
+                "sigma": list(el.descriptor.sigma),
                 "generator": format_generator(
-                    desc.alpha, desc.sigma, family.value, labels=el.face.vertices
+                    el.descriptor.alpha, el.descriptor.sigma, family.value, labels=face.vertices
                 ),
             }
-        )
+            for el in group
+        ]
+        counts_by_dim[face.dim] = counts_by_dim.get(face.dim, 0) + len(gens)
+        groups.append({"face": list(face.vertices), "dim": face.dim, "generators": gens})
     failure = None
     if witness is not None:
         failure = f"multivalued trace on face {witness.face.vertices}"

@@ -9,13 +9,14 @@ d lambda_n).  The surviving generators lambda^alpha d lambda_sigma with
 independent, so two forms are equal exactly when their stored coefficient
 dictionaries agree (after homogenizing to a common degree).
 
-`canonicalize` is the entry for external terms: it validates them, sorts
-each sigma and eliminates d lambda_0.  The operators here build such terms
-themselves and send them straight to one collector, which homogenizes
-through a cached Bernstein degree-raising table.  The trace keeps its
-degree and needs no collector: each face caches two maps, filled on first
-use, from an exponent to its face-local exponent and from a canonical sigma
-to its signed face-local sigmas with the face's own d lambda_0 eliminated.
+`canonicalize` is the entry for external terms: it validates them, sorts each
+sigma one index at a time by the signed merge of increasing runs that orders
+every sigma here, and eliminates d lambda_0.  The operators here build such
+terms themselves and send them straight to one collector, which homogenizes
+through a cached Bernstein degree-raising table.  The trace keeps its degree
+and needs no collector: each face caches two maps, filled on first use, from
+an exponent to its face-local exponent and from a canonical sigma to its
+signed face-local sigmas with the face's own d lambda_0 eliminated.
 
 Coefficients are exact rationals, `int` or `Fraction`, never float: an
 integral value is an `int`, so forms built from integer data stay integer
@@ -141,24 +142,6 @@ def _lattice(n: int) -> dict[tuple[int, ...], FaceRef]:
     return {f.indices: f for f in _full_face(n).all_subfaces()}
 
 
-def _sort_sign(seq: Iterable[int]) -> tuple[tuple[int, ...], int] | None:
-    """Sort a differential index sequence, tracking the permutation sign.
-
-    Returns None when an index repeats (the wedge vanishes).
-    """
-    vals = list(seq)
-    sign = 1
-    for i in range(1, len(vals)):
-        j = i
-        while j > 0 and vals[j - 1] > vals[j]:
-            vals[j - 1], vals[j] = vals[j], vals[j - 1]
-            sign = -sign
-            j -= 1
-        if j > 0 and vals[j - 1] == vals[j]:
-            return None
-    return tuple(vals), sign
-
-
 def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
     """Merge two increasing index sequences; None when they intersect."""
     out: list[int] = []
@@ -279,13 +262,16 @@ def canonicalize(n: int, k: int, terms: Iterable[RawTerm], degree: int | None = 
             raise ValueError(f"expected {k} differential indices, got {sigma}")
         if sigma and (min(sigma) < 0 or max(sigma) > n):
             raise ValueError(f"differential indices {sigma} not within 0..{n}")
-        sorted_sig = _sort_sign(sigma)
-        if sorted_sig is None:
-            continue
-        sig, sign = sorted_sig
-        c *= sign
-        max_deg = max(max_deg, sum(alpha))
-        _emit(n, alpha, sig, c, flat)
+        sig: tuple[int, ...] = ()
+        for s in sigma:  # insert each index into the sorted run; a repeat drops the term
+            merged = _merge_sign(sig, (s,))
+            if merged is None:
+                break
+            sig, sign = merged
+            c *= sign
+        else:
+            max_deg = max(max_deg, sum(alpha))
+            _emit(n, alpha, sig, c, flat)
     if degree is None:
         degree = max_deg
     if degree < 0:

@@ -94,9 +94,7 @@ def suite_dims(max_n: int = 4, max_r: int = 3) -> Iterator[CheckResult]:
 
 def suite_ranks(max_n: int = 3, max_r: int = 4) -> Iterator[CheckResult]:
     """Spanning and basis ranks equal the dimension, exactly."""
-    for n in (2, 3):
-        if n > max_n:
-            continue
+    for n in range(2, max_n + 1):
         T = FaceRef.full(n)
         for r in range(1, max_r + 1):
             for kind in ALL_KINDS:
@@ -303,9 +301,7 @@ def suite_dof(max_n: int = 3, max_r: int = 3) -> Iterator[CheckResult]:
 
 def suite_characterization(max_n: int = 3, max_r: int = 3) -> Iterator[CheckResult]:
     """Vanishing-order descriptions of the extended subspaces."""
-    for n in (2, 3):
-        if n > max_n:
-            continue
+    for n in range(2, max_n + 1):
         T = FaceRef.full(n)
         for family in (Family.FULL, Family.MINUS):
             for r in range(1, max_r + 1):
@@ -371,8 +367,8 @@ SUITES: dict[str, Callable[..., Iterable[CheckResult]]] = {
     "bernstein": suite_bernstein,
 }
 
-# Each suite's keyword arguments from the sweep bounds (max_n, max_r),
-# clamped to the suite's documented limits.
+# Each suite's keyword arguments from the sweep bounds (max_n, max_r), clamped
+# to the suite's documented limits: the only place a suite's caps are written.
 SUITE_BOUNDS: dict[str, Callable[[int, int], dict[str, int]]] = {
     "dims": lambda n, r: dict(max_n=min(n, 4), max_r=r),
     "ranks": lambda n, r: dict(max_n=min(n, 3), max_r=min(r, 4)),

@@ -493,6 +493,29 @@ def grid_cells(dim, m):
     return cells
 
 
+def seeded_member(elements, rng):
+    """A member of the assembled space spanned by elements, and its per-face components.
+
+    One ``rng.randint(-3, 3)`` coefficient is drawn per element, in order.  The
+    member maps each cell to the combination of the elements' restrictions
+    there; the expected components map each face's vertex tuple to the
+    combination of its elements' realized generators.  Returns
+    ``(member, expected)``.
+    """
+    from feec.spaces import realize
+
+    coeffs = [rng.randint(-3, 3) for _ in elements]
+    member, expected = {}, {}
+    for c, el in zip(coeffs, elements):
+        if c:
+            for ci, w in el.restrictions.items():
+                member[ci] = member[ci] + c * w if ci in member else c * w
+            piece = c * realize(el.descriptor)
+            face = el.face.vertices
+            expected[face] = expected[face] + piece if face in expected else piece
+    return member, expected
+
+
 def shuffled_grid(rng, dim, m):
     """The triangulation of :func:`grid_cells`, vertex ids shuffled first, then the cells."""
     from feec.mesh import from_cells

@@ -36,6 +36,7 @@ from helpers import (
     peel_oracle,
     pivot_key_constrained_dimension,
     rebuild_coordinates,
+    seeded_member,
     shuffled_grid,
 )
 
@@ -266,6 +267,29 @@ def test_group_pass_matches_the_per_element_scan():
     assert {key for key, _ in outcomes} == {"shuffle", "duplicate", "scale", "copy", "reorder"}
     assert all(outcomes[change, False] for change in ("shuffle", "duplicate", "scale"))
     assert all(outcomes[change, True] for change in ("shuffle", "duplicate", "copy", "reorder"))
+
+
+def test_first_witness_matches_exhaustive_scan_on_a_large_lattice():
+    # the witness scan walks the shared faces of the 384-cell 4-D Kuhn grid in
+    # lattice order, thousands of them.  The first element on a shared face is
+    # altered on its last cell: scaled, it fails on its own face; plus the
+    # restriction there of a later element on a shared tetrahedron, whose
+    # traces vanish off that tetrahedron, it fails only there, far down the walk
+    mesh = from_cells(4, grid_cells(4, 2))
+    els = assemble_basis(mesh, Family.FULL, 2, 2)
+    i = next(i for i, el in enumerate(els) if len(el.face.incidence) >= 2)
+    last = max(els[i].restrictions)
+    later = [
+        el for el in els if el.face.dim == 3 and len(el.restrictions) >= 2 and last in el.restrictions
+    ][-1]
+    for change, face in [(lambda w: 2 * w, els[i].face), (lambda w: w + later.restrictions[last], later.face)]:
+        altered = list(els)
+        altered[i] = els[i]._replace(restrictions={
+            ci: change(w) if ci == last else w for ci, w in els[i].restrictions.items()
+        })
+        witness = verify_single_valued(mesh, altered, 2)
+        assert witness is not None and witness.element is altered[i] and witness.face is face
+        assert (witness.element, witness.face) == _exhaustive_witness(mesh, altered, 2)
 
 
 def test_single_valued_work_does_not_grow_with_the_mesh(monkeypatch):
@@ -595,6 +619,17 @@ def test_peel_roundtrip_on_random_meshes():
                             decompose(mesh, family, r, k, piecewise)
                         with pytest.raises(ValueError):
                             peel_oracle(mesh, family, r, k, piecewise)
+
+
+def test_decompose_splits_a_seeded_member_of_a_grid():
+    # the member builder the CI grid steps share, on a small grid of each dimension
+    for n, m, family, r, k in [(2, 4, Family.MINUS, 2, 1), (3, 1, Family.FULL, 2, 2)]:
+        mesh = from_cells(n, grid_cells(n, m))
+        member, expected = seeded_member(assemble_basis(mesh, family, r, k), random.Random(0))
+        assert member and expected
+        parts = decompose(mesh, family, r, k, member)
+        assert set(parts) == set(expected)
+        assert all(parts[f] == w for f, w in expected.items())
 
 
 def test_decompose_accepts_a_member_stored_above_degree_r():

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial
 
 import pytest
@@ -23,6 +23,7 @@ from feec.spaces import FULL, FULL_ZERO, MINUS, MINUS_ZERO, basis_forms
 from helpers import (
     FRACTION_COEFFS,
     INTEGER_COEFFS,
+    expand,
     from_polyform,
     oracle_d,
     oracle_equal,
@@ -63,6 +64,21 @@ def test_canonicalize_idempotent_and_homogenizes():
     assert w.coeffs == again.coeffs
     assert all(sum(alpha) == 2 for alpha, _ in w.coeffs)
     assert oracle_equal(w, canonicalize(2, 1, raw))
+
+
+def test_canonicalize_sorts_every_index_sequence_like_the_oracle():
+    # every differential sequence of length <= min(n, 3) over 0..n, repeats and
+    # the index 0 included, against the oracle's insertion sort
+    repeated = vanished = False
+    for n in range(5):
+        alpha = tuple(range(n + 1))
+        for k in range(min(n, 3) + 1):
+            for sigma in product(range(n + 1), repeat=k):
+                want = expand(n, [(alpha, sigma, 3)])
+                assert from_polyform(canonicalize(n, k, [(alpha, sigma, 3)])) == want, (n, sigma)
+                repeated = repeated or len(set(sigma)) < k
+                vanished = vanished or not want
+    assert repeated and vanished
 
 
 def test_canonicalize_rejects_bad_input():

@@ -105,8 +105,7 @@ def test_basis_matches_golden(name):
     assert cli_stdout(argv) == (CLI_GOLDEN / name).read_text()
 
 
-def test_verify_json_matches_golden(monkeypatch):
-    monkeypatch.delenv("FEEC_MAX_DEGREE", raising=False)
+def test_verify_json_matches_golden():
     assert cli_stdout(VERIFY_ARGV) == (CLI_GOLDEN / "verify-n2-r2.json").read_text()
 
 

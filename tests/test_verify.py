@@ -65,6 +65,16 @@ def test_dims_degree_bound():
     assert not any(r.label == "n=1 r=7" for r in results)
 
 
+def test_suite_caps_live_only_in_suite_bounds():
+    # the ranks and characterization bodies sweep every n up to max_n; their
+    # n <= 3 cap is SUITE_BOUNDS's clamp, so -n 4 runs exactly the -n 3 cases
+    names = ["ranks", "characterization"]
+    results = run_suites(names, 4, 1)
+    assert results == run_suites(names, 3, 1)
+    assert len(results) == 13
+    assert not any("n=4" in res.label for res in results)
+
+
 def test_all_suites_registered():
     assert set(SUITES) == {
         "dims",
