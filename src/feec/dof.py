@@ -11,7 +11,8 @@ they run over the full space of degree r + k - dim f - 1.  Collecting the
 functionals over all faces yields a dual basis (the pairing matrix with the
 primal basis is nonsingular), and requiring a form on a larger face to match
 given moments on the subfaces of f and have vanishing moments elsewhere
-defines one more family of extension operators.
+defines one more family of extension operators.  It runs in integers, on
+the pairing matrix's inverse kept as integer columns over one denominator.
 
 Integrals are normalized to a unit-volume reference face oriented by
 increasing vertex order; only the exact rational values matter here.
@@ -19,7 +20,8 @@ increasing vertex order; only the exact rational values matter here.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from fractions import Fraction
+from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
 from .forms import FaceRef, PolyForm, Scalar, combination, integral_over_face
@@ -70,16 +72,17 @@ def pairing_matrix(dofs: list[DofFunctional], forms: Sequence[PolyForm]) -> list
     return [[apply_dof(d, w) for w in forms] for d in dofs]
 
 
-_Dual = tuple[list[DofFunctional], list[PolyForm], list[list[Scalar]]]
+_Dual = tuple[list[DofFunctional], list[tuple[tuple[int, int], ...]], int, list[list[Scalar]]]
 _solver_cache: dict[tuple[Family, int, int, int], _Dual] = {}
 
 
 def _dual_basis(family: Family, m: int, r: int, k: int) -> _Dual:
-    """The functionals on the m-simplex, the forms dual to them, and their
-    pairing matrix with the basis, built once per process.
+    """The functionals on the m-simplex, the integer inverse X / D of their
+    pairing matrix with the basis, and that pairing, built once per process.
 
-    dual[i] = sum_j inverse[j][i] * basis[j] has moment 1 against functional
-    i and 0 against every other one.
+    X is kept as its sparse columns, one per functional: column i holds the
+    nonzero (j, X[j][i]).  The form sum_j X[j][i] / D * basis[j] has moment 1
+    against functional i and 0 against every other one.
     """
     key = (family, m, r, k)
     got = _solver_cache.get(key)
@@ -90,9 +93,33 @@ def _dual_basis(family: Family, m: int, r: int, k: int) -> _Dual:
         inverse = linalg.inverse(pairing)
         if inverse is None:
             raise ArithmeticError(f"singular pairing for {family} r={r} k={k} on dim {m}")
-        dual = [combination(m, k, zip((row[i] for row in inverse), basis)) for i in range(len(dofs))]
-        got = _solver_cache[key] = (dofs, dual, pairing)
+        rows, den = inverse
+        columns = [tuple((j, row[i]) for j, row in enumerate(rows) if row[i]) for i in range(len(dofs))]
+        got = _solver_cache[key] = (dofs, columns, den, pairing)
     return got
+
+
+def _moment_forms(
+    family: Family, m: int, r: int, k: int, inside: Sequence[int], moments: Iterable[Sequence[Scalar]]
+) -> tuple[PolyForm, ...]:
+    """For each moment vector, the form on the m-simplex with those moments at
+    the functionals `inside` (by index, in order) and 0 at every other one:
+    sum_j C_j * basis[j] / (D * E), with the moments scaled to ints by the lcm
+    E of their denominators and C_j = sum_i X[j][i] * E * moment_i in ints.
+    """
+    _, columns, den, _ = _dual_basis(family, m, r, k)
+    basis = basis_forms(SpaceKind(family), FaceRef.full(m), r, k)
+    out = []
+    for mu in moments:
+        ints, scale = linalg.clear_denominators(dict(zip(inside, mu)))
+        coords = [0] * len(basis)
+        for i, x in ints.items():
+            if x:
+                for j, a in columns[i]:
+                    coords[j] += a * x
+        w = combination(m, k, zip(coords, basis))
+        out.append(w if scale * den == 1 else w * Fraction(1, scale * den))
+    return tuple(out)
 
 
 def dual_extend(
@@ -102,14 +129,11 @@ def dual_extend(
     if not h.contains(f):
         raise ValueError(f"{f.indices} is not a subface of {h.indices}")
     f_in_h = h.to_local(f)
-    dofs, dual, _ = _dual_basis(family, h.dim, r, k)
+    dofs = _dual_basis(family, h.dim, r, k)[0]
     # moments on faces outside f are zero and drop out
-    moments = (
-        (apply_dof(DofFunctional(f_in_h.to_local(dof.face), dof.weight), mu), w)
-        for dof, w in zip(dofs, dual)
-        if f_in_h.contains(dof.face)
-    )
-    return combination(h.dim, k, moments)
+    inside = [i for i, dof in enumerate(dofs) if f_in_h.contains(dof.face)]
+    moments = [apply_dof(DofFunctional(f_in_h.to_local(dofs[i].face), dofs[i].weight), mu) for i in inside]
+    return _moment_forms(family, h.dim, r, k, inside, [moments])[0]
 
 
 def dual_images(family: Family, fr: FaceRef, r: int, k: int) -> tuple[PolyForm, ...]:
@@ -120,7 +144,7 @@ def dual_images(family: Family, fr: FaceRef, r: int, k: int) -> tuple[PolyForm, 
     to_local keeps.  So the moments of the j-th basis form are column j of
     the face's pairing matrix, and nothing is integrated again.
     """
-    dofs, dual, _ = _dual_basis(family, fr.n, r, k)
-    inside = [w for dof, w in zip(dofs, dual) if fr.contains(dof.face)]
-    pairing = _dual_basis(family, fr.dim, r, k)[2]
-    return tuple(combination(fr.n, k, zip(column, inside)) for column in zip(*pairing))
+    dofs = _dual_basis(family, fr.n, r, k)[0]
+    inside = [i for i, dof in enumerate(dofs) if fr.contains(dof.face)]
+    pairing = _dual_basis(family, fr.dim, r, k)[3]
+    return _moment_forms(family, fr.n, r, k, inside, zip(*pairing))

@@ -8,11 +8,12 @@ barycentric generators; all independence and membership questions are
 settled by exact rational elimination over canonical coefficients.  The
 basis generators are enumerated once per process for each space and face,
 and the realized basis is built once for each space and face dimension; its
-exact inverse on its pivot keys is kept as sparse columns keyed by pivot
-key, so a membership test reads only the columns of the keys the form has,
-and then checks the answer on the keys that are not pivots, where alone the
-combination could differ from the form.  The coordinates of a simplex's
-basis traced onto each of its faces are tabled once per process too.
+exact inverse on its pivot keys is kept as sparse integer columns keyed by
+pivot key over one denominator, so a membership test runs in integers, reads
+only the columns of the keys the form has, and then checks the answer on the
+keys that are not pivots, where alone the combination could differ from the
+form.  The coordinates of a simplex's basis traced onto each of its faces
+are tabled once per process too.
 """
 
 from __future__ import annotations
@@ -177,62 +178,64 @@ Columns = dict[Key, tuple[tuple[int, Scalar], ...]]
 class CoordinateTable(NamedTuple):
     """What an exact coordinate solve in a fixed list of independent forms reads.
 
-    `columns` holds the sparse inverse columns by pivot key, one per form, and
-    `off_pivot` the forms' own sparse (form index, coefficient) column at each
-    other key of theirs, so every key of the forms is in exactly one of them.
+    `columns` holds the sparse integer columns of X by pivot key, where X / D
+    is the inverse on the pivot keys and D the `denominator`, and `off_pivot`
+    the forms' own sparse (form index, coefficient) column at each other key
+    of theirs, so every key of the forms is in exactly one of them.
     """
 
     columns: Columns
     off_pivot: Columns
+    denominator: int
 
 
 def inverse_columns(forms: Sequence[PolyForm], what: str) -> CoordinateTable:
     """The exact inverse of the forms on their pivot keys, and their off-pivot columns.
 
     The pivot keys are the least independent key columns in key order, so the
-    forms restricted to them are square and nonsingular.  The inverse of that
-    square matrix is kept column by column, keyed by pivot key, with only its
-    nonzero (form index, entry) pairs; every other key of the forms keeps the
-    forms' own column.  Together the two key sets are the forms' keys, and
-    they are all that :func:`coordinates` reads.  A full-family basis at its
-    own degree r has no off-pivot column.  Dependent forms raise
-    ArithmeticError naming `what`.
+    forms restricted to them are square and nonsingular.  The inverse X / D of
+    that square matrix is kept as D and X column by column, keyed by pivot
+    key, with only its nonzero (form index, entry) pairs; every other key of
+    the forms keeps the forms' own column.  Together the two key sets are the
+    forms' keys, and they are all that :func:`coordinates` reads.  A
+    full-family basis at its own degree r has no off-pivot column.  Dependent
+    forms raise ArithmeticError naming `what`.
     """
     pivot_keys = linalg.pivot_columns(w.coeffs for w in forms)
-    inverse = None
-    if len(pivot_keys) == len(forms):
-        inverse = linalg.inverse([[w.coeffs.get(key, 0) for w in forms] for key in pivot_keys])
-    if inverse is None:
+    if len(pivot_keys) != len(forms):
         raise ArithmeticError(f"dependent basis for {what}")
-    columns = {
-        key: tuple((i, row[j]) for i, row in enumerate(inverse) if row[j]) for j, key in enumerate(pivot_keys)
-    }
+    rows, denominator = linalg.inverse([[w.coeffs.get(key, 0) for w in forms] for key in pivot_keys])
+    columns = {key: tuple((i, row[j]) for i, row in enumerate(rows) if row[j]) for j, key in enumerate(pivot_keys)}
     off_pivot: dict[Key, list[tuple[int, Scalar]]] = {}
     for i, w in enumerate(forms):
         for key, c in w.coeffs.items():
             if key not in columns:
                 off_pivot.setdefault(key, []).append((i, c))
-    return CoordinateTable(columns, {key: tuple(col) for key, col in off_pivot.items()})
+    return CoordinateTable(columns, {key: tuple(col) for key, col in off_pivot.items()}, denominator)
 
 
 def coordinates(w: PolyForm, n: int, k: int, table: CoordinateTable) -> list[Scalar] | None:
     """Coordinates of w in independent forms, or None when w is not in their span.
 
     The forms and w live on dimension n and are stored at one degree, and
-    `table` is the forms' :func:`inverse_columns`.  Candidate coordinates come
-    from w's coefficients on the pivot keys, through the sparse inverse
-    columns of those keys that w has, so the combination agrees with w on
-    every pivot key by construction.  They are accepted exactly when that
-    combination is w: every key of w is a key of the forms, which the same
-    pass over w's keys checks, and the coordinates agree with w on every
-    off-pivot key.
+    `table` is the forms' :func:`inverse_columns`, with inverse X / D.  With
+    w scaled to ints by the lcm E of its denominators, D * E times the
+    candidate coordinates come from w's pivot keys through X's columns, so
+    the combination agrees with w on every pivot key by construction.  They
+    are accepted exactly when that combination is w: every key of w is a key
+    of the forms, which the same pass over w's keys checks, and it agrees
+    with w on every off-pivot key, compared in ints.  Each coordinate is then
+    divided once by D * E.
     """
     if w.n != n:
         raise ValueError(f"form lives on dimension {w.n}, face has dimension {n}")
     if not w.is_zero and w.k != k:
         raise ValueError(f"form order {w.k} does not match k={k}")
     target = w.coeffs
-    columns, off_pivot = table
+    columns, off_pivot, den = table
+    scale = 1
+    if any(type(v) is not int for v in target.values()):
+        target, scale = linalg.clear_denominators(target)
     coords: list[Scalar] = [0] * len(columns)
     for key, v in target.items():
         col = columns.get(key)
@@ -243,9 +246,10 @@ def coordinates(w: PolyForm, n: int, k: int, table: CoordinateTable) -> list[Sca
         for i, a in col:
             coords[i] += a * v
     for key, col in off_pivot.items():
-        if sum(coords[i] * c for i, c in col) != target.get(key, 0):
+        if sum(coords[i] * c for i, c in col) != den * target.get(key, 0):
             return None
-    return [c if type(c) is int or c.denominator != 1 else c.numerator for c in coords]
+    scale *= den
+    return coords if scale == 1 else [linalg.quotient(c, scale) for c in coords]
 
 
 @cache

@@ -284,22 +284,66 @@ def oracle_inverse(rows):
     return [row[n:] for row in m]
 
 
+_pivot_inverses = {}
+
+
 def rebuild_coordinates(w, forms, table):
     """Coordinates of w in the forms if their combination rebuilds w exactly, else None.
 
-    The reference for `feec.spaces.coordinates`: the same candidate
-    coordinates from w's pivot keys through the table's inverse columns, but
-    accepted by rebuilding the whole combination and comparing every key.
+    The reference for `feec.spaces.coordinates`.  Candidate coordinates come
+    from w's coefficients on the table's pivot keys, through the dense
+    `oracle_inverse` of the forms restricted to those keys, not through the
+    table's own inverse columns; they are accepted by rebuilding the whole
+    combination and comparing every key.  A coordinate is an int when it is
+    integral and a Fraction otherwise.  The oracle inverse is kept per
+    square pivot block.
     """
     from feec.forms import combination
 
-    coords = [0] * len(forms)
-    for key, v in w.coeffs.items():
-        for i, a in table.columns.get(key, ()):
-            coords[i] += a * v
+    pivots = sorted(table.columns)
+    square = tuple(tuple(f.coeffs.get(key, 0) for f in forms) for key in pivots)
+    inv = _pivot_inverses.get(square)
+    if inv is None:
+        inv = _pivot_inverses[square] = [[(j, a) for j, a in enumerate(row) if a] for row in oracle_inverse(square)]
+    target = [w.coeffs.get(key, 0) for key in pivots]
+    coords = [sum((a * target[j] for j, a in row if target[j]), Fraction(0)) for row in inv]
     if combination(w.n, w.k, zip(coords, forms)).coeffs != w.coeffs:
         return None
-    return [c if type(c) is int or c.denominator != 1 else c.numerator for c in coords]
+    return [c.numerator if c.denominator == 1 else c for c in coords]
+
+
+_oracle_duals = {}
+
+
+def oracle_dual_images(family, fr, r, k):
+    """The moment images of `feec.dof.dual_images`, by the Fraction formula.
+
+    On each simplex the dual forms are dual[i] = sum_j inverse[j][i] basis[j],
+    with the `oracle_inverse` of the pairing matrix; each has moment 1 against
+    functional i and 0 against every other one.  The image of the b-th basis
+    form of the reference fr.dim-face, placed at fr, weights the dual forms of
+    the functionals inside fr by column b of the face's own pairing matrix.
+    The dual forms and pairing of each simplex are kept per argument tuple.
+    """
+    from feec.dof import build_dofs, pairing_matrix
+    from feec.forms import FaceRef, combination
+    from feec.spaces import SpaceKind, basis_forms
+
+    def duals(m):
+        key = (family, m, r, k)
+        if key not in _oracle_duals:
+            dofs = build_dofs(family, m, r, k)
+            basis = basis_forms(SpaceKind(family), FaceRef.full(m), r, k)
+            pairing = pairing_matrix(dofs, basis)
+            inv = oracle_inverse(pairing)
+            dual = [combination(m, k, zip((row[i] for row in inv), basis)) for i in range(len(dofs))]
+            _oracle_duals[key] = dofs, dual, pairing
+        return _oracle_duals[key]
+
+    dofs, dual, _ = duals(fr.n)
+    inside = [w for dof, w in zip(dofs, dual) if fr.contains(dof.face)]
+    pairing = duals(fr.dim)[2]
+    return tuple(combination(fr.n, k, zip(column, inside)) for column in zip(*pairing))
 
 
 def peel_oracle(t, family, r, k, piecewise):

@@ -9,6 +9,7 @@ from feec.dof import (
     apply_dof,
     build_dofs,
     dual_extend,
+    dual_images,
     pairing_matrix,
     weight_space,
 )
@@ -21,6 +22,7 @@ from feec.spaces import (
     dim_space,
     enumerate_basis,
 )
+from helpers import oracle_dual_images
 
 
 def dof_counts(family, n, r, k):
@@ -125,6 +127,28 @@ def test_dual_extension_moments_match_inside_f_and_vanish_elsewhere(family):
                         if f.contains(dof.face):
                             expected = apply_dof(DofFunctional(f.to_local(dof.face), dof.weight), mu)
                         assert apply_dof(dof, w) == expected, (family, n, r, k, f, dof.face)
+
+
+@pytest.mark.parametrize("family", [Family.FULL, Family.MINUS])
+def test_dual_images_match_the_fraction_oracle(family):
+    # every local face of the tetrahedron at r <= 2 and of the 4-simplex at r = 1, every k
+    fractions = 0
+    for n, max_r in ((3, 2), (4, 1)):
+        for r in range(1, max_r + 1):
+            for k in range(n + 1):
+                for fr in FaceRef.full(n).all_subfaces():
+                    if fr.dim < k:
+                        continue
+                    got = dual_images(family, fr, r, k)
+                    want = oracle_dual_images(family, fr, r, k)
+                    assert len(got) == len(want) == len(basis_forms(SpaceKind(family), fr, r, k))
+                    for a, b in zip(got, want):
+                        assert (a.n, a.k, a.r) == (b.n, b.k, b.r) and a.coeffs == b.coeffs
+                        assert {key: type(c) for key, c in a.coeffs.items()} == {
+                            key: type(c) for key, c in b.coeffs.items()
+                        }
+                        fractions += any(type(c) is not int for c in a.coeffs.values())
+    assert fractions > 0
 
 
 def test_block_triangularity():

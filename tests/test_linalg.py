@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -54,9 +55,25 @@ def test_solve():
     assert x is not None and x[0] + x[1] == 2
 
 
+def _over(inv):
+    """The inverse X / D that `inverse` returns as (X, D), as Fraction rows; None stays None.
+
+    Checks the shape on the way: X holds ints, D is a positive int, and D is
+    coprime to X's entries as a whole.
+    """
+    if inv is None:
+        return None
+    rows, den = inv
+    assert type(den) is int and den > 0
+    assert all(type(x) is int for row in rows for x in row)
+    assert gcd(den, *(x for row in rows for x in row)) == 1
+    return [[Q(x, den) for x in row] for row in rows]
+
+
 def test_inverse():
-    inv = inverse([[2, 1], [1, 1]])
-    assert inv == [[Q(1), Q(-1)], [Q(-1), Q(2)]]
+    assert inverse([[2, 1], [1, 1]]) == ([[1, -1], [-1, 2]], 1)
+    assert inverse([[2, 0], [0, 4]]) == ([[2, 0], [0, 1]], 4)
+    assert inverse([]) == ([], 1)
     assert inverse([[1, 2], [2, 4]]) is None
     assert nonsingular([[2, 1], [1, 1]])
     assert not nonsingular([[1, 2], [2, 4]])
@@ -66,7 +83,7 @@ def test_inverse_roundtrip_randomized():
     rng = random.Random(9)
     for _ in range(10):
         m = [[Q(rng.randint(-3, 3)) for _ in range(4)] for _ in range(4)]
-        inv = inverse(m)
+        inv = _over(inverse(m))
         if inv is None:
             assert rank(_rows(m)) < 4
             continue
@@ -74,6 +91,19 @@ def test_inverse_roundtrip_randomized():
             for j in range(4):
                 s = sum(m[i][t] * inv[t][j] for t in range(4))
                 assert s == (1 if i == j else 0)
+
+
+def test_inverse_is_integer_rows_over_one_denominator():
+    # X / D is the oracle's inverse, singular matrices included, with Fraction entries
+    rng = random.Random(23)
+    singular = 0
+    for size in range(1, 7):
+        for _ in range(8):
+            m = _matrix(rng, size, size, inner=size - 1 if size > 1 and rng.random() < 0.3 else None)
+            want = oracle_inverse(m)
+            assert _over(inverse(m)) == want
+            singular += want is None
+    assert singular > 0
 
 
 def _entry(rng):
@@ -143,8 +173,7 @@ def test_kernel_matches_dense_oracle(shape):
 
         if nrows + zero_rows == ncols:
             inv = inverse(m)
-            assert inv == oracle_inverse(m)
-            assert inv is None or all(_int_when_integral(row) for row in inv)
+            assert _over(inv) == oracle_inverse(m)
             assert nonsingular(m) == (rk == ncols) == (inv is not None)
 
 

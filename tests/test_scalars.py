@@ -159,10 +159,11 @@ def test_values_with_denominators_are_exact():
     x = linalg.solve(rows, [1, 2, 3])
     inv = linalg.inverse(rows)
     assert x is not None and inv is not None
-    assert all(exact(v) for v in x) and all(exact(v) for row in inv for v in row)
+    assert all(exact(v) for v in x) and all(type(v) is int for row in inv[0] for v in row)
+    assert type(inv[1]) is int and inv[1] > 1
     unimodular = linalg.inverse([[1, 2], [0, 1]])
-    assert unimodular == [[1, -2], [0, 1]]
-    assert all(type(v) is int for row in unimodular for v in row)
+    assert unimodular == ([[1, -2], [0, 1]], 1)
+    assert all(type(v) is int for row in unimodular[0] for v in row)
 
 
 def test_integral_of_an_integral_form_is_int():

@@ -23,7 +23,16 @@ from feec.spaces import (
     rank_of,
     realize,
 )
-from helpers import FRACTION_COEFFS, dense_echelon, from_polyform, oracle_rank, random_polyform, rebuild_coordinates
+from feec.extension import cell_table
+from helpers import (
+    FRACTION_COEFFS,
+    INTEGER_COEFFS,
+    dense_echelon,
+    from_polyform,
+    oracle_rank,
+    random_polyform,
+    rebuild_coordinates,
+)
 
 Q = Fraction
 
@@ -405,6 +414,49 @@ def test_coordinates_check_the_off_pivot_keys_exactly():
                     assert got == rebuild_coordinates(other, basis, table)
                     assert got is None or combination(n, k, zip(got, basis)) == other
     assert off_pivot_seen > 0
+
+
+def _same_coordinates(got, want):
+    """Equal coordinate lists whose entries also agree in type, int or Fraction."""
+    return got == want and (got is None or [type(c) for c in got] == [type(c) for c in want])
+
+
+def test_coordinates_match_the_rebuild_oracle_on_cell_tables():
+    # the geometric cell tables of both families, at degree r and one degree above it
+    rng = random.Random(211)
+    seen = {"fraction": 0, "integral": 0, "off_pivot": 0, "outside": 0}
+    for zero_kind in (FULL_ZERO, MINUS_ZERO):
+        for n, max_r in ((1, 3), (2, 3), (3, 2), (4, 2)):
+            for r in range(1, max_r + 1):
+                for k in range(n + 1):
+                    # one degree above r only where the oracle's dense inverse stays small
+                    for degree in (r, r + 1) if n + r < 6 else (r,):
+                        forms, _, table = cell_table(zero_kind, n, r, k, degree)
+                        for scalars in (INTEGER_COEFFS, FRACTION_COEFFS):
+                            coeffs = [rng.choice(scalars) for _ in forms]
+                            w = combination(n, k, zip(coeffs, forms))
+                            got = coordinates(w, n, k, table)
+                            assert _same_coordinates(got, rebuild_coordinates(w, forms, table))
+                            assert _same_coordinates(got, coeffs)
+                            seen["fraction"] += any(type(c) is Q for c in got)
+                            seen["integral"] += all(type(c) is int for c in got)
+                            for key in rng.sample(sorted(table.off_pivot), min(2, len(table.off_pivot))):
+                                seen["off_pivot"] += 1
+                                bumped = w.lift(degree) + canonicalize(n, k, [(*key, Q(1, 3))], degree=degree)
+                                assert coordinates(bumped, n, k, table) is None
+                                assert rebuild_coordinates(bumped, forms, table) is None
+                            other = random_polyform(rng, n, k, degree, coeffs=FRACTION_COEFFS)
+                            got = coordinates(other, n, k, table)
+                            assert _same_coordinates(got, rebuild_coordinates(other, forms, table))
+                            seen["outside"] += got is None
+                        # a member stored above degree r is read at the table's degree
+                        if degree > r:
+                            w = combination(n, k, zip([rng.choice(FRACTION_COEFFS) for _ in forms], forms))
+                            low = cell_table(zero_kind, n, r, k, r)
+                            assert w.r == degree and low[0][0].r == r
+                            got = coordinates(w, n, k, table)
+                            assert _same_coordinates(got, rebuild_coordinates(w, forms, table))
+    assert all(seen.values()), seen
 
 
 def test_coordinates_refuse_a_key_outside_both_columns():
