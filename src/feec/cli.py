@@ -1,12 +1,16 @@
 """Command line front end: dimensions, bases, mesh decompositions, verification.
 
-Exit codes: 0 on success, 1 when a verification fails, 2 for usage or
-input errors.  All output is deterministic for fixed arguments.
+Exit codes: 0 on success, 1 when a verification fails, 2 for usage, input
+or output-write errors.  All output is deterministic for fixed arguments.
+`main` reads argv written in the exact spellings of the one option table,
+COMMANDS, directly, and hands anything else (help, the other spellings
+argparse accepts, errors) to the argparse parser built from that table.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Callable
 from functools import cache
@@ -247,12 +251,52 @@ def render_verify(payload: dict, fmt: str) -> str:
 
 
 def _finish(render: Callable[[dict, str], str], fmt: str, payload: dict, failure: str | None = None) -> int:
-    """Print the payload in `fmt` and any failure to stderr; exit code 1 when a verification failed, else 0."""
-    print(render_json(payload) if fmt == "json" else render(payload, fmt))
+    """Print the payload in `fmt` and any failure to stderr; exit code 1 when a verification failed,
+    2 when the output could not be written (a closed pipe, a full disk), else 0."""
+    text = render_json(payload) if fmt == "json" else render(payload, fmt)
+    try:
+        print(text, flush=True)
+    except OSError as err:
+        print(f"cannot write output: {err}", file=sys.stderr)
+        # what stays buffered goes to the null device, so the interpreter's final flush cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     if failure is None:
         return 0
     print(failure, file=sys.stderr)
     return 1
+
+
+def _required_int(flag: str, text: str | None = None) -> tuple[str, dict]:
+    return flag, {"type": int, "required": True, "help": text}
+
+
+FAMILY = ("--family", {"type": _family, "required": True})
+ANY_FORMAT = ("--format", {"choices": FORMATS, "default": "plain"})
+PLAIN_OR_JSON = ("--format", {"choices": ("plain", "json"), "default": "plain"})
+# command -> (help, options), each option its flag and add_argument keywords; build_parser
+# and _direct_parse both read this table, and nothing else declares an option
+COMMANDS: dict[str, tuple[str, tuple[tuple[str, dict], ...]]] = {
+    "dim": ("dimension of a form space", (
+        FAMILY, _required_int("-n", "simplex dimension"), _required_int("-r", "polynomial degree"),
+        _required_int("-k", "form order"), ("--zero-trace", {"action": "store_true"}), ANY_FORMAT,
+    )),
+    "basis": ("face-grouped basis of a form space", (
+        FAMILY, _required_int("-n"), _required_int("-r"), _required_int("-k"), ANY_FORMAT,
+    )),
+    "decompose": ("assembled basis over a mesh file", (
+        ("--mesh", {"required": True, "help": "mesh file path"}),
+        FAMILY, _required_int("-r"), _required_int("-k"), PLAIN_OR_JSON,
+    )),
+    "verify": ("run the property suites", (
+        ("-n", {"type": int, "default": 3, "help": "largest simplex dimension"}),
+        ("-r", {"type": int, "default": 3, "help": "largest polynomial degree"}),
+        ("--suite", {"action": "append", "choices": sorted(SUITES), "help": "run only this suite (repeatable)"}),
+        PLAIN_OR_JSON,
+    )),
+}
 
 
 @cache
@@ -263,51 +307,62 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact bases and geometric decompositions of simplicial form spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_dim = sub.add_parser("dim", help="dimension of a form space")
-    p_dim.add_argument("--family", type=_family, required=True)
-    p_dim.add_argument("-n", type=int, required=True, help="simplex dimension")
-    p_dim.add_argument("-r", type=int, required=True, help="polynomial degree")
-    p_dim.add_argument("-k", type=int, required=True, help="form order")
-    p_dim.add_argument("--zero-trace", action="store_true")
-    p_dim.add_argument("--format", choices=FORMATS, default="plain")
-
-    p_basis = sub.add_parser("basis", help="face-grouped basis of a form space")
-    p_basis.add_argument("--family", type=_family, required=True)
-    p_basis.add_argument("-n", type=int, required=True)
-    p_basis.add_argument("-r", type=int, required=True)
-    p_basis.add_argument("-k", type=int, required=True)
-    p_basis.add_argument("--format", choices=FORMATS, default="plain")
-
-    p_dec = sub.add_parser("decompose", help="assembled basis over a mesh file")
-    p_dec.add_argument("--mesh", required=True, help="mesh file path")
-    p_dec.add_argument("--family", type=_family, required=True)
-    p_dec.add_argument("-r", type=int, required=True)
-    p_dec.add_argument("-k", type=int, required=True)
-    p_dec.add_argument("--format", choices=("plain", "json"), default="plain")
-
-    p_ver = sub.add_parser("verify", help="run the property suites")
-    p_ver.add_argument("-n", type=int, default=3, help="largest simplex dimension")
-    p_ver.add_argument("-r", type=int, default=3, help="largest polynomial degree")
-    p_ver.add_argument(
-        "--suite",
-        action="append",
-        choices=sorted(SUITES),
-        help="run only this suite (repeatable)",
-    )
-    p_ver.add_argument("--format", choices=("plain", "json"), default="plain")
+    for command, (text, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
     return parser
 
 
+def _direct_parse(argv: list[str]) -> argparse.Namespace | None:
+    """What build_parser().parse_args(argv) returns when argv uses only the table's exact spellings.
+
+    None for anything else (help, abbreviations, ``--opt=value``, ``-n3``, a value starting with
+    "-", an unknown, missing or repeated option, a value its type or choices refuse).
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options = dict(COMMANDS[argv[0]][1])
+    seen: dict[str, object] = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        spec = options.get(flag)
+        action = spec and spec.get("action")
+        if spec is None or (flag in seen and action != "append"):
+            return None
+        if action == "store_true":
+            seen[flag] = True
+            continue
+        text = next(tokens, "-")  # a missing value is declined like one that starts with "-"
+        if text.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        seen[flag] = [*seen.get(flag, ()), value] if action == "append" else value
+    if any(spec.get("required") and flag not in seen for flag, spec in options.items()):
+        return None
+    args = argparse.Namespace(command=argv[0])
+    for flag, spec in options.items():
+        default = False if spec.get("action") == "store_true" else spec.get("default")
+        setattr(args, flag.lstrip("-").replace("-", "_"), seen.get(flag, default))
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _direct_parse(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
 
     if args.command == "dim":
         if not (0 <= args.k <= args.n):
-            parser.error(f"need 0 <= k <= n, got k={args.k} n={args.n}")
+            build_parser().error(f"need 0 <= k <= n, got k={args.k} n={args.n}")
         if args.r < 0:
-            parser.error(f"need r >= 0, got r={args.r}")
+            build_parser().error(f"need r >= 0, got r={args.r}")
         try:  # rendering included: str() of an int past the interpreter's integer-string limit raises
             payload = dim_payload(args.family, args.n, args.r, args.k, args.zero_trace)
             return _finish(render_dim, args.format, payload)
@@ -317,11 +372,11 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "basis":
         if args.n < 1 or args.n > 4:
-            parser.error("basis listing supports 1 <= n <= 4")
+            build_parser().error("basis listing supports 1 <= n <= 4")
         if args.r < 1:
-            parser.error("basis listing needs r >= 1")
+            build_parser().error("basis listing needs r >= 1")
         if not (0 <= args.k <= args.n):
-            parser.error(f"need 0 <= k <= n, got k={args.k} n={args.n}")
+            build_parser().error(f"need 0 <= k <= n, got k={args.k} n={args.n}")
         return _finish(render_basis, args.format, basis_payload(args.family, args.n, args.r, args.k))
 
     if args.command == "decompose":
@@ -339,9 +394,9 @@ def main(argv: list[str] | None = None) -> int:
         return _finish(render_decompose, args.format, payload, failure)
 
     if args.n < 1 or args.n > 4 or args.r < 1:  # verify, the one command left
-        parser.error("verification sweeps support 1 <= n <= 4 and r >= 1")
+        build_parser().error("verification sweeps support 1 <= n <= 4 and r >= 1")
     if args.r > 12:
-        parser.error(f"verification sweeps support r <= 12, got r={args.r}")
+        build_parser().error(f"verification sweeps support r <= 12, got r={args.r}")
     return _finish(render_verify, args.format, *verify_payload(args.suite, args.n, args.r))
 
 

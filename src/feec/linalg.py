@@ -33,7 +33,9 @@ def clear_denominators(row: Row) -> tuple[dict[Any, int], int]:
 
 def _primitive(row: Row) -> dict[Any, int]:
     """The row scaled to coprime integers, with its zero entries dropped."""
-    ints = clear_denominators({c: x for c, x in row.items() if x})[0]
+    ints = {c: x for c, x in row.items() if x}
+    if not all(type(x) is int for x in ints.values()):
+        ints = clear_denominators(ints)[0]
     g = gcd(*ints.values())
     return {c: x // g for c, x in ints.items()} if g > 1 else ints
 

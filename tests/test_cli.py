@@ -109,6 +109,51 @@ def test_python_m_feec_runs_the_cli():
     assert good.returncode == 0 and good.stdout.startswith("dim P1-Lambda1 on a 2-simplex = 3")
 
 
+WRITE_FAILURE_ARGV = {
+    "dim": ["dim", "--family", "full", "-n", "3", "-r", "1", "-k", "1"],
+    "verify-json": ["verify", "--suite", "dims", "-n", "1", "-r", "1", "--format", "json"],
+    "decompose-json": [
+        "decompose", "--mesh", str(GOLDEN / "two-triangles.mesh"), "--family", "minus", "-r", "1", "-k", "1",
+        "--format", "json",
+    ],
+}
+
+
+def run_into(stdout, argv: list[str], **kwargs) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    return subprocess.run(
+        [sys.executable, "-m", "feec", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, **kwargs
+    )
+
+
+@pytest.mark.parametrize("argv", WRITE_FAILURE_ARGV.values(), ids=WRITE_FAILURE_ARGV)
+def test_output_to_a_closed_pipe_exits_2(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = run_into(write_end, argv)
+    finally:
+        os.close(write_end)
+    assert run.returncode == 2 and "Traceback" not in run.stderr
+    assert run.stderr.startswith("cannot write output: ") and run.stderr.count("\n") == 1
+
+
+def test_a_closed_stdout_descriptor_is_not_a_crash():
+    # with descriptor 1 closed at start-up Python's sys.stdout is None, and print writes nothing
+    run = run_into(None, WRITE_FAILURE_ARGV["dim"], preexec_fn=lambda: os.close(1))
+    assert run.returncode == 0 and run.stderr == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", WRITE_FAILURE_ARGV.values(), ids=WRITE_FAILURE_ARGV)
+def test_output_to_a_full_device_exits_2(argv):
+    with open("/dev/full", "w") as full:
+        run = run_into(full, argv)
+    assert run.returncode == 2 and "Traceback" not in run.stderr
+    assert run.stderr.startswith("cannot write output: ") and run.stderr.count("\n") == 1
+
+
 def test_basis_command_plain(capsys):
     code, out, _ = run_cli(capsys, "basis", "--family", "minus", "-n", "2", "-r", "1", "-k", "1")
     assert code == 0

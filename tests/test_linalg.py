@@ -190,3 +190,21 @@ def test_inconsistent_and_singular_cases():
     assert inverse([[0]]) is None
     assert rank([]) == 0
     assert rank([{}, {5: 0}, {3: Q(1, 2)}, {3: 2}]) == 1
+
+
+def test_int_rows_and_their_fraction_copies_reduce_alike():
+    # integer rows skip clearing denominators but still drop zeros and divide by their content
+    rng = random.Random(31)
+    for size in range(1, 7):
+        for _ in range(12):
+            m = [[rng.choice((0, 0, 1, -1, 2, -6, 9, 12)) * rng.choice((1, 3)) for _ in range(size)]
+                 for _ in range(size)]
+            as_fractions = [[Q(x) for x in row] for row in m]
+            assert rank(_rows(m)) == rank(_rows(as_fractions))
+            assert pivot_columns(_rows(m)) == pivot_columns(_rows(as_fractions))
+            inv = inverse(m)
+            assert inv == inverse(as_fractions)
+            assert inv is None or all(type(x) is int for row in inv[0] for x in row)
+    labelled = [{(0, (1,)): 4, (1, ()): -6, (2, ()): 0}, {(1, ()): 3, (2, ()): 9}]
+    halved = [{c: Q(x, 2) for c, x in row.items()} for row in labelled]
+    assert pivot_columns(labelled) == pivot_columns(halved) == [(0, (1,)), (1, ())]
