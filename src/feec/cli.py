@@ -252,8 +252,12 @@ def render_verify(payload: dict, fmt: str) -> str:
 
 def _finish(render: Callable[[dict, str], str], fmt: str, payload: dict, failure: str | None = None) -> int:
     """Print the payload in `fmt` and any failure to stderr; exit code 1 when a verification failed,
-    2 when the output could not be written (a closed pipe, a full disk), else 0."""
+    2 when the output could not be written (a closed pipe or descriptor, a full disk), else 0."""
     text = render_json(payload) if fmt == "json" else render(payload, fmt)
+    if sys.stdout is None:
+        # descriptor 1 was closed at start-up, where print writes nothing and succeeds
+        print("cannot write output: standard output is closed", file=sys.stderr)
+        return 2
     try:
         print(text, flush=True)
     except OSError as err:

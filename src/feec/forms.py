@@ -13,10 +13,14 @@ dictionaries agree (after homogenizing to a common degree).
 sigma one index at a time by the signed merge of increasing runs that orders
 every sigma here, and eliminates d lambda_0.  The operators here build such
 terms themselves and send them straight to one collector, which homogenizes
-through a cached Bernstein degree-raising table.  The trace keeps its degree
-and needs no collector: each face caches two maps, filled on first use, from
-an exponent to its face-local exponent and from a canonical sigma to its
-signed face-local sigmas with the face's own d lambda_0 eliminated.
+through a cached Bernstein degree-raising table; the signs of d lambda_i ^
+d lambda_sigma, d lambda_0 eliminated, are one table memoized per process.
+The trace keeps its degree and needs no collector: each face caches two
+maps, filled on first use, from an exponent to its face-local exponent and
+from a canonical sigma to its signed face-local sigmas with the face's own
+d lambda_0 eliminated.  The local-basis generators are built directly in
+canonical form: a Bernstein monomial is its one key, and corrected
+differentials are validated on every call, then read from a memoized table.
 
 Coefficients are exact rationals, `int` or `Fraction`, never float: an
 integral value is an `int`, so forms built from integer data stay integer
@@ -181,10 +185,15 @@ def _emit(n: int, alpha: tuple[int, ...], sig: tuple[int, ...], c: Scalar, out: 
     if not sig or sig[0]:
         out.append((alpha, sig, c))
         return
-    for i in range(1, n + 1):
-        merged = _merge_sign((i,), sig[1:])
-        if merged is not None:
-            out.append((alpha, merged[0], -c * merged[1]))
+    out.extend((alpha, s, c if sign > 0 else -c) for s, sign in _d_signs(n, sig[1:])[0])
+
+
+@cache
+def _d_signs(n: int, sigma: tuple[int, ...]) -> tuple[SignedSigmas, ...]:
+    """For each vertex i, the signed canonical sigmas of d lambda_i ^ d lambda_sigma, sigma canonical."""
+    rest = [() if i in sigma else (_merge_sign((i,), sigma),) for i in range(1, n + 1)]
+    # d lambda_0 = -(d lambda_1 + ... + d lambda_n)
+    return (tuple((s, -sign) for terms in rest for s, sign in terms), *rest)
 
 
 @cache
@@ -236,9 +245,8 @@ def _local_sigma(face: FaceRef, sigma: tuple[int, ...]) -> SignedSigmas:
     """The signed canonical local sigmas whose sum is the pullback of d lambda_sigma."""
     if not set(sigma) <= set(face.indices):
         return ()
-    out: list[RawTerm] = []
-    _emit(face.dim, (), tuple(face.position(s) for s in sigma), 1, out)
-    return tuple((sig, c) for _, sig, c in out)
+    local = tuple(face.position(s) for s in sigma)
+    return _d_signs(face.dim, local[1:])[0] if local and not local[0] else ((local, 1),)
 
 
 def canonicalize(n: int, k: int, terms: Iterable[RawTerm], degree: int | None = None) -> PolyForm:
@@ -421,12 +429,11 @@ class PolyForm:
             return PolyForm.zero(self.n, self.k + 1)
         out: list[RawTerm] = []
         for (alpha, sigma), c in self.coeffs.items():
+            signs = _d_signs(self.n, sigma)
             for i, e in enumerate(alpha):
-                if e == 0:
-                    continue
-                merged = _merge_sign((i,), sigma)
-                if merged is not None:
-                    _emit(self.n, alpha[:i] + (e - 1,) + alpha[i + 1 :], merged[0], c * e * merged[1], out)
+                if e and signs[i]:
+                    beta, ce = alpha[:i] + (e - 1,) + alpha[i + 1 :], c * e
+                    out.extend((beta, sig, ce if sign > 0 else -ce) for sig, sign in signs[i])
         return _collect(self.n, self.k + 1, max(self.r - 1, 0), out)
 
     def koszul(self, origin: int = 0) -> PolyForm:
@@ -543,7 +550,10 @@ def one(n: int) -> PolyForm:
 
 def bary_monomial(n: int, alpha: tuple[int, ...]) -> PolyForm:
     """The Bernstein monomial lambda^alpha as a 0-form."""
-    return canonicalize(n, 0, [(tuple(alpha), (), 1)])
+    alpha = tuple(alpha)
+    if len(alpha) != n + 1 or any(e < 0 for e in alpha):
+        raise ValueError(f"bad exponent tuple {alpha} for n={n}")
+    return PolyForm(n, 0, sum(alpha), {(alpha, ()): 1})
 
 
 def dlambda(n: int, sigma: tuple[int, ...]) -> PolyForm:
@@ -579,28 +589,38 @@ def psi_one_form(alpha: tuple[int, ...], face: FaceRef, i: int) -> PolyForm:
     contraction with every vector from the opposite face to the weighted
     point of alpha.
     """
-    n = face.n
-    deg = sum(alpha)
-    if deg < 1:
-        raise ValueError("alpha must have positive degree")
-    if i not in face.indices:
-        raise ValueError(f"vertex {i} not on face {face.indices}")
-    if any(alpha[m] and m not in set(face.indices) for m in range(n + 1)):
-        raise ValueError(f"support of {alpha} leaves face {face.indices}")
-    zero_alpha = (0,) * (n + 1)
-    raw: list[RawTerm] = [(zero_alpha, (i,), 1)]
-    w = Fraction(alpha[i], deg)
-    if w:
-        raw.extend((zero_alpha, (j,), -w) for j in face.indices)
-    return canonicalize(n, 1, raw, degree=0)
+    return psi_form(alpha, face, (i,))
 
 
 def psi_form(alpha: tuple[int, ...], face: FaceRef, sigma: tuple[int, ...]) -> PolyForm:
-    """Wedge of corrected differentials over the indices of sigma."""
-    w = one(face.n)
+    """Wedge of corrected differentials over the indices of sigma, read from a table after validation."""
+    sigma = tuple(sigma)
+    if not sigma:
+        return one(face.n)
+    deg = sum(alpha)
+    if deg < 1:
+        raise ValueError("alpha must have positive degree")
     for s in sigma:
-        w = w.wedge(psi_one_form(alpha, face, s))
-    return w
+        if s not in face.indices:
+            raise ValueError(f"vertex {s} not on face {face.indices}")
+    if any(alpha[m] and m not in face.indices for m in range(face.n + 1)):
+        raise ValueError(f"support of {alpha} leaves face {face.indices}")
+    return _psi(face, sigma, tuple(alpha[s] for s in sigma), deg)
+
+
+@cache
+def _psi(face: FaceRef, sigma: tuple[int, ...], weights: tuple[int, ...], deg: int) -> PolyForm:
+    """psi_sigma of every alpha with alpha_s = weights[j] at s = sigma[j] and |alpha| = deg.
+
+    Built once per process for each key; callers must not mutate it.  With
+    a_m = [m = i] - (alpha_i / |alpha|) [m on the face], psi_i is the sum of
+    a_m d lambda_m, so eliminating d lambda_0 leaves a_m - a_0 at each m >= 1.
+    """
+    if len(sigma) > 1:
+        return _psi(face, sigma[:-1], weights[:-1], deg).wedge(_psi(face, sigma[-1:], weights[-1:], deg))
+    n, w = face.n, Fraction(weights[0], deg)
+    a = [(1 if m == sigma[0] else 0) - (w if m in face.indices else 0) for m in range(n + 1)]
+    return PolyForm(n, 1, 0, _settle({((0,) * (n + 1), (m,)): a[m] - a[0] for m in range(1, n + 1)}))
 
 
 def integral_over_face(w: PolyForm) -> Scalar:

@@ -103,11 +103,12 @@ def _enumerate(
     if mono_deg < 0:
         return []
     iface = set(face.indices)
+    # each exponent is placed once, with its support, for all sigmas
+    placed = [(a, {i for i, e in enumerate(a) if e}) for a in map(face.place, multiindices(face.dim, mono_deg))]
     out: list[GeneratorDescriptor] = []
     for sigma in combinations(face.indices, k + 1 if kind.family is Family.MINUS else k):
-        for local_alpha in multiindices(face.dim, mono_deg):
-            alpha = face.place(local_alpha)
-            if kind.zero_trace and {i for i, e in enumerate(alpha) if e}.union(sigma) != iface:
+        for alpha, support in placed:
+            if kind.zero_trace and support.union(sigma) != iface:
                 continue
             if basis_only and not _basis_condition(kind, face, alpha, sigma):
                 continue

@@ -195,6 +195,35 @@ def oracle_trace(a, n, face):
     return out
 
 
+def oracle_bary_monomial(n, alpha):
+    """The Bernstein monomial lambda^alpha through the general `canonicalize` entry."""
+    from feec.forms import canonicalize
+
+    return canonicalize(n, 0, [(tuple(alpha), (), 1)])
+
+
+def oracle_psi_one_form(alpha, face, i):
+    """d lambda_i - (alpha_i / |alpha|) sum_{j on face} d lambda_j through `canonicalize`."""
+    from feec.forms import canonicalize
+
+    zero_alpha = (0,) * (face.n + 1)
+    raw = [(zero_alpha, (i,), 1)]
+    w = Fraction(alpha[i], sum(alpha))
+    if w:
+        raw.extend((zero_alpha, (j,), -w) for j in face.indices)
+    return canonicalize(face.n, 1, raw, degree=0)
+
+
+def oracle_psi_form(alpha, face, sigma):
+    """The wedge of `oracle_psi_one_form` over sigma, starting from the constant 1."""
+    from feec.forms import one
+
+    w = one(face.n)
+    for s in sigma:
+        w = w.wedge(oracle_psi_one_form(alpha, face, s))
+    return w
+
+
 INTEGER_COEFFS = (-3, -2, -1, 1, 2, 3)
 FRACTION_COEFFS = (Fraction(-3, 2), -1, Fraction(-1, 2), Fraction(1, 3), Fraction(1, 2), 2)
 

@@ -140,9 +140,9 @@ def test_output_to_a_closed_pipe_exits_2(argv):
 
 
 def test_a_closed_stdout_descriptor_is_not_a_crash():
-    # with descriptor 1 closed at start-up Python's sys.stdout is None, and print writes nothing
+    # with descriptor 1 closed at start-up Python's sys.stdout is None, and print would write nothing
     run = run_into(None, WRITE_FAILURE_ARGV["dim"], preexec_fn=lambda: os.close(1))
-    assert run.returncode == 0 and run.stderr == ""
+    assert run.returncode == 2 and run.stderr == "cannot write output: standard output is closed\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")

@@ -30,6 +30,14 @@ def test_multiindices_examples():
     assert multiindices(0, 3) == [(3,)]
 
 
+def test_multiindices_hands_out_a_fresh_list():
+    first = multiindices(2, 2)
+    first.append((9, 9, 9))
+    first[0] = (0, 0, 0)
+    first.sort()
+    assert multiindices(2, 2) == [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+
+
 def test_multiindices_against_oracle():
     for n in range(4):
         for r in range(5):

@@ -27,7 +27,10 @@ from helpers import (
     from_polyform,
     oracle_d,
     oracle_equal,
+    oracle_bary_monomial,
     oracle_koszul,
+    oracle_psi_form,
+    oracle_psi_one_form,
     oracle_trace,
     oracle_wedge,
     random_polyform,
@@ -338,6 +341,54 @@ def test_psi_trace_recovers_face_differential():
 def test_psi_requires_positive_degree():
     with pytest.raises(ValueError):
         psi_one_form((0, 0, 0), FaceRef(2, (1, 2)), 1)
+
+
+def same_form(got, want):
+    """Equal shape and coefficients, and the same type for every coefficient."""
+    settled = all(type(c) is int or c.denominator != 1 for c in got.coeffs.values())
+    types = {key: type(c) for key, c in got.coeffs.items()} == {key: type(c) for key, c in want.coeffs.items()}
+    return settled and types and (got.n, got.k, got.r, got.coeffs) == (want.n, want.k, want.r, want.coeffs)
+
+
+def test_direct_generators_match_the_canonicalize_oracle():
+    # every face of the n-simplex, n <= 4, |alpha| <= 3, every sigma on the face; faces with
+    # vertex 0 exercise the d lambda_0 elimination, and alpha_i / |alpha| is often not an integer
+    fractions = 0
+    for n in range(5):
+        for face in FaceRef.full(n).all_subfaces():
+            for deg in range(4):
+                for local in multiindices(face.dim, deg):
+                    alpha = face.place(local)
+                    assert same_form(bary_monomial(n, alpha), oracle_bary_monomial(n, alpha))
+                    if deg == 0:
+                        continue
+                    for i in face.indices:
+                        got = psi_one_form(alpha, face, i)
+                        assert same_form(got, oracle_psi_one_form(alpha, face, i))
+                        fractions += any(type(c) is Fraction for c in got.coeffs.values())
+                    for k in range(1, min(face.dim + 1, n) + 1):
+                        for sigma in combinations(face.indices, k):
+                            assert same_form(psi_form(alpha, face, sigma), oracle_psi_form(alpha, face, sigma))
+    assert fractions
+
+
+def test_memoized_constructors_still_validate():
+    edge = FaceRef(3, (1, 2))
+    assert psi_one_form((0, 1, 1, 0), edge, 1) == oracle_psi_one_form((0, 1, 1, 0), edge, 1)
+    assert psi_form((0, 1, 1, 0), edge, (1, 2)).is_zero
+    with pytest.raises(ValueError, match="leaves face"):
+        psi_one_form((1, 1, 1, 0), edge, 1)
+    with pytest.raises(ValueError, match="not on face"):
+        psi_one_form((0, 1, 1, 0), edge, 3)
+    with pytest.raises(ValueError, match="leaves face"):
+        psi_form((0, 1, 1, 1), edge, (1, 2))
+    with pytest.raises(ValueError, match="not on face"):
+        psi_form((0, 1, 1, 0), edge, (1, 3))
+    assert bary_monomial(3, (0, 1, 1, 0)) == oracle_bary_monomial(3, (0, 1, 1, 0))
+    with pytest.raises(ValueError):
+        bary_monomial(3, (0, 1, -1, 2))
+    with pytest.raises(ValueError):
+        bary_monomial(3, (0, 1, 1))
 
 
 def test_contract_examples():

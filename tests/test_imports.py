@@ -1,7 +1,8 @@
 """Every module-level import in the package modules is used there, every
 module-level function and class is referenced by the package or the
 benchmark, or exported in `feec.__all__`, no package module reads the
-process environment, and none imports `dataclasses`.
+process environment, none imports `dataclasses`, and importing the CLI
+leaves every `functools.cache` in the package empty.
 
 No linter runs on this code, and moving a function between modules tends to
 leave its imports, or the function itself, behind; these checks catch them
@@ -207,3 +208,30 @@ def test_cli_import_leaves_dataclasses_unloaded():
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
     )
     assert run.stdout == "False\n"
+
+
+CACHE_SIZES = """
+import sys, feec.cli
+for name, module in sorted(sys.modules.items()):
+    if name.split(".")[0] != "feec":
+        continue
+    for attr, value in vars(module).items():
+        # the cached methods of the package's own classes too
+        members = vars(value).items() if isinstance(value, type) and value.__module__ == name else ()
+        for label, obj in [(attr, value), *((f"{attr}.{a}", v) for a, v in members)]:
+            if hasattr(obj, "cache_info"):
+                print(f"{name}.{label}", obj.cache_info().currsize)
+"""
+
+
+def test_cli_import_fills_no_cache():
+    # the benchmark fails a request whose process starts with a filled feec cache, and a
+    # table filled at import would be paid by every command whether it reads the table or not
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", CACHE_SIZES],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    sizes = dict(line.rsplit(" ", 1) for line in run.stdout.splitlines())
+    assert {"feec.combinat._multiindices", "feec.forms._psi", "feec.forms.FaceRef.to_local"} <= set(sizes)
+    assert {name: size for name, size in sizes.items() if size != "0"} == {}
