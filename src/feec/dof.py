@@ -12,7 +12,7 @@ functionals over all faces yields a dual basis (the pairing matrix with the
 primal basis is nonsingular), and requiring a form on a larger face to match
 given moments on the subfaces of f and have vanishing moments elsewhere
 defines one more family of extension operators.  It runs in integers, on
-the pairing matrix's inverse kept as integer columns over one denominator.
+the coordinate table of `feec.spaces` over the basis forms' moments.
 
 Integrals are normalized to a unit-volume reference face oriented by
 increasing vertex order; only the exact rational values matter here.
@@ -23,9 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from . import linalg
 from .forms import FaceRef, PolyForm, Scalar, combination, integral_over_face
-from .spaces import Family, SpaceKind, basis_forms
+from .spaces import CoordinateTable, Family, SpaceKind, basis_forms, integer_coordinates, inverse_columns
 
 
 class DofFunctional(NamedTuple):
@@ -55,85 +54,76 @@ def build_dofs(family: Family, n: int, r: int, k: int) -> list[DofFunctional]:
     return out
 
 
+def _trace(w: PolyForm, face: FaceRef) -> PolyForm:
+    if w.n != face.n:
+        raise ValueError(f"form lives on dimension {w.n}, functional on {face.n}")
+    return w.trace(face)
+
+
+def _moment(tr: PolyForm, weight: PolyForm) -> Scalar:
+    return 0 if tr.is_zero else integral_over_face(tr.wedge(weight))
+
+
 def apply_dof(dof: DofFunctional, w: PolyForm) -> Scalar:
     """Evaluate the functional on a form over the dof's parent simplex."""
-    if w.n != dof.face.n:
-        raise ValueError(f"form lives on dimension {w.n}, functional on {dof.face.n}")
-    tr = w.trace(dof.face)
-    if tr.is_zero:
-        return 0
-    return integral_over_face(tr.wedge(dof.weight))
+    return _moment(_trace(w, dof.face), dof.weight)
 
 
 def pairing_matrix(dofs: list[DofFunctional], forms: Sequence[PolyForm]) -> list[list[Scalar]]:
-    """Matrix of functional values, one row per functional."""
+    """Matrix of functional values, one row per functional; each form is traced once per face."""
     if len(dofs) != len(forms):
         raise ValueError(f"{len(dofs)} functionals against {len(forms)} forms")
-    return [[apply_dof(d, w) for w in forms] for d in dofs]
+    traces = {face: [_trace(w, face) for w in forms] for face in dict.fromkeys(d.face for d in dofs)}
+    return [[_moment(tr, d.weight) for tr in traces[d.face]] for d in dofs]
 
 
-_Dual = tuple[list[DofFunctional], list[tuple[tuple[int, int], ...]], int, list[list[Scalar]]]
+_Dual = tuple[list[DofFunctional], CoordinateTable, list[list[Scalar]]]
 _solver_cache: dict[tuple[Family, int, int, int], _Dual] = {}
 
 
 def _dual_basis(family: Family, m: int, r: int, k: int) -> _Dual:
-    """The functionals on the m-simplex, the integer inverse X / D of their
-    pairing matrix with the basis, and that pairing, built once per process.
+    """The functionals on the m-simplex, the coordinate table of the basis
+    forms' moment vectors and their pairing matrix, built once per process.
 
-    X is kept as its sparse columns, one per functional: column i holds the
-    nonzero (j, X[j][i]).  The form sum_j X[j][i] / D * basis[j] has moment 1
-    against functional i and 0 against every other one.
+    Basis form j's moment vector is pairing column j keyed by functional, so
+    the table inverts the pairing; a singular one raises ArithmeticError.
     """
     key = (family, m, r, k)
     got = _solver_cache.get(key)
     if got is None:
         dofs = build_dofs(family, m, r, k)
-        basis = basis_forms(SpaceKind(family), FaceRef.full(m), r, k)
-        pairing = pairing_matrix(dofs, basis)
-        inverse = linalg.inverse(pairing)
-        if inverse is None:
-            raise ArithmeticError(f"singular pairing for {family} r={r} k={k} on dim {m}")
-        rows, den = inverse
-        columns = [tuple((j, row[i]) for j, row in enumerate(rows) if row[i]) for i in range(len(dofs))]
-        got = _solver_cache[key] = (dofs, columns, den, pairing)
+        pairing = pairing_matrix(dofs, basis_forms(SpaceKind(family), FaceRef.full(m), r, k))
+        moments = [{i: row[j] for i, row in enumerate(pairing) if row[j]} for j in range(len(dofs))]
+        table = inverse_columns(moments, f"the {family.value} pairing r={r} k={k} on dim {m}")
+        got = _solver_cache[key] = (dofs, table, pairing)
     return got
 
 
 def _moment_forms(
-    family: Family, m: int, r: int, k: int, inside: Sequence[int], moments: Iterable[Sequence[Scalar]]
+    family: Family, fr: FaceRef, r: int, k: int, moments: Iterable[Sequence[Scalar]]
 ) -> tuple[PolyForm, ...]:
-    """For each moment vector, the form on the m-simplex with those moments at
-    the functionals `inside` (by index, in order) and 0 at every other one:
-    sum_j C_j * basis[j] / (D * E), with the moments scaled to ints by the lcm
-    E of their denominators and C_j = sum_i X[j][i] * E * moment_i in ints.
+    """For each moment vector, the form on the fr.n-simplex with those moments
+    at the functionals inside fr (in order) and 0 at every other one: the
+    integer basis combination C / S of the vector's integer coordinates.
     """
-    _, columns, den, _ = _dual_basis(family, m, r, k)
-    basis = basis_forms(SpaceKind(family), FaceRef.full(m), r, k)
+    dofs, table, _ = _dual_basis(family, fr.n, r, k)
+    inside = [i for i, dof in enumerate(dofs) if fr.contains(dof.face)]
+    basis = basis_forms(SpaceKind(family), FaceRef.full(fr.n), r, k)
     out = []
     for mu in moments:
-        ints, scale = linalg.clear_denominators(dict(zip(inside, mu)))
-        coords = [0] * len(basis)
-        for i, x in ints.items():
-            if x:
-                for j, a in columns[i]:
-                    coords[j] += a * x
-        w = combination(m, k, zip(coords, basis))
-        out.append(w if scale * den == 1 else w * Fraction(1, scale * den))
+        coords, scale = integer_coordinates({i: x for i, x in zip(inside, mu) if x}, table)
+        w = combination(fr.n, k, zip(coords, basis))
+        out.append(w if scale == 1 else w * Fraction(1, scale))
     return tuple(out)
 
 
-def dual_extend(
-    family: Family, mu: PolyForm, f: FaceRef, h: FaceRef, r: int, k: int
-) -> PolyForm:
+def dual_extend(family: Family, mu: PolyForm, f: FaceRef, h: FaceRef, r: int, k: int) -> PolyForm:
     """The unique form on h matching mu's moments inside f and zero elsewhere."""
     if not h.contains(f):
         raise ValueError(f"{f.indices} is not a subface of {h.indices}")
-    f_in_h = h.to_local(f)
-    dofs = _dual_basis(family, h.dim, r, k)[0]
-    # moments on faces outside f are zero and drop out
-    inside = [i for i, dof in enumerate(dofs) if f_in_h.contains(dof.face)]
-    moments = [apply_dof(DofFunctional(f_in_h.to_local(dofs[i].face), dofs[i].weight), mu) for i in inside]
-    return _moment_forms(family, h.dim, r, k, inside, [moments])[0]
+    # h's functionals inside f are f's own, in order (see dual_images)
+    moments = [apply_dof(d, mu) for d in _dual_basis(family, f.dim, r, k)[0]]
+    return _moment_forms(family, h.to_local(f), r, k, [moments])[0]
 
 
 def dual_images(family: Family, fr: FaceRef, r: int, k: int) -> tuple[PolyForm, ...]:
@@ -144,7 +134,4 @@ def dual_images(family: Family, fr: FaceRef, r: int, k: int) -> tuple[PolyForm, 
     to_local keeps.  So the moments of the j-th basis form are column j of
     the face's pairing matrix, and nothing is integrated again.
     """
-    dofs = _dual_basis(family, fr.n, r, k)[0]
-    inside = [i for i, dof in enumerate(dofs) if fr.contains(dof.face)]
-    pairing = _dual_basis(family, fr.dim, r, k)[3]
-    return _moment_forms(family, fr.n, r, k, inside, zip(*pairing))
+    return _moment_forms(family, fr, r, k, zip(*_dual_basis(family, fr.dim, r, k)[2]))

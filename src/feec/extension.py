@@ -164,7 +164,7 @@ def cell_table(
     what = f"the placed {kind} r={r} k={k} on dim {n}"
     if len(forms) != dim_space(SpaceKind(kind.family), n, r, k):
         raise ArithmeticError(f"{what} has {len(forms)} forms, not a basis")
-    return tuple(forms), slots, inverse_columns(forms, what)
+    return tuple(forms), slots, inverse_columns([w.coeffs for w in forms], what)
 
 
 # -- form-level extension -------------------------------------------------------

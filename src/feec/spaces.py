@@ -12,8 +12,9 @@ exact inverse on its pivot keys is kept as sparse integer columns keyed by
 pivot key over one denominator, so a membership test runs in integers, reads
 only the columns of the keys the form has, and then checks the answer on the
 keys that are not pivots, where alone the combination could differ from the
-form.  The coordinates of a simplex's basis traced onto each of its faces
-are tabled once per process too.
+form.  The same table, over the basis forms' moments, serves the moment
+extension of `feec.dof`.  The coordinates of a simplex's basis traced onto
+each of its faces are tabled once per process too.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cache
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .combinat import binom, multiindices
 from . import linalg
@@ -177,12 +178,12 @@ Columns = dict[Key, tuple[tuple[int, Scalar], ...]]
 
 
 class CoordinateTable(NamedTuple):
-    """What an exact coordinate solve in a fixed list of independent forms reads.
+    """What an exact coordinate solve in a fixed list of independent sparse vectors reads.
 
     `columns` holds the sparse integer columns of X by pivot key, where X / D
     is the inverse on the pivot keys and D the `denominator`, and `off_pivot`
-    the forms' own sparse (form index, coefficient) column at each other key
-    of theirs, so every key of the forms is in exactly one of them.
+    the vectors' own sparse (vector index, entry) column at each other key
+    of theirs, so every key of the vectors is in exactly one of them.
     """
 
     columns: Columns
@@ -190,54 +191,48 @@ class CoordinateTable(NamedTuple):
     denominator: int
 
 
-def inverse_columns(forms: Sequence[PolyForm], what: str) -> CoordinateTable:
-    """The exact inverse of the forms on their pivot keys, and their off-pivot columns.
+def inverse_columns(vectors: Sequence[Mapping[Key, Scalar]], what: str) -> CoordinateTable:
+    """The exact inverse of sparse vectors (such as forms' coefficients) on
+    their pivot keys, and their off-pivot columns.
 
     The pivot keys are the least independent key columns in key order, so the
-    forms restricted to them are square and nonsingular.  The inverse X / D of
-    that square matrix is kept as D and X column by column, keyed by pivot
-    key, with only its nonzero (form index, entry) pairs; every other key of
-    the forms keeps the forms' own column.  Together the two key sets are the
-    forms' keys, and they are all that :func:`coordinates` reads.  A
-    full-family basis at its own degree r has no off-pivot column.  Dependent
-    forms raise ArithmeticError naming `what`.
+    vectors restricted to them are square and nonsingular.  The inverse X / D
+    of that square matrix is kept as D and X column by column, keyed by pivot
+    key, with only its nonzero (vector index, entry) pairs; every other key
+    keeps the vectors' own column.  Together the two key sets are the
+    vectors' keys, and they are all that :func:`integer_coordinates` reads.
+    A full-family basis at its own degree r has no off-pivot column.
+    Dependent vectors raise ArithmeticError naming `what`.
     """
-    pivot_keys = linalg.pivot_columns(w.coeffs for w in forms)
-    if len(pivot_keys) != len(forms):
+    pivot_keys = linalg.pivot_columns(vectors)
+    if len(pivot_keys) != len(vectors):
         raise ArithmeticError(f"dependent basis for {what}")
-    rows, denominator = linalg.inverse([[w.coeffs.get(key, 0) for w in forms] for key in pivot_keys])
+    rows, denominator = linalg.inverse([[v.get(key, 0) for v in vectors] for key in pivot_keys])
     columns = {key: tuple((i, row[j]) for i, row in enumerate(rows) if row[j]) for j, key in enumerate(pivot_keys)}
     off_pivot: dict[Key, list[tuple[int, Scalar]]] = {}
-    for i, w in enumerate(forms):
-        for key, c in w.coeffs.items():
+    for i, v in enumerate(vectors):
+        for key, c in v.items():
             if key not in columns:
                 off_pivot.setdefault(key, []).append((i, c))
     return CoordinateTable(columns, {key: tuple(col) for key, col in off_pivot.items()}, denominator)
 
 
-def coordinates(w: PolyForm, n: int, k: int, table: CoordinateTable) -> list[Scalar] | None:
-    """Coordinates of w in independent forms, or None when w is not in their span.
+def integer_coordinates(target: Mapping[Key, Scalar], table: CoordinateTable) -> tuple[list[int], int] | None:
+    """Coordinates C / S of the target in the vectors of `table`, or None outside their span.
 
-    The forms and w live on dimension n and are stored at one degree, and
-    `table` is the forms' :func:`inverse_columns`, with inverse X / D.  With
-    w scaled to ints by the lcm E of its denominators, D * E times the
-    candidate coordinates come from w's pivot keys through X's columns, so
-    the combination agrees with w on every pivot key by construction.  They
-    are accepted exactly when that combination is w: every key of w is a key
-    of the forms, which the same pass over w's keys checks, and it agrees
-    with w on every off-pivot key, compared in ints.  Each coordinate is then
-    divided once by D * E.
+    `table` is the vectors' :func:`inverse_columns`, with inverse X / D.  With
+    the target scaled to ints by the lcm E of its denominators, C = D * E
+    times the candidate coordinates comes from its pivot keys through X's
+    columns, so the combination agrees with it there by construction.  It is
+    accepted exactly when every key of the target is a key of the vectors,
+    which the same pass checks, and the combination agrees with it on every
+    off-pivot key, compared in ints.  S is D * E.
     """
-    if w.n != n:
-        raise ValueError(f"form lives on dimension {w.n}, face has dimension {n}")
-    if not w.is_zero and w.k != k:
-        raise ValueError(f"form order {w.k} does not match k={k}")
-    target = w.coeffs
     columns, off_pivot, den = table
     scale = 1
     if any(type(v) is not int for v in target.values()):
         target, scale = linalg.clear_denominators(target)
-    coords: list[Scalar] = [0] * len(columns)
+    coords = [0] * len(columns)
     for key, v in target.items():
         col = columns.get(key)
         if col is None:
@@ -249,7 +244,24 @@ def coordinates(w: PolyForm, n: int, k: int, table: CoordinateTable) -> list[Sca
     for key, col in off_pivot.items():
         if sum(coords[i] * c for i, c in col) != den * target.get(key, 0):
             return None
-    scale *= den
+    return coords, scale * den
+
+
+def coordinates(w: PolyForm, n: int, k: int, table: CoordinateTable) -> list[Scalar] | None:
+    """Coordinates of w in independent forms, or None when w is not in their span.
+
+    The forms and w live on dimension n at one degree, and `table` is the
+    forms' :func:`inverse_columns`; w's :func:`integer_coordinates` C are
+    divided once by S.
+    """
+    if w.n != n:
+        raise ValueError(f"form lives on dimension {w.n}, face has dimension {n}")
+    if not w.is_zero and w.k != k:
+        raise ValueError(f"form order {w.k} does not match k={k}")
+    got = integer_coordinates(w.coeffs, table)
+    if got is None:
+        return None
+    coords, scale = got
     return coords if scale == 1 else [linalg.quotient(c, scale) for c in coords]
 
 
@@ -259,7 +271,7 @@ def _basis_table(kind: SpaceKind, m: int, r: int, k: int, degree: int) -> Coordi
 
     Built once per process for each argument tuple.
     """
-    basis = [b.lift(degree) for b in basis_forms(kind, FaceRef.full(m), r, k)]
+    basis = [b.lift(degree).coeffs for b in basis_forms(kind, FaceRef.full(m), r, k)]
     return inverse_columns(basis, f"{kind} r={r} k={k} on dim {m}")
 
 

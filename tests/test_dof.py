@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from feec import linalg
+from feec import dof, linalg
 from feec.dof import (
     DofFunctional,
     apply_dof,
@@ -13,7 +13,7 @@ from feec.dof import (
     pairing_matrix,
     weight_space,
 )
-from feec.extension import ExtensionFamily, FamilyKind, extend_form, extend_minus_generator
+from feec.extension import ExtensionFamily, FamilyKind, extend_form, placed_basis
 from feec.forms import FaceRef, PolyForm, bary_monomial, combination, whitney
 from feec.spaces import (
     Family,
@@ -21,6 +21,7 @@ from feec.spaces import (
     basis_forms,
     dim_space,
     enumerate_basis,
+    integer_coordinates,
 )
 from helpers import oracle_dual_images
 
@@ -80,6 +81,9 @@ def test_pairing_matrix_shape_check():
     dofs = build_dofs(Family.MINUS, 2, 1, 1)
     with pytest.raises(ValueError):
         pairing_matrix(dofs, basis_forms(SpaceKind(Family.MINUS), FaceRef.full(2), 2, 1))
+    forms = [*basis_forms(SpaceKind(Family.MINUS), FaceRef.full(2), 1, 1)[:-1], whitney(3, (0, 1))]
+    with pytest.raises(ValueError, match="dimension 3"):
+        pairing_matrix(dofs, forms)
 
 
 def test_dual_extension_of_hat_is_barycentric():
@@ -151,21 +155,67 @@ def test_dual_images_match_the_fraction_oracle(family):
     assert fractions > 0
 
 
+def _moment_cases():
+    for family in (Family.FULL, Family.MINUS):
+        for n in (1, 2, 3):
+            for r in (1, 2):
+                for k in range(n + 1):
+                    yield family, n, r, k
+
+
 def test_block_triangularity():
     # moments on faces not containing the owner annihilate extended
     # zero-trace generators
-    T = FaceRef.full(2)
-    r, k, family = 2, 1, Family.MINUS
-    dofs = build_dofs(family, 2, r, k)
-    zero_kind = SpaceKind(family, zero_trace=True)
-    for face in T.all_subfaces():
-        if face.dim < k:
-            continue
-        for desc in enumerate_basis(zero_kind, face, r, k):
-            w = extend_minus_generator(desc.alpha, desc.sigma, T)
-            for dof in dofs:
-                if not dof.face.contains(face):
-                    assert apply_dof(dof, w) == 0
+    for family, n, r, k in _moment_cases():
+        dofs = build_dofs(family, n, r, k)
+        for face in FaceRef.full(n).all_subfaces():
+            if face.dim < k:
+                continue
+            for w in placed_basis(SpaceKind(family, zero_trace=True), r, k, face):
+                for d in dofs:
+                    if not d.face.contains(face):
+                        assert apply_dof(d, w) == 0, (family, n, r, k, face, d.face)
+
+
+def test_moment_table_solves_each_basis_form_to_its_unit_vector():
+    # column j of the pairing is basis form j's moment vector, so its integer
+    # coordinates are S times the j-th unit vector; a table built over the
+    # pairing's rows solves the transpose instead and fails here
+    dof._solver_cache.clear()
+    for family, n, r, k in _moment_cases():
+        _, table, pairing = dof._dual_basis(family, n, r, k)
+        size = len(pairing)
+        for j in range(size):
+            column = {i: row[j] for i, row in enumerate(pairing) if row[j]}
+            coords, scale = integer_coordinates(column, table)
+            assert scale > 0 and coords == [scale if i == j else 0 for i in range(size)], (family, n, r, k, j)
+
+
+def test_singular_pairing_raises_and_caches_nothing(monkeypatch):
+    real = dof.pairing_matrix
+
+    def repeated_row(dofs, forms):
+        rows = real(dofs, forms)
+        return [rows[0], rows[0], *rows[2:]]
+
+    dof._solver_cache.clear()
+    monkeypatch.setattr(dof, "pairing_matrix", repeated_row)
+    family, m, r, k = Family.MINUS, 2, 2, 1
+    with pytest.raises(ArithmeticError) as err:
+        dof._dual_basis(family, m, r, k)
+    message = str(err.value)
+    assert all(part in message for part in (family.value, f"r={r}", f"k={k}", f"dim {m}")), message
+    assert (family, m, r, k) not in dof._solver_cache
+
+
+def test_pairing_matrix_matches_one_functional_at_a_time():
+    for family, n, r, k in _moment_cases():
+        dofs = build_dofs(family, n, r, k)
+        basis = basis_forms(SpaceKind(family), FaceRef.full(n), r, k)
+        got = pairing_matrix(dofs, basis)
+        want = [[apply_dof(d, w) for w in basis] for d in dofs]
+        assert got == want, (family, n, r, k)
+        assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in want]
 
 
 def test_dual_space_dimension_identities():
