@@ -6,13 +6,13 @@ be any comparable hashables, such as the canonical keys of a form; "lowest"
 means least label.  Each input row has its denominators cleared and is
 divided by its content once on entry; each elimination step keeps rows
 primitive, so entries stay small and zero entries are never stored.
-:func:`rank` and :func:`pivot_columns` take sparse rows as they are; the
-dense matrices of :func:`solve`, :func:`inverse` and :func:`nonsingular`
-are converted row by row, labelled by column index.  Solutions come from
-one fraction-free Gauss-Jordan pass over the same pivot rows, which stays
-in integers: :func:`solve` divides once per unknown, giving an int when it
-is integral and a Fraction only otherwise, and :func:`inverse` returns
-integer rows over one common denominator.
+:func:`rank` and :func:`inverse` take sparse rows as they are; :func:`solve`
+and :func:`nonsingular` convert dense matrices row by row, labelled by
+column index.  Solutions come from one fraction-free Gauss-Jordan pass over
+the same pivot rows, in integers: :func:`solve` divides once per unknown,
+giving an int when it is integral and a Fraction only otherwise, and
+:func:`inverse` returns integer columns over one common denominator from the
+elimination that picks its pivot labels.
 """
 
 from __future__ import annotations
@@ -76,24 +76,22 @@ def _echelon(rows: Iterable[Row]) -> dict[Any, dict[Any, int]]:
     return pivots
 
 
-def _gauss_jordan(
-    pivots: dict[int, dict[int, int]], nvars: int, rhs_cols: Sequence[int]
-) -> tuple[list[list[int]], int]:
-    """Solutions x[var][j] = X[var][j] / D for the right-hand sides in rhs_cols, free variables zero.
+def _gauss_jordan(pivots: dict[int, dict[int, int]], rhs_cols: Sequence[int]) -> tuple[dict[int, list[int]], int]:
+    """Solutions x[pivot][j] = X[pivot][j] / D for the right-hand sides in rhs_cols, free variables zero.
 
-    From the highest pivot down, each pivot row has the other pivot columns
-    cleared by the rows already reduced, which carry none but their own, and
-    stays primitive; row c then reads p x_c = b.  D is the lcm of the p, so it
-    is coprime to X as a whole when every variable is a pivot.
+    Each pivot row is cut to the pivot and right-hand-side columns, as free
+    variables never feed a pivot, and made primitive.  From the highest pivot
+    down, each has the other pivot columns cleared by the rows already reduced
+    and stays primitive; row c then reads p x_c = b.  D is the lcm of the p,
+    so it is coprime to X as a whole, and X is keyed in ascending order.
     """
-    for col in sorted(pivots, reverse=True):
-        for c in [c for c in pivots[col] if c != col and c in pivots]:
-            pivots[col] = _eliminate(pivots[col], pivots[c], c)
-    den = lcm(*(row[col] for col, row in pivots.items()))
-    x = [[0] * len(rhs_cols) for _ in range(nvars)]
-    for col, row in pivots.items():
-        x[col] = [row.get(b, 0) * (den // row[col]) for b in rhs_cols]
-    return x, den
+    rows = {col: _primitive({c: x for c, x in row.items() if c in pivots or c in rhs_cols}) for col, row in pivots.items()}
+    order = sorted(rows)
+    for col in reversed(order):
+        for c in [c for c in rows[col] if c != col and c in rows]:
+            rows[col] = _eliminate(rows[col], rows[c], c)
+    den = lcm(*(row[col] for col, row in rows.items()))
+    return {col: [rows[col].get(b, 0) * (den // rows[col][col]) for b in rhs_cols] for col in order}, den
 
 
 def quotient(num: Scalar, den: int) -> Scalar:
@@ -111,23 +109,20 @@ def rank(rows: Sequence[Row]) -> int:
     return len(_echelon(rows))
 
 
-def pivot_columns(rows: Iterable[Row]) -> list[Any]:
-    """The lowest-label independent set of columns of the sparse rows, ascending."""
-    return sorted(_echelon(rows))
-
-
 def solve(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> list[Scalar] | None:
-    """Solve A x = b exactly; returns None if inconsistent.
+    """Solve A x = b exactly; returns None if inconsistent, and raises ValueError on a ragged system.
 
     Underdetermined systems get free variables set to zero, so when the
     columns of A are linearly independent the solution is the unique one.
     """
     ncols = len(rows[0]) if rows else 0
+    if len(rhs) != len(rows) or any(len(row) != ncols for row in rows):
+        raise ValueError("ragged system")
     pivots = _echelon({**_sparse(row), ncols: b} for row, b in zip(rows, rhs))
     if ncols in pivots:
         return None
-    x, den = _gauss_jordan(pivots, ncols, [ncols])
-    return [quotient(xs[0], den) for xs in x]
+    x, den = _gauss_jordan(pivots, [ncols])
+    return [quotient(x[c][0], den) if c in x else 0 for c in range(ncols)]
 
 
 def nonsingular(rows: Sequence[Sequence[Scalar]]) -> bool:
@@ -136,16 +131,20 @@ def nonsingular(rows: Sequence[Sequence[Scalar]]) -> bool:
     return all(len(r) == n for r in rows) and rank([_sparse(row) for row in rows]) == n
 
 
-def inverse(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int] | None:
-    """Exact inverse of a square matrix as (X, D), or None when singular.
+def inverse(rows: Sequence[Row]) -> tuple[dict[Any, list[int]], int] | None:
+    """Exact inverse of sparse rows on their pivot labels as (X, D), or None when dependent.
 
-    X is a list of integer rows and D a positive int coprime to X's entries
-    as a whole; the inverse is X / D.
+    The labels are numbered in sorted order and row i gets identity column
+    m + i past them, so one elimination picks the pivot labels, the lowest
+    independent set, and records the row operations; a pivot at an identity
+    column shows dependent rows.  X maps each pivot label, ascending, to one
+    int per input row, and D > 0 is coprime to X as a whole: X / D inverts
+    the rows restricted to the pivot labels.
     """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
-    pivots = _echelon({**_sparse(row), n + i: 1} for i, row in enumerate(rows))
-    if any(col >= n for col in pivots):
+    labels = sorted({c for row in rows for c in row})
+    index, m = {c: j for j, c in enumerate(labels)}, len(labels)
+    pivots = _echelon({**{index[c]: x for c, x in row.items()}, m + i: 1} for i, row in enumerate(rows))
+    if any(col >= m for col in pivots):
         return None
-    return _gauss_jordan(pivots, n, range(n, 2 * n))
+    x, den = _gauss_jordan(pivots, range(m, m + len(rows)))
+    return {labels[col]: xs for col, xs in x.items()}, den

@@ -7,12 +7,12 @@ spanning sets and the basis side conditions below pick out the standard
 barycentric generators; all independence and membership questions are
 settled by exact rational elimination over canonical coefficients.  The
 basis generators are enumerated once per process for each space and face,
-and the realized basis is built once for each space and face dimension; its
-exact inverse on its pivot keys is kept as sparse integer columns keyed by
-pivot key over one denominator, so a membership test runs in integers, reads
-only the columns of the keys the form has, and then checks the answer on the
-keys that are not pivots, where alone the combination could differ from the
-form.  The same table, over the basis forms' moments, serves the moment
+and the realized basis is built once for each space and face dimension; one
+elimination finds its pivot keys and its exact inverse on them, kept as
+sparse integer columns over one denominator, so a membership test runs in
+integers, reads only the columns of the keys the form has, and then checks
+the answer on the other keys, where alone the combination could differ from
+the form.  The same table, over the basis forms' moments, serves the moment
 extension of `feec.dof`.  The coordinates of a simplex's basis traced onto
 each of its faces are tabled once per process too.
 """
@@ -193,22 +193,22 @@ class CoordinateTable(NamedTuple):
 
 def inverse_columns(vectors: Sequence[Mapping[Key, Scalar]], what: str) -> CoordinateTable:
     """The exact inverse of sparse vectors (such as forms' coefficients) on
-    their pivot keys, and their off-pivot columns.
+    their pivot keys, and their off-pivot columns, from one elimination.
 
-    The pivot keys are the least independent key columns in key order, so the
-    vectors restricted to them are square and nonsingular.  The inverse X / D
-    of that square matrix is kept as D and X column by column, keyed by pivot
+    :func:`linalg.inverse` picks the pivot keys, the least independent key
+    columns in key order, and inverts the vectors restricted to them in the
+    same pass.  Its X / D is kept as D and X column by column, keyed by pivot
     key, with only its nonzero (vector index, entry) pairs; every other key
     keeps the vectors' own column.  Together the two key sets are the
     vectors' keys, and they are all that :func:`integer_coordinates` reads.
     A full-family basis at its own degree r has no off-pivot column.
     Dependent vectors raise ArithmeticError naming `what`.
     """
-    pivot_keys = linalg.pivot_columns(vectors)
-    if len(pivot_keys) != len(vectors):
+    inv = linalg.inverse(vectors)
+    if inv is None:
         raise ArithmeticError(f"dependent basis for {what}")
-    rows, denominator = linalg.inverse([[v.get(key, 0) for v in vectors] for key in pivot_keys])
-    columns = {key: tuple((i, row[j]) for i, row in enumerate(rows) if row[j]) for j, key in enumerate(pivot_keys)}
+    x, denominator = inv
+    columns = {key: tuple((i, a) for i, a in enumerate(col) if a) for key, col in x.items()}
     off_pivot: dict[Key, list[tuple[int, Scalar]]] = {}
     for i, v in enumerate(vectors):
         for key, c in v.items():

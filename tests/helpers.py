@@ -313,6 +313,32 @@ def oracle_inverse(rows):
     return [row[n:] for row in m]
 
 
+def oracle_pivot_inverse(vectors):
+    """The reference for `feec.spaces.inverse_columns`, by dense elimination.
+
+    The pivot keys are `dense_echelon`'s pivots over the vectors' keys in
+    sorted order; returned is, for each pivot key in that order, its row of
+    the `oracle_inverse` of the vectors restricted to the pivot keys, one
+    Fraction per vector.  None when the vectors are dependent.
+    """
+    keys = sorted(set().union(*vectors))
+    pivots = [keys[p] for p in dense_echelon([[v.get(key, 0) for key in keys] for v in vectors], len(keys))[1]]
+    if len(pivots) < len(vectors):
+        return None
+    return dict(zip(pivots, oracle_inverse([[v.get(key, 0) for key in pivots] for v in vectors])))
+
+
+def table_inverse(table, count):
+    """A coordinate table's inverse X / D as `oracle_pivot_inverse` gives it, for `count` vectors."""
+    out = {}
+    for key in sorted(table.columns):
+        row = [Fraction(0)] * count
+        for i, a in table.columns[key]:
+            row[i] = Fraction(a, table.denominator)
+        out[key] = row
+    return out
+
+
 _pivot_inverses = {}
 
 

@@ -7,7 +7,6 @@ import pytest
 from feec.linalg import (
     inverse,
     nonsingular,
-    pivot_columns,
     rank,
     solve,
 )
@@ -55,26 +54,67 @@ def test_solve():
     assert x is not None and x[0] + x[1] == 2
 
 
-def _over(inv):
-    """The inverse X / D that `inverse` returns as (X, D), as Fraction rows; None stays None.
+def test_solve_refuses_a_ragged_system():
+    # a long row would put its last entry at the right-hand side's column; a short rhs would drop a row
+    for rows, rhs in [
+        ([[1, 0], [0, 1, 5]], [1, 2]),
+        ([[1, 0], [0]], [1, 2]),
+        ([[1, 0], [0, 1]], [1]),
+        ([[1, 0], [0, 1]], [1, 2, 3]),
+        ([], [1]),
+    ]:
+        with pytest.raises(ValueError):
+            solve(rows, rhs)
+    assert solve([], []) == []
 
-    Checks the shape on the way: X holds ints, D is a positive int, and D is
-    coprime to X's entries as a whole.
+
+def _over(inv, nrows):
+    """The inverse X / D that `inverse` returns as (X, D), as Fraction columns by pivot label; None stays None.
+
+    Checks the shape on the way: X's labels ascend and each holds nrows ints,
+    D is a positive int, and D is coprime to X's entries as a whole.
     """
     if inv is None:
         return None
-    rows, den = inv
+    x, den = inv
     assert type(den) is int and den > 0
-    assert all(type(x) is int for row in rows for x in row)
-    assert gcd(den, *(x for row in rows for x in row)) == 1
-    return [[Q(x, den) for x in row] for row in rows]
+    assert list(x) == sorted(x)
+    assert all(len(col) == nrows and all(type(a) is int for a in col) for col in x.values())
+    assert gcd(den, *(a for col in x.values() for a in col)) == 1
+    return {label: [Q(a, den) for a in col] for label, col in x.items()}
+
+
+def _check_inverse(m, labels):
+    """`inverse` of the rows of m, column c labelled labels[c], against the dense oracle.
+
+    The pivot labels are `dense_echelon`'s pivots over the columns in label
+    order, X / D is the `oracle_inverse` of the rows restricted to them, and
+    the result is None exactly when the rank is below the row count.
+    Returns X / D as `_over` gives it.
+    """
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    dense = [[row[c] for c in order] for row in m]
+    pivots = dense_echelon(dense, len(order))[1]
+    got = _over(inverse([{labels[c]: x for c, x in enumerate(row) if x} for row in m]), len(m))
+    if len(pivots) < len(m):
+        assert got is None
+        return None
+    assert list(got) == [labels[order[p]] for p in pivots]
+    assert list(got.values()) == oracle_inverse([[row[p] for p in pivots] for row in dense])
+    return got
 
 
 def test_inverse():
-    assert inverse([[2, 1], [1, 1]]) == ([[1, -1], [-1, 2]], 1)
-    assert inverse([[2, 0], [0, 4]]) == ([[2, 0], [0, 1]], 4)
-    assert inverse([]) == ([], 1)
-    assert inverse([[1, 2], [2, 4]]) is None
+    assert inverse([{0: 2, 1: 1}, {0: 1, 1: 1}]) == ({0: [1, -1], 1: [-1, 2]}, 1)
+    assert inverse([{0: 1, 1: 2}, {1: 1}]) == ({0: [1, -2], 1: [0, 1]}, 1)
+    assert inverse([{0: 2}, {1: 4}]) == ({0: [2, 0], 1: [0, 1]}, 4)
+    assert inverse([]) == ({}, 1)
+    assert inverse([{0: 1, 1: 2}, {0: 2, 1: 4}]) is None
+    assert inverse([{}]) is None
+    # wide rows: only the lowest independent labels are inverted
+    assert inverse([{"a": 1, "b": 2, "c": 1}, {"b": 1}]) == ({"a": [1, -2], "b": [0, 1]}, 1)
+    # an off-pivot Fraction entry must not leave a common factor between X and D
+    assert inverse([{"a": 2, "b": Q(1, 2)}]) == ({"a": [1]}, 2)
     assert nonsingular([[2, 1], [1, 1]])
     assert not nonsingular([[1, 2], [2, 4]])
 
@@ -83,7 +123,7 @@ def test_inverse_roundtrip_randomized():
     rng = random.Random(9)
     for _ in range(10):
         m = [[Q(rng.randint(-3, 3)) for _ in range(4)] for _ in range(4)]
-        inv = _over(inverse(m))
+        inv = _over(inverse(_rows(m)), 4)
         if inv is None:
             assert rank(_rows(m)) < 4
             continue
@@ -94,16 +134,17 @@ def test_inverse_roundtrip_randomized():
 
 
 def test_inverse_is_integer_rows_over_one_denominator():
-    # X / D is the oracle's inverse, singular matrices included, with Fraction entries
+    # X / D is the oracle's inverse on the pivot block, singular and wide matrices included
     rng = random.Random(23)
-    singular = 0
+    singular = off_pivot = 0
     for size in range(1, 7):
         for _ in range(8):
             m = _matrix(rng, size, size, inner=size - 1 if size > 1 and rng.random() < 0.3 else None)
-            want = oracle_inverse(m)
-            assert _over(inverse(m)) == want
-            singular += want is None
-    assert singular > 0
+            singular += _check_inverse(m, list(range(size))) is None
+            wide = _matrix(rng, size, size + 2)
+            got = _check_inverse(wide, list(range(size + 2)))
+            off_pivot += got is not None and len(got) < size + 2
+    assert singular > 0 and off_pivot > 0
 
 
 def _entry(rng):
@@ -149,16 +190,15 @@ def test_kernel_matches_dense_oracle(shape):
         # sparse rows with scattered column labels: rank ignores column order
         labels = rng.sample(range(10 * ncols + 1), ncols)
         assert rank([{labels[c]: x for c, x in enumerate(row) if x} for row in m]) == rk
-        pivots = pivot_columns({c: x for c, x in enumerate(row) if x} for row in m)
-        assert pivots == dense_echelon(m, ncols)[1]
-        # tuple labels ordered like the columns: pivots come back as labels
-        keys = sorted(rng.sample([(c, (b,)) for c in range(ncols) for b in range(3)], ncols))
+        # tuple labels, and string labels, which sort unlike the ints they name
+        keys = rng.sample([(c, (b,)) for c in range(ncols) for b in range(3)], ncols)
         assert rank([{keys[c]: x for c, x in enumerate(row) if x} for row in m]) == rk
-        by_key = pivot_columns({keys[c]: x for c, x in enumerate(row) if x} for row in m)
-        assert by_key == [keys[p] for p in pivots]
-        # string labels
         names = [f"c{c}" for c in labels]
         assert rank([{names[c]: x for c, x in enumerate(row) if x} for row in m]) == rk
+        # inverse on the pivot labels, which are the oracle's pivots in label order
+        for cols in (list(range(ncols)), labels, keys, names):
+            inv = _check_inverse(m, cols)
+            assert (inv is None) == (rk < len(m))
 
         x0 = [Q(rng.randint(-3, 3)) for _ in range(ncols)]
         consistent = [sum(a * b for a, b in zip(row, x0)) for row in m]
@@ -171,10 +211,8 @@ def test_kernel_matches_dense_oracle(shape):
         assert got == oracle_solve(m, arbitrary)
         assert got is None or _int_when_integral(got)
 
-        if nrows + zero_rows == ncols:
-            inv = inverse(m)
-            assert _over(inv) == oracle_inverse(m)
-            assert nonsingular(m) == (rk == ncols) == (inv is not None)
+        if len(m) == ncols:
+            assert nonsingular(m) == (rk == ncols)
 
 
 def test_inconsistent_and_singular_cases():
@@ -185,9 +223,9 @@ def test_inconsistent_and_singular_cases():
         if oracle_rank(m) < oracle_rank([row + [c] for row, c in zip(m, b)]):
             assert solve(m, b) is None and oracle_solve(m, b) is None
         sq = _matrix(rng, 4, 4, inner=3)
-        assert inverse(sq) is None and not nonsingular(sq)
+        assert inverse(_rows(sq)) is None and not nonsingular(sq)
     assert solve([[0, 0]], [1]) is None
-    assert inverse([[0]]) is None
+    assert inverse([{0: 0}]) is None
     assert rank([]) == 0
     assert rank([{}, {5: 0}, {3: Q(1, 2)}, {3: 2}]) == 1
 
@@ -197,14 +235,18 @@ def test_int_rows_and_their_fraction_copies_reduce_alike():
     rng = random.Random(31)
     for size in range(1, 7):
         for _ in range(12):
-            m = [[rng.choice((0, 0, 1, -1, 2, -6, 9, 12)) * rng.choice((1, 3)) for _ in range(size)]
-                 for _ in range(size)]
-            as_fractions = [[Q(x) for x in row] for row in m]
-            assert rank(_rows(m)) == rank(_rows(as_fractions))
-            assert pivot_columns(_rows(m)) == pivot_columns(_rows(as_fractions))
-            inv = inverse(m)
-            assert inv == inverse(as_fractions)
-            assert inv is None or all(type(x) is int for row in inv[0] for x in row)
+            for ncols in (size, size + 2):
+                m = [[rng.choice((0, 0, 1, -1, 2, -6, 9, 12)) * rng.choice((1, 3)) for _ in range(ncols)]
+                     for _ in range(size)]
+                as_fractions = [[Q(x) for x in row] for row in m]
+                assert rank(_rows(m)) == rank(_rows(as_fractions))
+                inv = inverse(_rows(m))
+                assert inv == inverse(_rows(as_fractions))
+                assert inv is None or all(type(x) is int for col in inv[0].values() for x in col)
     labelled = [{(0, (1,)): 4, (1, ()): -6, (2, ()): 0}, {(1, ()): 3, (2, ()): 9}]
-    halved = [{c: Q(x, 2) for c, x in row.items()} for row in labelled]
-    assert pivot_columns(labelled) == pivot_columns(halved) == [(0, (1,)), (1, ())]
+    inv = inverse(labelled)
+    assert inv == inverse([{c: Q(x) for c, x in row.items()} for row in labelled])
+    assert list(inv[0]) == [(0, (1,)), (1, ())]
+    # halving the rows doubles their inverse on the same pivot labels
+    halved = _over(inverse([{c: Q(x, 2) for c, x in row.items()} for row in labelled]), 2)
+    assert halved == {label: [2 * v for v in col] for label, col in _over(inv, 2).items()}

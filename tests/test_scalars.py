@@ -157,13 +157,13 @@ def test_values_with_denominators_are_exact():
                 assert all(exact(apply_dof(dof, b)) for dof in dofs)
     rows = [[2, 1, 0], [1, 3, Fraction(1, 2)], [0, 1, 4]]
     x = linalg.solve(rows, [1, 2, 3])
-    inv = linalg.inverse(rows)
+    inv = linalg.inverse([dict(enumerate(row)) for row in rows])
     assert x is not None and inv is not None
-    assert all(exact(v) for v in x) and all(type(v) is int for row in inv[0] for v in row)
+    assert all(exact(v) for v in x) and all(type(v) is int for col in inv[0].values() for v in col)
     assert type(inv[1]) is int and inv[1] > 1
-    unimodular = linalg.inverse([[1, 2], [0, 1]])
-    assert unimodular == ([[1, -2], [0, 1]], 1)
-    assert all(type(v) is int for row in unimodular[0] for v in row)
+    unimodular = linalg.inverse([{0: 1, 1: 2}, {1: 1}])
+    assert unimodular == ({0: [1, -2], 1: [0, 1]}, 1)
+    assert all(type(v) is int for col in unimodular[0].values() for v in col)
 
 
 def test_integral_of_an_integral_form_is_int():

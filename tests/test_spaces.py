@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from feec import spaces
+from feec import dof, linalg, spaces
 from feec.combinat import binom, multiindices
 from feec.forms import FaceRef, PolyForm, bary_monomial, canonicalize, combination, dlambda, whitney
 from feec.spaces import (
@@ -29,9 +29,11 @@ from helpers import (
     INTEGER_COEFFS,
     dense_echelon,
     from_polyform,
+    oracle_pivot_inverse,
     oracle_rank,
     random_polyform,
     rebuild_coordinates,
+    table_inverse,
 )
 
 Q = Fraction
@@ -510,6 +512,58 @@ def test_membership_refuses_a_dependent_basis(monkeypatch):
             membership(w, MINUS, T, 1, 1)
     finally:
         spaces._basis_table.cache_clear()
+
+
+def test_table_pivot_keys_are_the_dense_oracles_pivots():
+    # the rebuild oracle reads its pivots from the table, so they are checked here on their own
+    def check(vectors, table):
+        want = oracle_pivot_inverse(vectors)
+        assert sorted(table.columns) == list(want)
+        assert table_inverse(table, len(vectors)) == want
+
+    for n in range(4):
+        for r in range(4):
+            for k in range(n + 1):
+                for kind in (FULL, MINUS):
+                    for degree in (r, r + 1):
+                        basis = [b.lift(degree).coeffs for b in basis_forms(kind, FaceRef.full(n), r, k)]
+                        check(basis, spaces._basis_table(kind, n, r, k, degree))
+                if r == 0:
+                    continue
+                for zero_kind in (FULL_ZERO, MINUS_ZERO):
+                    forms, _, table = cell_table(zero_kind, n, r, k, r)
+                    check([w.coeffs for w in forms], table)
+                for family in Family:
+                    _, table, pairing = dof._dual_basis(family, n, r, k)
+                    check([{i: row[j] for i, row in enumerate(pairing) if row[j]} for j in range(len(pairing))], table)
+
+
+def test_each_table_is_one_elimination_of_the_sparse_vectors(monkeypatch):
+    echelon, invert = linalg._echelon, linalg.inverse
+    seen = []
+
+    def counted(rows):
+        seen.append("echelon")
+        return echelon(rows)
+
+    def sparse_only(rows):
+        seen.append(rows)
+        return invert(rows)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    monkeypatch.setattr(linalg, "inverse", sparse_only)
+    cases = [([b.coeffs for b in basis_forms(kind, FaceRef.full(3), 2, 1)], True) for kind in ALL_KINDS]
+    cases.append(([w.coeffs for w in cell_table(FULL_ZERO, 2, 2, 1, 3)[0]], True))
+    cases.append(([{(0, 1): 1, (2, 0): 2}, {(0, 1): 2, (2, 0): 4}], False))
+    for vectors, independent in cases:
+        seen.clear()
+        if independent:
+            spaces.inverse_columns(vectors, "a test basis")
+        else:
+            with pytest.raises(ArithmeticError, match="dependent basis for a test basis"):
+                spaces.inverse_columns(vectors, "a test basis")
+        # the vectors reach the kernel as they are, and are eliminated once
+        assert len(seen) == 2 and seen[0] is vectors and seen[1] == "echelon"
 
 
 def test_membership_results_are_not_shared_between_calls():
