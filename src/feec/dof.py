@@ -11,8 +11,9 @@ they run over the full space of degree r + k - dim f - 1.  Collecting the
 functionals over all faces yields a dual basis (the pairing matrix with the
 primal basis is nonsingular), and requiring a form on a larger face to match
 given moments on the subfaces of f and have vanishing moments elsewhere
-defines one more family of extension operators.  It runs in integers, on
-the coordinate table of `feec.spaces` over the basis forms' moments.
+defines one more family of extension operators.  One moment table per
+simplex holds the pairing: unisolvence is its rank, and the extension runs
+in integers on the coordinate table of `feec.spaces` over its columns.
 
 Integrals are normalized to a unit-volume reference face oriented by
 increasing vertex order; only the exact rational values matter here.
@@ -21,7 +22,8 @@ increasing vertex order; only the exact rational values matter here.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from functools import cache
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .forms import FaceRef, PolyForm, Scalar, combination, integral_over_face
 from .spaces import CoordinateTable, Family, SpaceKind, basis_forms, integer_coordinates, inverse_columns
@@ -77,41 +79,45 @@ def pairing_matrix(dofs: list[DofFunctional], forms: Sequence[PolyForm]) -> list
     return [[_moment(tr, d.weight) for tr in traces[d.face]] for d in dofs]
 
 
-_Dual = tuple[list[DofFunctional], CoordinateTable, list[list[Scalar]]]
-_solver_cache: dict[tuple[Family, int, int, int], _Dual] = {}
+class MomentTable(NamedTuple):
+    """A simplex's functionals and each basis form's moment column: pairing column j by functional index, no zeros."""
+
+    dofs: list[DofFunctional]
+    columns: tuple[dict[int, Scalar], ...]
 
 
-def _dual_basis(family: Family, m: int, r: int, k: int) -> _Dual:
-    """The functionals on the m-simplex, the coordinate table of the basis
-    forms' moment vectors and their pairing matrix, built once per process.
+@cache
+def moment_table(family: Family, m: int, r: int, k: int) -> MomentTable:
+    """The pairing of the functionals with the basis forms on the m-simplex, built once per process."""
+    dofs = build_dofs(family, m, r, k)
+    pairing = pairing_matrix(dofs, basis_forms(SpaceKind(family), FaceRef.full(m), r, k))
+    return MomentTable(dofs, tuple({i: row[j] for i, row in enumerate(pairing) if row[j]} for j in range(len(dofs))))
 
-    Basis form j's moment vector is pairing column j keyed by functional, so
-    the table inverts the pairing; a singular one raises ArithmeticError.
-    """
+
+_solver_cache: dict[tuple[Family, int, int, int], CoordinateTable] = {}
+
+
+def _dual_basis(family: Family, m: int, r: int, k: int) -> CoordinateTable:
+    """The coordinate table of the m-simplex's moment columns, which inverts
+    the pairing, built once per process; a singular one raises ArithmeticError."""
     key = (family, m, r, k)
-    got = _solver_cache.get(key)
-    if got is None:
-        dofs = build_dofs(family, m, r, k)
-        pairing = pairing_matrix(dofs, basis_forms(SpaceKind(family), FaceRef.full(m), r, k))
-        moments = [{i: row[j] for i, row in enumerate(pairing) if row[j]} for j in range(len(dofs))]
-        table = inverse_columns(moments, f"the {family.value} pairing r={r} k={k} on dim {m}")
-        got = _solver_cache[key] = (dofs, table, pairing)
-    return got
+    if key not in _solver_cache:
+        _solver_cache[key] = inverse_columns(moment_table(*key).columns, f"the {family.value} pairing r={r} k={k} on dim {m}")
+    return _solver_cache[key]
 
 
 def _moment_forms(
-    family: Family, fr: FaceRef, r: int, k: int, moments: Iterable[Sequence[Scalar]]
+    family: Family, fr: FaceRef, r: int, k: int, moments: Iterable[Mapping[int, Scalar]]
 ) -> tuple[PolyForm, ...]:
-    """For each moment vector, the form on the fr.n-simplex with those moments
-    at the functionals inside fr (in order) and 0 at every other one: the
-    integer basis combination C / S of the vector's integer coordinates.
-    """
-    dofs, table, _ = _dual_basis(family, fr.n, r, k)
-    inside = [i for i, dof in enumerate(dofs) if fr.contains(dof.face)]
+    """For each sparse moment vector, keyed by index among the functionals
+    inside fr, the form on the fr.n-simplex with those moments there and 0 at
+    every other functional: the integer basis combination C / S of its integer coordinates."""
+    table = _dual_basis(family, fr.n, r, k)
+    inside = [i for i, dof in enumerate(moment_table(family, fr.n, r, k).dofs) if fr.contains(dof.face)]
     basis = basis_forms(SpaceKind(family), FaceRef.full(fr.n), r, k)
     out = []
     for mu in moments:
-        coords, scale = integer_coordinates({i: x for i, x in zip(inside, mu) if x}, table)
+        coords, scale = integer_coordinates({inside[i]: x for i, x in mu.items() if x}, table)
         w = combination(fr.n, k, zip(coords, basis))
         out.append(w if scale == 1 else w * Fraction(1, scale))
     return tuple(out)
@@ -122,7 +128,7 @@ def dual_extend(family: Family, mu: PolyForm, f: FaceRef, h: FaceRef, r: int, k:
     if not h.contains(f):
         raise ValueError(f"{f.indices} is not a subface of {h.indices}")
     # h's functionals inside f are f's own, in order (see dual_images)
-    moments = [apply_dof(d, mu) for d in _dual_basis(family, f.dim, r, k)[0]]
+    moments = dict(enumerate(apply_dof(d, mu) for d in moment_table(family, f.dim, r, k).dofs))
     return _moment_forms(family, h.to_local(f), r, k, [moments])[0]
 
 
@@ -131,7 +137,7 @@ def dual_images(family: Family, fr: FaceRef, r: int, k: int) -> tuple[PolyForm, 
 
     The functionals of the fr.n-simplex inside fr are fr's own, in the same
     order: faces and weights go by dimension and then vertex order, which
-    to_local keeps.  So the moments of the j-th basis form are column j of
-    the face's pairing matrix, and nothing is integrated again.
+    to_local keeps.  So the moments of the j-th basis form are the face's
+    moment column j, and nothing is integrated again.
     """
-    return _moment_forms(family, fr, r, k, zip(*_dual_basis(family, fr.dim, r, k)[2]))
+    return _moment_forms(family, fr, r, k, moment_table(family, fr.dim, r, k).columns)

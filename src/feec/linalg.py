@@ -6,8 +6,8 @@ be any comparable hashables, such as the canonical keys of a form; "lowest"
 means least label.  Each input row has its denominators cleared and is
 divided by its content once on entry; each elimination step keeps rows
 primitive, so entries stay small and zero entries are never stored.
-:func:`rank` and :func:`inverse` take sparse rows as they are; :func:`solve`
-and :func:`nonsingular` convert dense matrices row by row, labelled by
+:func:`rank` and :func:`inverse` take sparse rows as they are; only
+:func:`solve` takes a dense matrix, converted row by row and labelled by
 column index.  Solutions come from one fraction-free Gauss-Jordan pass over
 the same pivot rows, in integers: :func:`solve` divides once per unknown,
 giving an int when it is integral and a Fraction only otherwise, and
@@ -123,12 +123,6 @@ def solve(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> list[Scala
         return None
     x, den = _gauss_jordan(pivots, [ncols])
     return [quotient(x[c][0], den) if c in x else 0 for c in range(ncols)]
-
-
-def nonsingular(rows: Sequence[Sequence[Scalar]]) -> bool:
-    """Whether a square matrix has full rank."""
-    n = len(rows)
-    return all(len(r) == n for r in rows) and rank([_sparse(row) for row in rows]) == n
 
 
 def inverse(rows: Sequence[Row]) -> tuple[dict[Any, list[int]], int] | None:

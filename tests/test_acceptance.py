@@ -9,24 +9,18 @@ from fractions import Fraction
 from math import comb
 
 from feec.assemble import assemble_basis, verify_direct_sum, verify_single_valued
-from feec.dof import build_dofs, pairing_matrix, weight_space
 from feec.extension import (
     ExtensionFamily,
     FamilyKind,
-    VanishingOrder,
-    characterization_equality,
     check_consistency,
     extend_full_generator,
     extend_minus_generator,
     naive_representative_discrepancy,
-    vanishing_order_check,
 )
 from feec.forms import FaceRef, PolyForm, bary_monomial, canonicalize, dlambda, whitney
-from feec import linalg
 from feec.spaces import (
     Family,
     SpaceKind,
-    basis_forms,
     dim_space,
     enumerate_basis,
     enumerate_spanning,
@@ -36,6 +30,8 @@ from feec.spaces import (
 from feec.verify import (
     builtin_meshes,
     suite_bernstein,
+    suite_characterization,
+    suite_dof,
     suite_homotopy,
     suite_identities,
     suite_whitney,
@@ -340,51 +336,18 @@ def test_criterion_07_table_reproduction():
 
 def test_criterion_08_dof_unisolvence():
     def run():
-        for n in (1, 2, 3):
-            T = FaceRef.full(n)
-            for family in (Family.FULL, Family.MINUS):
-                for r in (1, 2, 3):
-                    for k in range(n + 1):
-                        dofs = build_dofs(family, n, r, k)
-                        assert len(dofs) == dim_space(SpaceKind(family), n, r, k)
-                        for face in T.all_subfaces():
-                            if face.dim < k:
-                                continue
-                            kind, deg, order = weight_space(family, face.dim, r, k)
-                            got = sum(1 for d in dofs if d.face == face)
-                            assert got == dim_space(kind, face.dim, deg, order)
-                        forms = basis_forms(SpaceKind(family), T, r, k)
-                        if forms:
-                            assert linalg.nonsingular(pairing_matrix(dofs, forms))
-        for n in (1, 2, 3):
-            for r in range(1, 4):
-                for k in range(n + 1):
-                    assert dim_space(SpaceKind(Family.FULL, True), n, r, k) == dim_space(
-                        SpaceKind(Family.MINUS), n, r + k - n, n - k
-                    )
-                    assert dim_space(SpaceKind(Family.MINUS, True), n, r, k) == dim_space(
-                        SpaceKind(Family.FULL), n, r + k - n - 1, n - k
-                    )
+        results = list(suite_dof(max_n=3, max_r=3))
+        bad = [res for res in results if not res.passed]
+        assert not bad, bad
 
     _report(8, "degree-of-freedom unisolvence", run)
 
 
 def test_criterion_09_vanishing_characterizations():
     def run():
-        for n in (2, 3):
-            T = FaceRef.full(n)
-            for family in (Family.FULL, Family.MINUS):
-                for face in T.all_subfaces():
-                    for r in (1, 2, 3):
-                        for k in range(n + 1):
-                            assert characterization_equality(family, face, r, k), (
-                                family,
-                                face,
-                                r,
-                                k,
-                            )
-        w = canonicalize(2, 1, [((0, 1, 1), (1,), 1), ((0, 1, 1), (2,), 1)])
-        assert vanishing_order_check(w, FaceRef(2, (1, 2)), 2) is VanishingOrder.ORDER_R
+        results = list(suite_characterization(max_n=3, max_r=3))
+        bad = [res for res in results if not res.passed]
+        assert not bad, bad
 
     _report(9, "vanishing-order characterizations", run)
 

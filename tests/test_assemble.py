@@ -27,7 +27,7 @@ from feec.extension import (
 from feec.forms import FaceRef, PolyForm, bary_monomial, canonicalize, dlambda, whitney
 from feec.mesh import from_cells
 from feec.spaces import Family, SpaceKind, basis_forms, coordinates, dim_space, membership, realize
-from feec.verify import builtin_meshes
+from feec.verify import builtin_meshes, suite_dof
 from helpers import (
     all_pairs_constrained_dimension,
     grid_cells,
@@ -420,13 +420,14 @@ def test_every_rank_call_passes_a_list_of_sparse_rows(monkeypatch):
     ):
         assert not verify_direct_sum(TRI2, els + [extra], Family.FULL, 2, 1).ok
     assert characterization_equality(Family.FULL, FaceRef(2, (0, 1)), 2, 1)
-    assert linalg.nonsingular([[2, 1], [1, 1]])
+    # one unisolvence rank per (family, k) over the moment table's columns
+    assert all(res.passed for res in suite_dof(max_n=1, max_r=1))
     callers = Counter(name for name, _ in calls)
     # per verify_direct_sum: the stacked fallback and the constraint rows
     assert callers["verify_direct_sum"] == 6
-    assert callers["characterization_equality"] == callers["nonsingular"] == 1
+    assert callers["characterization_equality"] == 1 and callers["suite_dof"] == 4
     assert callers["rank_of"] > 0 and set(callers) == {
-        "rank_of", "verify_direct_sum", "characterization_equality", "nonsingular"
+        "rank_of", "verify_direct_sum", "characterization_equality", "suite_dof"
     }
     for _, rows in calls:
         assert type(rows) is list and all(isinstance(row, Mapping) for row in rows)

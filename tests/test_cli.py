@@ -300,6 +300,13 @@ def test_verify_selected_suite(capsys):
     assert all(r["passed"] for r in payload["results"])
 
 
+def test_verify_runs_a_repeated_suite_once(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "whitney", "--suite", "whitney", "-n", "2")
+    assert code == 0
+    assert out.count("PASS whitney          n=2\n") == 1
+    assert out.endswith("2/2 checks passed\n")
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", "", "13", "1000000"])
 def test_verify_rejects_bad_max_degree(capsys, value):
     with pytest.raises(SystemExit) as exit_:

@@ -1,9 +1,10 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
 
-from feec import dof, linalg
+from feec import dof, extension, linalg
 from feec.dof import (
     DofFunctional,
     apply_dof,
@@ -23,7 +24,8 @@ from feec.spaces import (
     enumerate_basis,
     integer_coordinates,
 )
-from helpers import oracle_dual_images
+from feec.verify import run_suites
+from helpers import oracle_dual_images, oracle_rank
 
 
 def dof_counts(family, n, r, k):
@@ -60,15 +62,19 @@ def test_dof_totals_and_group_sizes():
 
 @pytest.mark.parametrize("family", [Family.FULL, Family.MINUS])
 def test_unisolvence_sweep(family):
+    # the table's columns are the pairing's, zeros left out, so their sparse
+    # rank is the dense pairing's rank and full rank proves unisolvence
     for n in (1, 2, 3):
         for r in (1, 2, 3):
             for k in range(n + 1):
-                basis = basis_forms(SpaceKind(family), FaceRef.full(n), r, k)
-                if not basis:
-                    continue
-                dofs = build_dofs(family, n, r, k)
-                m = pairing_matrix(dofs, basis)
-                assert linalg.nonsingular(m), (family, n, r, k)
+                dofs, columns = dof.moment_table(family, n, r, k)
+                assert dofs == build_dofs(family, n, r, k)
+                dense = pairing_matrix(dofs, basis_forms(SpaceKind(family), FaceRef.full(n), r, k))
+                assert len(columns) == len(dofs) == dim_space(SpaceKind(family), n, r, k)
+                for j, column in enumerate(columns):
+                    assert 0 not in column.values()
+                    assert [column.get(i, 0) for i in range(len(dofs))] == [row[j] for row in dense]
+                assert linalg.rank(list(columns)) == oracle_rank(dense) == len(dofs), (family, n, r, k)
 
 
 def test_pairing_zero_column():
@@ -183,10 +189,9 @@ def test_moment_table_solves_each_basis_form_to_its_unit_vector():
     # pairing's rows solves the transpose instead and fails here
     dof._solver_cache.clear()
     for family, n, r, k in _moment_cases():
-        _, table, pairing = dof._dual_basis(family, n, r, k)
-        size = len(pairing)
-        for j in range(size):
-            column = {i: row[j] for i, row in enumerate(pairing) if row[j]}
+        table, columns = dof._dual_basis(family, n, r, k), dof.moment_table(family, n, r, k).columns
+        size = len(columns)
+        for j, column in enumerate(columns):
             coords, scale = integer_coordinates(column, table)
             assert scale > 0 and coords == [scale if i == j else 0 for i in range(size)], (family, n, r, k, j)
 
@@ -199,13 +204,38 @@ def test_singular_pairing_raises_and_caches_nothing(monkeypatch):
         return [rows[0], rows[0], *rows[2:]]
 
     dof._solver_cache.clear()
+    dof.moment_table.cache_clear()
     monkeypatch.setattr(dof, "pairing_matrix", repeated_row)
     family, m, r, k = Family.MINUS, 2, 2, 1
-    with pytest.raises(ArithmeticError) as err:
-        dof._dual_basis(family, m, r, k)
+    try:
+        with pytest.raises(ArithmeticError) as err:
+            dof._dual_basis(family, m, r, k)
+    finally:
+        # the table now holds the repeated row, which no later reader may see
+        dof.moment_table.cache_clear()
     message = str(err.value)
     assert all(part in message for part in (family.value, f"r={r}", f"k={k}", f"dim {m}")), message
     assert (family, m, r, k) not in dof._solver_cache
+
+
+def test_consistency_and_dof_suites_build_each_moment_table_once(monkeypatch):
+    # every pairing comes from the one table, which each (family, m, r, k) fills once
+    real, keys = dof.pairing_matrix, []
+
+    def spy(dofs, forms):
+        frame = sys._getframe(1)
+        assert frame.f_code.co_name == "moment_table"
+        keys.append(tuple(frame.f_locals[name] for name in ("family", "m", "r", "k")))
+        return real(dofs, forms)
+
+    monkeypatch.setattr(dof, "pairing_matrix", spy)
+    dof.moment_table.cache_clear()
+    dof._solver_cache.clear()
+    extension._images.cache_clear()
+    assert all(res.passed for res in run_suites(["consistency", "dof"]))
+    assert len(keys) == len(set(keys)) == dof.moment_table.cache_info().currsize
+    # the dof suite's cases, n <= 3 and r <= 3, and the moment families' faces of the tetrahedron
+    assert {(family, n, r, k) for family in Family for n in (1, 2, 3) for r in (1, 2, 3) for k in range(n + 1)} < set(keys)
 
 
 def test_pairing_matrix_matches_one_functional_at_a_time():

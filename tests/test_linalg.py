@@ -6,7 +6,6 @@ import pytest
 
 from feec.linalg import (
     inverse,
-    nonsingular,
     rank,
     solve,
 )
@@ -115,8 +114,9 @@ def test_inverse():
     assert inverse([{"a": 1, "b": 2, "c": 1}, {"b": 1}]) == ({"a": [1, -2], "b": [0, 1]}, 1)
     # an off-pivot Fraction entry must not leave a common factor between X and D
     assert inverse([{"a": 2, "b": Q(1, 2)}]) == ({"a": [1]}, 2)
-    assert nonsingular([[2, 1], [1, 1]])
-    assert not nonsingular([[1, 2], [2, 4]])
+    # a square matrix is nonsingular exactly when its sparse rows have full rank
+    assert rank(_rows([[2, 1], [1, 1]])) == 2
+    assert rank(_rows([[1, 2], [2, 4]])) == 1
 
 
 def test_inverse_roundtrip_randomized():
@@ -212,7 +212,7 @@ def test_kernel_matches_dense_oracle(shape):
         assert got is None or _int_when_integral(got)
 
         if len(m) == ncols:
-            assert nonsingular(m) == (rk == ncols)
+            assert (rank(_rows(m)) == ncols) == (oracle_inverse(m) is not None)
 
 
 def test_inconsistent_and_singular_cases():
@@ -223,7 +223,7 @@ def test_inconsistent_and_singular_cases():
         if oracle_rank(m) < oracle_rank([row + [c] for row, c in zip(m, b)]):
             assert solve(m, b) is None and oracle_solve(m, b) is None
         sq = _matrix(rng, 4, 4, inner=3)
-        assert inverse(_rows(sq)) is None and not nonsingular(sq)
+        assert inverse(_rows(sq)) is None and rank(_rows(sq)) == oracle_rank(sq) < 4
     assert solve([[0, 0]], [1]) is None
     assert inverse([{0: 0}]) is None
     assert rank([]) == 0

@@ -21,6 +21,12 @@ def test_suite_names_are_selectable():
         run_suites(["made-up"], max_n=2, max_r=2)
 
 
+def test_repeated_suite_names_run_once_in_first_mention_order():
+    results = run_suites(["whitney", "dims", "whitney"], max_n=1, max_r=1)
+    once = run_suites(["whitney"], max_n=1, max_r=1) + run_suites(["dims"], max_n=1, max_r=1)
+    assert results == once and {r.suite for r in results} == {"whitney", "dims"}
+
+
 def test_homotopy_suite_at_dimension_four():
     results = run_suites(["homotopy"], max_n=4, max_r=2)
     assert any(r.label.startswith("n=4") for r in results)
