@@ -109,15 +109,17 @@ def _dual_basis(family: Family, m: int, r: int, k: int) -> CoordinateTable:
 def _moment_forms(
     family: Family, fr: FaceRef, r: int, k: int, moments: Iterable[Mapping[int, Scalar]]
 ) -> tuple[PolyForm, ...]:
-    """For each sparse moment vector, keyed by index among the functionals
-    inside fr, the form on the fr.n-simplex with those moments there and 0 at
-    every other functional: the integer basis combination C / S of its integer coordinates."""
+    """For each sparse moment vector, keyed by index among the functionals inside fr, the form on
+    the fr.n-simplex with those moments there and 0 at every other functional: the integer basis
+    combination C / S of its integer coordinates, or the basis form itself if C / S is a unit vector."""
     table = _dual_basis(family, fr.n, r, k)
     inside = [i for i, dof in enumerate(moment_table(family, fr.n, r, k).dofs) if fr.contains(dof.face)]
     basis = basis_forms(SpaceKind(family), FaceRef.full(fr.n), r, k)
     out = []
     for mu in moments:
         coords, scale = integer_coordinates({inside[i]: x for i, x in mu.items() if x}, table)
+        if coords.count(0) == len(coords) - 1 and scale in coords:
+            coords, scale = [c // scale for c in coords], 1
         w = combination(fr.n, k, zip(coords, basis))
         out.append(w if scale == 1 else w * Fraction(1, scale))
     return tuple(out)

@@ -238,23 +238,25 @@ def check_consistency(fam: ExtensionFamily, h: FaceRef) -> ConsistencyResult:
     d-simplex in lattice order against its facets g in order: the trace onto
     g of a member's image on f must equal the images of f \\cap g in g weighted
     by the coordinates of the member's trace on f \\cap g (zero if disjoint),
-    which every family of the space reads from :func:`spaces.trace_coordinates`.
+    which every family of the space reads from :func:`spaces.trace_coordinates`;
+    a unit row's right side is its image itself, uncopied (see `combination`).
     The first failure is the witness, under its vertex indices on h.
     """
+    kind, r, k = fam.space_kind, fam.r, fam.k
     for d in range(h.dim, 0, -1):
         faces = FaceRef.full(d).all_subfaces()
         facets = [g for g in faces if g.dim == d - 1]
         for f in faces:
-            members, extended = basis_forms(fam.space_kind, f, fam.r, fam.k), _images(fam, f)
+            members, extended = basis_forms(kind, f, r, k), _images(fam, f)
             for g in facets:
                 fg = f.intersect(g)
                 if fg is None:
                     rows, images = [()] * len(members), ()
                 else:
-                    rows = trace_coordinates(fam.space_kind, fam.r, fam.k, f.to_local(fg))
+                    rows = trace_coordinates(kind, r, k, f.to_local(fg))
                     images = _images(fam, g.to_local(fg))
                 for mu, ext, row in zip(members, extended, rows):
-                    lhs, rhs = ext.trace(g), combination(g.dim, fam.k, zip(row, images))
+                    lhs, rhs = ext.trace(g), combination(g.dim, k, zip(row, images))
                     if lhs != rhs:
                         w = ConsistencyWitness(FaceRef(h.dim, f.indices), FaceRef(h.dim, g.indices), mu, lhs, rhs)
                         return ConsistencyResult(False, w)

@@ -519,8 +519,9 @@ def combination(n: int, k: int, terms: Iterable[tuple[Scalar, PolyForm]]) -> Pol
     """The k-form sum of c * w over the (c, w) terms, built in one coefficient dict.
 
     Every term is lifted to the largest storage degree among the live ones;
-    zero coefficients and zero forms contribute nothing.  Raises ValueError
-    when a form has another shape and TypeError for an inexact coefficient.
+    zero coefficients and zero forms contribute nothing, and a lone live term
+    with coefficient 1 is returned itself, uncopied.  Raises ValueError when
+    a form has another shape and TypeError for an inexact coefficient.
     """
     live: list[tuple[Scalar, PolyForm]] = []
     for c, w in terms:
@@ -532,6 +533,8 @@ def combination(n: int, k: int, terms: Iterable[tuple[Scalar, PolyForm]]) -> Pol
             live.append((c, w))
     if not live:
         return PolyForm.zero(n, k)
+    if len(live) == 1 and live[0][0] == 1:
+        return live[0][1]
     r = max(w.r for _, w in live)
     coeffs: dict[Key, Scalar] = {}
     for c, w in live:

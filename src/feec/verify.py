@@ -19,6 +19,7 @@ from .assemble import assemble_basis, verify_direct_sum, verify_single_valued
 from .combinat import binom, multiindices
 from .dof import moment_table, weight_space
 from .extension import (
+    ConsistencyWitness,
     ExtensionFamily,
     FamilyKind,
     VanishingOrder,
@@ -82,13 +83,13 @@ def suite_dims(max_n: int = 4, max_r: int = 3) -> Iterator[CheckResult]:
                 full = dim_space(FULL, n, r, k)
                 minus = dim_space(MINUS, n, r, k)
                 if full != binom(r + n, n) * binom(n, k):
-                    bad = f"full dimension off at k={k}"
+                    bad = bad or f"full dimension off at k={k}"
                 if minus != binom(r + k - 1, k) * binom(n + r, n - k):
-                    bad = f"reduced dimension off at k={k}"
+                    bad = bad or f"reduced dimension off at k={k}"
                 for kind in ALL_KINDS:
                     got = len(enumerate_basis(kind, T, r, k))
                     if got != dim_space(kind, n, r, k):
-                        bad = f"{_kind_name(kind)} basis count {got} at k={k}"
+                        bad = bad or f"{_kind_name(kind)} basis count {got} at k={k}"
             yield CheckResult("dims", f"n={n} r={r}", not bad, bad)
 
 
@@ -197,7 +198,7 @@ def suite_whitney(max_n: int = 4) -> Iterator[CheckResult]:
                     lam = bary_monomial(n, tuple(1 if i == vals[j] else 0 for i in range(n + 1)))
                     total = total + (-1) ** j * lam.wedge(whitney(n, vals[:j] + vals[j + 1 :]))
                 if not total.is_zero:
-                    bad = f"alternating sum nonzero for {vals}"
+                    bad = bad or f"alternating sum nonzero for {vals}"
         for k in range(0, n):
             for vals in combinations(range(n + 1), k + 1):
                 dls = dlambda(n, vals)
@@ -208,11 +209,18 @@ def suite_whitney(max_n: int = 4) -> Iterator[CheckResult]:
                     lam = bary_monomial(n, tuple(1 if i == j else 0 for i in range(n + 1)))
                     total = total + lam.wedge(dls) - dlambda(n, (j,)).wedge(whitney(n, vals))
                 if total != dls:
-                    bad = f"partition identity failed for {vals}"
+                    bad = bad or f"partition identity failed for {vals}"
                 w = whitney(n, vals)
                 if dls.koszul() != w - w.eval_at_vertex(0):
-                    bad = f"contraction identity failed for {vals}"
+                    bad = bad or f"contraction identity failed for {vals}"
         yield CheckResult("whitney", f"n={n}", not bad, bad)
+
+
+def _consistency_detail(w: ConsistencyWitness) -> str:
+    """The faces of a failed law and the first canonical key where its sides differ, with both coefficients."""
+    lhs, rhs = (side.lift(max(w.lhs.r, w.rhs.r)).coeffs for side in (w.lhs, w.rhs))
+    key = min(key for key in lhs.keys() | rhs.keys() if lhs.get(key, 0) != rhs.get(key, 0))
+    return f"faces {w.f.indices} vs {w.g.indices} at (alpha, sigma) = {key}: lhs {lhs.get(key, 0)}, rhs {rhs.get(key, 0)}"
 
 
 def suite_consistency(max_r: int = 3, max_k: int = 2, dual_r: int = 2) -> Iterator[CheckResult]:
@@ -223,7 +231,7 @@ def suite_consistency(max_r: int = 3, max_k: int = 2, dual_r: int = 2) -> Iterat
         for r in range(1, top_r + 1):
             for k in range(0, max_k + 1):
                 res = check_consistency(ExtensionFamily(kind, r, k), FaceRef.full(3))
-                detail = "" if res.ok else f"faces {res.witness.f.indices} vs {res.witness.g.indices}"
+                detail = "" if res.ok else _consistency_detail(res.witness)
                 yield CheckResult("consistency", f"{kind.value} r={r} k={k}", res.ok, detail)
     res = check_consistency(ExtensionFamily(FamilyKind.NAIVE_FULL, 2, 1), FaceRef.full(2))
     bad = naive_representative_discrepancy()
@@ -292,9 +300,9 @@ def suite_dof(max_n: int = 3, max_r: int = 3) -> Iterator[CheckResult]:
         for r in range(1, max_r + 1):
             for k in range(n + 1):
                 if dim_space(FULL_ZERO, n, r, k) != dim_space(MINUS, n, r + k - n, n - k):
-                    bad = f"full/reduced duality dims n={n} r={r} k={k}"
+                    bad = bad or f"full/reduced duality dims n={n} r={r} k={k}"
                 if dim_space(MINUS_ZERO, n, r, k) != dim_space(FULL, n, r + k - n - 1, n - k):
-                    bad = f"reduced/full duality dims n={n} r={r} k={k}"
+                    bad = bad or f"reduced/full duality dims n={n} r={r} k={k}"
     yield CheckResult("dof", "duality dimensions", not bad, bad)
 
 

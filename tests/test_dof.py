@@ -161,6 +161,18 @@ def test_dual_images_match_the_fraction_oracle(family):
     assert fractions > 0
 
 
+@pytest.mark.parametrize("family", list(Family))
+def test_dual_images_of_the_whole_simplex_are_its_basis_forms(family):
+    # each basis form's moments are its own column, so its image is that very table form
+    for m in range(1, 4):
+        for r in (1, 2):
+            for k in range(m + 1):
+                basis = basis_forms(SpaceKind(family), FaceRef.full(m), r, k)
+                images = dual_images(family, FaceRef.full(m), r, k)
+                assert [(w.r, w.coeffs) for w in images] == [(b.r, b.coeffs) for b in basis]
+                assert all(w is b for w, b in zip(images, basis))
+
+
 def _moment_cases():
     for family in (Family.FULL, Family.MINUS):
         for n in (1, 2, 3):

@@ -1,12 +1,15 @@
+import io
 import random
 import re
 import sys
 from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from feec import extension, spaces
+from feec import assemble, cli, extension, spaces
 from feec.dof import dual_extend
 from feec.forms import FaceRef, PolyForm, bary_monomial, canonicalize, combination, dlambda, one, whitney
 from feec.extension import (
@@ -38,7 +41,7 @@ from feec.spaces import (
     membership,
     realize,
 )
-from feec.verify import suite_consistency
+from feec.verify import run_suites, suite_consistency
 from helpers import all_pairs_consistency, from_polyform, oracle_directional_derivative, oracle_trace
 
 Q = Fraction
@@ -367,7 +370,8 @@ def test_a_patched_moment_image_fails_its_consistency_case_with_its_faces(monkey
         original.cache_clear()
     failed = [(res.label, res.detail) for res in results if not res.passed]
     assert [label for label, _ in failed] == ["dual-full r=1 k=1"]
-    assert re.fullmatch(r"faces \([\d, ]+\) vs \([\d, ]+\)", failed[0][1])
+    key = r"\(\([\d, ]+\), \([\d, ]*\)\)"
+    assert re.fullmatch(rf"faces \([\d, ]+\) vs \([\d, ]+\) at \(alpha, sigma\) = {key}: lhs -?[\d/]+, rhs -?[\d/]+", failed[0][1])
 
 
 def test_a_disjoint_pair_needs_a_vanishing_left_side(monkeypatch):
@@ -691,3 +695,37 @@ def test_characterization_rejects_a_dependent_basis(monkeypatch, family):
 
     monkeypatch.setattr("feec.extension.placed_basis", repeated_first)
     assert not characterization_equality(family, edge, 2, 1)
+
+
+def test_shared_tables_stay_unmutated(monkeypatch):
+    # combination and the moment images hand out table forms as they are, so
+    # no caller may change one: snapshot each table entry when it is first
+    # handed out and compare after a sweep, a consistency run and a decompose
+    snapshots = {}
+
+    def recording(table, fn):
+        def spy(*args):
+            out = fn(*args)
+            snapshots.setdefault(id(out), (table, out, [(w.r, dict(w.coeffs)) for w in out]))
+            return out
+
+        return spy
+
+    monkeypatch.setattr(spaces, "_reference_basis", recording("basis_forms", spaces._reference_basis))
+    placed = recording("placed_basis", extension.placed_basis)
+    for module in (extension, assemble, cli):
+        monkeypatch.setattr(module, "placed_basis", placed)
+    monkeypatch.setattr(extension, "_images", recording("_images", extension._images))
+
+    assert all(res.passed for res in run_suites(max_n=2, max_r=2))
+    assert all(res.passed for res in suite_consistency(max_r=1, max_k=1, dual_r=1))
+    golden = Path(__file__).resolve().parent / "golden"
+    out = io.StringIO()
+    argv = ["decompose", "--mesh", str(golden / "two-triangles.mesh"), "--family", "full", "-r", "2", "-k", "1"]
+    with redirect_stdout(out):
+        assert cli.main(argv + ["--format", "json"]) == 0
+    assert out.getvalue() == (golden / "two-triangles.full-r2-k1.json").read_text()
+
+    assert {table for table, _, _ in snapshots.values()} == {"basis_forms", "placed_basis", "_images"}
+    for table, forms, snapshot in snapshots.values():
+        assert [(w.r, dict(w.coeffs)) for w in forms] == snapshot, table

@@ -562,6 +562,14 @@ def test_lift_against_oracle():
                         assert lifted.is_zero or all(sum(a) == w.r + extra for a, _ in lifted.coeffs)
 
 
+def _chained(n, k, terms):
+    """The oracle for `combination`: the terms scaled and added one at a time."""
+    out = PolyForm.zero(n, k)
+    for c, w in terms:
+        out = out + c * w
+    return out
+
+
 def test_combination_matches_chained_addition():
     rng = random.Random(61)
     for n in (1, 2, 3):
@@ -576,9 +584,7 @@ def test_combination_matches_chained_addition():
                         # the same term again at a higher storage degree, cancelling it
                         terms.append((-c, w.lift(w.r + 1)))
                 rng.shuffle(terms)
-                oracle = PolyForm.zero(n, k)
-                for c, w in terms:
-                    oracle = oracle + c * w
+                oracle = _chained(n, k, terms)
                 got = combination(n, k, terms)
                 assert got == oracle
                 assert from_polyform(got) == from_polyform(oracle)
@@ -590,6 +596,31 @@ def test_combination_matches_chained_addition():
         combination(2, 1, [(1, dlambda(3, (1,)))])
     with pytest.raises(ValueError):
         combination(2, 1, [(1, dlambda(2, (1, 2)))])
+
+
+def test_combination_hands_back_a_lone_unit_term_and_matches_chained_addition_otherwise():
+    rng = random.Random(67)
+    for n in (1, 2, 3):
+        for k in range(n + 1):
+            for _ in range(6):
+                w = random_polyform(rng, n, k, rng.randint(0, 3), coeffs=FRACTION_COEFFS)
+                if w.is_zero:
+                    continue
+                for unit in (1, Q(2, 2), True):
+                    assert combination(n, k, [(unit, w)]) is w
+                # one non-unit term is scaled into a fresh form
+                for c in (2, -1, Q(1, 2), Q(-3, 2)):
+                    got = combination(n, k, [(c, w)])
+                    assert got is not w
+                    _same_form(got, _chained(n, k, [(c, w)]))
+                # a unit term among zero coefficients and zero forms, of any order
+                other = random_polyform(rng, n, k, rng.randint(0, 3))
+                dead = [(0, other), (Q(0), w.lift(w.r + 1)), (3, PolyForm.zero(n, k)), (-1, PolyForm.zero(n, n))]
+                terms = dead + [(1, w)]
+                rng.shuffle(terms)
+                got = combination(n, k, terms)
+                assert got is w
+                _same_form(got, _chained(n, k, terms))
 
 
 def _same_form(got, want):

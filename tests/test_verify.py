@@ -1,9 +1,13 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from feec import verify
 from feec.combinat import multiindices
-from feec.forms import PolyForm
+from feec.extension import ConsistencyWitness
+from feec.forms import FaceRef, PolyForm, canonicalize
+from feec.spaces import FULL, FULL_ZERO
 from feec.verify import CheckResult, SUITE_BOUNDS, SUITES, builtin_meshes, run_suites
 
 
@@ -97,3 +101,32 @@ def test_all_suites_registered():
     assert set(SUITE_BOUNDS) == set(SUITES)
     r = CheckResult("x", "y", True)
     assert r.passed and r.detail == ""
+
+
+def test_suites_that_keep_sweeping_name_their_first_failure(monkeypatch):
+    dim_space, whitney = verify.dim_space, verify.whitney
+    # off by one for the full space at k = 0 and k = 1 on the segment, r = 1
+    monkeypatch.setattr(verify, "dim_space", lambda kind, n, r, k: dim_space(kind, n, r, k) + (kind == FULL and (n, r) == (1, 1)))
+    (dims,) = [res for res in verify.suite_dims(max_n=1, max_r=1) if not res.passed]
+    assert dims.detail == "full dimension off at k=0"
+    # off by one for the full zero-trace space at two (n, r, k)
+    bumped = {(1, 1, 0), (3, 3, 3)}
+    monkeypatch.setattr(verify, "dim_space", lambda kind, n, r, k: dim_space(kind, n, r, k) + (kind == FULL_ZERO and (n, r, k) in bumped))
+    duality = [res for res in verify.suite_dof(max_n=3, max_r=3) if res.label == "duality dimensions"]
+    assert [res.detail for res in duality] == ["full/reduced duality dims n=1 r=1 k=0"]
+    # the doubled Whitney form of vertex 1 breaks two alternating sums, then the partition and contraction identities
+    monkeypatch.setattr(verify, "dim_space", dim_space)
+    monkeypatch.setattr(verify, "whitney", lambda n, vals: (2 if tuple(vals) == (1,) else 1) * whitney(n, vals))
+    (tri,) = [res for res in verify.suite_whitney(max_n=2) if not res.passed]
+    assert tri.detail == "alternating sum nonzero for (0, 1)"
+
+
+def test_a_consistency_failure_names_the_first_key_where_its_sides_differ():
+    f, g = FaceRef(2, (0, 1)), FaceRef(2, (1, 2))
+    lhs = canonicalize(1, 1, [((1, 0), (1,), 2), ((0, 1), (1,), Fraction(1, 2))])
+    rhs = canonicalize(1, 1, [((0, 0), (1,), 1)])  # lambda_0 + lambda_1 at degree 1
+    detail = verify._consistency_detail(ConsistencyWitness(f, g, lhs, lhs, rhs))
+    assert detail == "faces (0, 1) vs (1, 2) at (alpha, sigma) = ((0, 1), (1,)): lhs 1/2, rhs 1"
+    zero = PolyForm.zero(1, 1)
+    # a zero side is compared at the other side's degree: rhs = d lambda_1 at degree 0
+    assert verify._consistency_detail(ConsistencyWitness(f, g, lhs, zero, rhs)).endswith("((0, 0), (1,)): lhs 0, rhs 1")
