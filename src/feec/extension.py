@@ -40,8 +40,6 @@ from . import linalg
 from .dof import dual_images
 from .forms import FaceRef, Key, PolyForm, Scalar, bary_monomial, canonicalize, combination, psi_form, whitney
 from .spaces import (
-    FULL,
-    MINUS,
     CoordinateTable,
     Family,
     SpaceKind,
@@ -80,7 +78,7 @@ class ExtensionFamily(NamedTuple("ExtensionFamily", [("kind", FamilyKind), ("r",
 
     @property
     def space_kind(self) -> SpaceKind:
-        return MINUS if self.kind.family is Family.MINUS else FULL
+        return SpaceKind(self.kind.family)
 
 
 class VanishingOrder(Enum):
@@ -172,8 +170,6 @@ def cell_table(
 
 def extend_naive(mu: PolyForm, f: FaceRef, g: FaceRef) -> PolyForm:
     """Reinterpret the f-local form mu on g by vertex correspondence (negative control)."""
-    if not g.contains(f):
-        raise ValueError(f"{f.indices} is not a subface of {g.indices}")
     if mu.n != f.dim:
         raise ValueError(f"form lives on dimension {mu.n}, face has dimension {f.dim}")
     fl = g.to_local(f)

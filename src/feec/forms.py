@@ -584,17 +584,6 @@ def _whitney(n: int, sigma: tuple[int, ...]) -> PolyForm:
     return canonicalize(n, k, raw, degree=1)
 
 
-def psi_one_form(alpha: tuple[int, ...], face: FaceRef, i: int) -> PolyForm:
-    """Corrected differential attached to a monomial on a face.
-
-    d lambda_i minus the alpha-weighted average of the face differentials;
-    the correction makes the family sum to zero over the face and kills the
-    contraction with every vector from the opposite face to the weighted
-    point of alpha.
-    """
-    return psi_form(alpha, face, (i,))
-
-
 def psi_form(alpha: tuple[int, ...], face: FaceRef, sigma: tuple[int, ...]) -> PolyForm:
     """Wedge of corrected differentials over the indices of sigma, read from a table after validation."""
     sigma = tuple(sigma)

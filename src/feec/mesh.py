@@ -57,6 +57,7 @@ class Triangulation:
     """Sorted cells over vertex ids 0..num_vertices - 1; immutable by convention, equal by value."""
 
     def __init__(self, n: int, num_vertices: int, cells: tuple[tuple[int, ...], ...]) -> None:
+        seen = set()
         for cell in cells:
             if len(set(cell)) != n + 1:
                 raise ValueError(f"cell {cell} must have {n + 1} distinct vertices")
@@ -64,8 +65,6 @@ class Triangulation:
                 raise ValueError(f"cell {cell} must be sorted")
             if cell[0] < 0 or cell[-1] >= num_vertices:
                 raise ValueError(f"cell {cell} uses ids outside 0..{num_vertices - 1}")
-        seen = set()
-        for cell in cells:
             if cell in seen:
                 raise ValueError(f"cell {cell} appears twice")
             seen.add(cell)

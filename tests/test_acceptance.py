@@ -1,49 +1,26 @@
 """Acceptance criteria: one test per criterion, each printing a PASS/FAIL line.
 
-Everything here is exact arithmetic; the only tolerances are wall-clock
-budgets on the swept criteria.
+Criteria that a `feec.verify` suite proves run that suite over the
+criterion's range.  Everything here is exact arithmetic; the only
+tolerances are wall-clock budgets on the swept criteria.
 """
 
 import time
-from fractions import Fraction
-from math import comb
 
-from feec.assemble import assemble_basis, verify_direct_sum, verify_single_valued
-from feec.extension import (
-    ExtensionFamily,
-    FamilyKind,
-    check_consistency,
-    extend_full_generator,
-    extend_minus_generator,
-    naive_representative_discrepancy,
-)
-from feec.forms import FaceRef, PolyForm, bary_monomial, canonicalize, dlambda, whitney
-from feec.spaces import (
-    Family,
-    SpaceKind,
-    dim_space,
-    enumerate_basis,
-    enumerate_spanning,
-    rank_of,
-    realize,
-)
+from feec.extension import extend_full_generator, extend_minus_generator
+from feec.forms import FaceRef, PolyForm, bary_monomial, dlambda, whitney
+from feec.spaces import Family, rank_of
 from feec.verify import (
-    builtin_meshes,
     suite_bernstein,
     suite_characterization,
+    suite_consistency,
+    suite_decomposition,
+    suite_dims,
     suite_dof,
     suite_homotopy,
     suite_identities,
+    suite_ranks,
     suite_whitney,
-)
-
-Q = Fraction
-
-ALL_KINDS = (
-    SpaceKind(Family.FULL),
-    SpaceKind(Family.MINUS),
-    SpaceKind(Family.FULL, True),
-    SpaceKind(Family.MINUS, True),
 )
 
 
@@ -56,97 +33,40 @@ def _report(num: int, name: str, fn) -> None:
     print(f"criterion {num:2d} ({name}): PASS")
 
 
-def test_criterion_01_dimension_formulas():
-    def run():
-        start = time.monotonic()
-        for n in range(1, 5):
-            T = FaceRef.full(n)
-            for r in range(1, 7):
-                for k in range(n + 1):
-                    full = dim_space(SpaceKind(Family.FULL), n, r, k)
-                    minus = dim_space(SpaceKind(Family.MINUS), n, r, k)
-                    assert full == comb(r + n, n) * comb(n, k)
-                    assert minus == comb(r + k - 1, k) * comb(n + r, n - k)
-                    for kind in ALL_KINDS:
-                        got = len(enumerate_basis(kind, T, r, k))
-                        assert got == dim_space(kind, n, r, k), (kind, n, r, k)
-        elapsed = time.monotonic() - start
-        assert elapsed < 10, f"took {elapsed:.1f}s"
+def _all_pass(*suites, budget: float | None = None) -> None:
+    """Run the suites; every result must pass, within `budget` seconds if given."""
+    start = time.monotonic()
+    bad = [res for suite in suites for res in suite if not res.passed]
+    assert not bad, bad
+    elapsed = time.monotonic() - start
+    assert budget is None or elapsed < budget, f"took {elapsed:.1f}s"
 
-    _report(1, "dimension formulas", run)
+
+def test_criterion_01_dimension_formulas():
+    _report(1, "dimension formulas", lambda: _all_pass(suite_dims(max_n=4, max_r=6), budget=10))
 
 
 def test_criterion_02_rank_checks():
-    def run():
-        start = time.monotonic()
-        for n in (2, 3):
-            T = FaceRef.full(n)
-            for r in range(1, 5):
-                for k in range(n + 1):
-                    for kind in ALL_KINDS:
-                        dim = dim_space(kind, n, r, k)
-                        basis = [realize(g) for g in enumerate_basis(kind, T, r, k)]
-                        spanning = [realize(g) for g in enumerate_spanning(kind, T, r, k)]
-                        assert len(basis) == dim
-                        assert rank_of(basis) == dim
-                        assert rank_of(spanning) == dim
-        elapsed = time.monotonic() - start
-        assert elapsed < 120, f"took {elapsed:.1f}s"
-
-    _report(2, "spanning and basis ranks", run)
+    _report(2, "spanning and basis ranks", lambda: _all_pass(suite_ranks(max_n=3, max_r=4), budget=120))
 
 
 def test_criterion_03_algebraic_identities():
-    def run():
-        results = list(suite_identities(max_n=3, max_r=3))
-        results += list(suite_homotopy(max_n=3, max_r=3))
-        bad = [res for res in results if not res.passed]
-        assert not bad, bad
-
-    _report(3, "differential and contraction identities", run)
+    _report(
+        3, "differential and contraction identities",
+        lambda: _all_pass(suite_identities(max_n=3, max_r=3), suite_homotopy(max_n=3, max_r=3)),
+    )
 
 
 def test_criterion_04_whitney_identities():
-    def run():
-        results = list(suite_whitney(max_n=4))
-        bad = [res for res in results if not res.passed]
-        assert not bad, bad
-
-    _report(4, "Whitney form identities", run)
+    _report(4, "Whitney form identities", lambda: _all_pass(suite_whitney(max_n=4)))
 
 
 def test_criterion_05_extension_consistency():
-    def run():
-        tet = FaceRef.full(3)
-        for kind in (FamilyKind.MINUS_BARYCENTRIC, FamilyKind.FULL_PSI):
-            for r in (1, 2, 3):
-                for k in (0, 1, 2):
-                    res = check_consistency(ExtensionFamily(kind, r, k), tet)
-                    assert res.ok, (kind, r, k, res.witness)
-        res = check_consistency(ExtensionFamily(FamilyKind.NAIVE_FULL, 2, 1), FaceRef.full(2))
-        assert not res.ok
-        witness = naive_representative_discrepancy()
-        expected = canonicalize(2, 1, [((0, 1, 1), (1,), 1), ((0, 1, 1), (2,), 1)])
-        assert witness == expected
-
-    _report(5, "extension family compatibility", run)
+    _report(5, "extension family compatibility", lambda: _all_pass(suite_consistency()))
 
 
 def test_criterion_06_geometric_decompositions():
-    def run():
-        start = time.monotonic()
-        for mesh in builtin_meshes().values():
-            for family in (Family.MINUS, Family.FULL):
-                for r in (1, 2, 3):
-                    for k in range(mesh.n + 1):
-                        elements = assemble_basis(mesh, family, r, k)
-                        assert verify_single_valued(mesh, elements, k) is None
-                        report = verify_direct_sum(mesh, elements, family, r, k)
-                        assert report.ok, (family, r, k, report)
-        elapsed = time.monotonic() - start
-        assert elapsed < 300, f"took {elapsed:.1f}s"
-
-    _report(6, "assembled decompositions", run)
+    _report(6, "assembled decompositions", lambda: _all_pass(suite_decomposition(max_r=3), budget=300))
 
 
 # -- table data -----------------------------------------------------------------
@@ -335,27 +255,12 @@ def test_criterion_07_table_reproduction():
 
 
 def test_criterion_08_dof_unisolvence():
-    def run():
-        results = list(suite_dof(max_n=3, max_r=3))
-        bad = [res for res in results if not res.passed]
-        assert not bad, bad
-
-    _report(8, "degree-of-freedom unisolvence", run)
+    _report(8, "degree-of-freedom unisolvence", lambda: _all_pass(suite_dof(max_n=3, max_r=3)))
 
 
 def test_criterion_09_vanishing_characterizations():
-    def run():
-        results = list(suite_characterization(max_n=3, max_r=3))
-        bad = [res for res in results if not res.passed]
-        assert not bad, bad
-
-    _report(9, "vanishing-order characterizations", run)
+    _report(9, "vanishing-order characterizations", lambda: _all_pass(suite_characterization(max_n=3, max_r=3)))
 
 
 def test_criterion_10_bernstein_degeneration():
-    def run():
-        results = list(suite_bernstein(max_r=4))
-        bad = [res for res in results if not res.passed]
-        assert not bad, bad
-
-    _report(10, "Bernstein degeneration at order zero", run)
+    _report(10, "Bernstein degeneration at order zero", lambda: _all_pass(suite_bernstein(max_r=4)))

@@ -90,6 +90,15 @@ def test_pairing_matrix_shape_check():
     forms = [*basis_forms(SpaceKind(Family.MINUS), FaceRef.full(2), 1, 1)[:-1], whitney(3, (0, 1))]
     with pytest.raises(ValueError, match="dimension 3"):
         pairing_matrix(dofs, forms)
+    with pytest.raises(ValueError, match="dimension 3"):
+        apply_dof(dofs[0], forms[-1])
+
+
+def test_dual_extension_refuses_a_face_outside_h():
+    mu = whitney(1, (0, 1))
+    for f, h in [(FaceRef(3, (0, 1)), FaceRef(3, (1, 2, 3))), (FaceRef(2, (0, 1)), FaceRef.full(3))]:
+        with pytest.raises(ValueError, match="is not a subface of"):
+            dual_extend(Family.MINUS, mu, f, h, 1, 1)
 
 
 def test_dual_extension_of_hat_is_barycentric():

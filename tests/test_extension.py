@@ -436,6 +436,13 @@ def test_naive_extension_rejects_a_form_off_the_face():
             extend_form(ExtensionFamily(kind, 2, 1), mu, edge, T)
 
 
+def test_naive_extension_refuses_a_face_outside_g():
+    mu = whitney(1, (0, 1))
+    for f, g in [(FaceRef(3, (0, 1)), FaceRef(3, (1, 2, 3))), (FaceRef(2, (0, 1)), FaceRef.full(3))]:
+        with pytest.raises(ValueError, match="is not a subface of"):
+            extend_naive(mu, f, g)
+
+
 def test_naive_extension_does_not_depend_on_the_storage_degree():
     # lambda_1 lambda_2 d lambda_1 on the edge [x1, x2] of the triangle
     mu = bary_monomial(1, (1, 1)).wedge(dlambda(1, (0,)))

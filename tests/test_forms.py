@@ -16,7 +16,6 @@ from feec.forms import (
     integral_over_face,
     one,
     psi_form,
-    psi_one_form,
     whitney,
 )
 from feec.spaces import FULL, FULL_ZERO, MINUS, MINUS_ZERO, basis_forms
@@ -296,17 +295,17 @@ def test_koszul_whitney_identity():
 def test_psi_one_form_examples():
     T = FaceRef.full(2)
     alpha = (1, 1, 0)
-    assert psi_one_form(alpha, T, 1) == dlambda(2, (1,))
+    assert psi_form(alpha, T, (1,)) == dlambda(2, (1,))
     edge = FaceRef(2, (1, 2))
-    w = psi_one_form((0, 1, 1), edge, 1)
+    w = psi_form((0, 1, 1), edge, (1,))
     assert w == canonicalize(2, 1, [((0, 0, 0), (1,), Q(1, 2)), ((0, 0, 0), (2,), Q(-1, 2))], degree=0)
     # zero exponent leaves the differential untouched
-    assert psi_one_form((0, 0, 2), edge, 1) == dlambda(2, (1,))
+    assert psi_form((0, 0, 2), edge, (1,)) == dlambda(2, (1,))
 
 
 def test_psi_one_forms_sum_to_zero():
     edge = FaceRef(2, (1, 2))
-    total = psi_one_form((0, 1, 1), edge, 1) + psi_one_form((0, 1, 1), edge, 2)
+    total = psi_form((0, 1, 1), edge, (1,)) + psi_form((0, 1, 1), edge, (2,))
     assert total.is_zero
 
 
@@ -340,7 +339,7 @@ def test_psi_trace_recovers_face_differential():
 
 def test_psi_requires_positive_degree():
     with pytest.raises(ValueError):
-        psi_one_form((0, 0, 0), FaceRef(2, (1, 2)), 1)
+        psi_form((0, 0, 0), FaceRef(2, (1, 2)), (1,))
 
 
 def same_form(got, want):
@@ -363,7 +362,7 @@ def test_direct_generators_match_the_canonicalize_oracle():
                     if deg == 0:
                         continue
                     for i in face.indices:
-                        got = psi_one_form(alpha, face, i)
+                        got = psi_form(alpha, face, (i,))
                         assert same_form(got, oracle_psi_one_form(alpha, face, i))
                         fractions += any(type(c) is Fraction for c in got.coeffs.values())
                     for k in range(1, min(face.dim + 1, n) + 1):
@@ -374,12 +373,12 @@ def test_direct_generators_match_the_canonicalize_oracle():
 
 def test_memoized_constructors_still_validate():
     edge = FaceRef(3, (1, 2))
-    assert psi_one_form((0, 1, 1, 0), edge, 1) == oracle_psi_one_form((0, 1, 1, 0), edge, 1)
+    assert psi_form((0, 1, 1, 0), edge, (1,)) == oracle_psi_one_form((0, 1, 1, 0), edge, 1)
     assert psi_form((0, 1, 1, 0), edge, (1, 2)).is_zero
     with pytest.raises(ValueError, match="leaves face"):
-        psi_one_form((1, 1, 1, 0), edge, 1)
+        psi_form((1, 1, 1, 0), edge, (1,))
     with pytest.raises(ValueError, match="not on face"):
-        psi_one_form((0, 1, 1, 0), edge, 3)
+        psi_form((0, 1, 1, 0), edge, (3,))
     with pytest.raises(ValueError, match="leaves face"):
         psi_form((0, 1, 1, 1), edge, (1, 2))
     with pytest.raises(ValueError, match="not on face"):
@@ -396,7 +395,7 @@ def test_contract_examples():
     w = dlambda(2, (1,)).contract(alpha, 0)
     assert w == Q(1, 2) * one(2)
     edge = FaceRef(2, (1, 2))
-    psi = psi_one_form(alpha, edge, 1)
+    psi = psi_form(alpha, edge, (1,))
     assert psi.contract(alpha, 0).is_zero
     two = dlambda(2, (1, 2)).contract(alpha, 0)
     expected = Q(1, 2) * dlambda(2, (2,)) - Q(1, 2) * dlambda(2, (1,))

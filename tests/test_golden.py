@@ -20,9 +20,7 @@ Under `golden/cli/`:
 * `verify-consistency.json` is the stdout of `feec verify --suite
   consistency --format json` at the default bounds, and `verify-default.json`
   the stdout of `feec verify --format json` at the default bounds (every
-  suite, n = 3, r = 3); both are compared by CI steps
-  (`.github/workflows/tests.yml`) rather than here, to keep the test run
-  short.
+  suite, n = 3, r = 3).
 """
 
 import io
@@ -112,3 +110,14 @@ def test_verify_json_matches_golden():
 def test_verify_plain_matches_golden():
     argv = ["verify", "--suite", "whitney", "--suite", "homotopy", "-n", "2", "-r", "1"]
     assert cli_stdout(argv) == (CLI_GOLDEN / "verify-whitney-homotopy-n2-r1.plain").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["verify", "--format", "json"], "verify-default.json"),
+        (["verify", "--suite", "consistency", "--format", "json"], "verify-consistency.json"),
+    ],
+)
+def test_verify_at_default_bounds_matches_golden(argv, name):
+    assert cli_stdout(argv) == (CLI_GOLDEN / name).read_text()
