@@ -70,23 +70,24 @@ def assemble_basis(t: Triangulation, family: Family, r: int, k: int) -> list[Glo
     """The assembled basis, one element per zero-trace generator per face."""
     _check_degree_and_order(t, r, k)
     zero_kind = SpaceKind(family, zero_trace=True)
-    descriptors = {
-        j: enumerate_basis(zero_kind, FaceRef.full(j), r, k) for j in range(k, t.n + 1)
-    }
     out: list[GlobalBasisElement] = []
-    for face in t.all_faces():
-        if face.dim < k:
+    for j in range(k, t.n + 1):
+        faces = t.faces(j)
+        if not faces:  # a mesh without cells builds no table
             continue
-        placed = [(ci, placed_basis(zero_kind, r, k, fr)) for ci, fr in face.incidence]
-        for i, desc in enumerate(descriptors[face.dim]):
-            out.append(GlobalBasisElement(face, desc, {ci: forms[i] for ci, forms in placed}))
+        descriptors = enumerate_basis(zero_kind, FaceRef.full(j), r, k)
+        placed = {fr: placed_basis(zero_kind, r, k, fr) for fr in FaceRef.full(t.n).subfaces(j)}
+        for face in faces:
+            for i, desc in enumerate(descriptors):
+                out.append(GlobalBasisElement(face, desc, {ci: placed[fr][i] for ci, fr in face.incidence}))
     return out
 
 
 def assembled_dimension(t: Triangulation, family: Family, r: int, k: int) -> int:
-    """Sum of zero-trace dimensions over the face lattice, one per face dimension."""
+    """Sum of zero-trace dimensions over the faces of dimension >= k; 0 for an order outside 0..n."""
     zero_kind = SpaceKind(family, zero_trace=True)
-    return sum(len(t.faces(j)) * dim_space(zero_kind, j, r, k) for j in range(t.n + 1))
+    dims = ((j, dim_space(zero_kind, j, r, k)) for j in range(max(k, 0), t.n + 1))
+    return sum(d * len(t.faces(j)) for j, d in dims if d)
 
 
 class SingleValuedWitness(NamedTuple):
@@ -295,10 +296,13 @@ def decompose(
     split: list[dict[FaceRef, list[Scalar]]] = []
     degrees: list[int] = []
     zero = PolyForm.zero(n, k)
+    tables: dict[int, tuple] = {}  # the cell table of each storage degree met
     for ci in range(len(t.cells)):
         w = piecewise.get(ci, zero)
         degree = max(r, w.r)
-        _, slots, table = cell_table(zero_kind, n, r, k, degree)
+        if degree not in tables:
+            tables[degree] = cell_table(zero_kind, n, r, k, degree)
+        _, slots, table = tables[degree]
         coords = coordinates(w.lift(degree), n, k, table)
         if coords is None:
             raise ValueError(f"form on cell {ci} is not in the {family.value} space of degree {r}")

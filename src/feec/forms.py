@@ -52,30 +52,20 @@ SignedSigmas = tuple[tuple[tuple[int, ...], int], ...]
 
 
 class FaceRef:
-    """A subsimplex of the reference n-simplex, named by its vertex indices; immutable by convention."""
+    """A subsimplex of the reference n-simplex, named by its vertex indices; immutable by convention.
 
-    # faces key every trace map, placed table and consistency table; hash once
-    __slots__ = ("n", "indices", "dim", "_hash")
+    ``FaceRef(n, indices)`` returns the one checked object for its value, built
+    on first use, so equal faces are one object: equality is identity and the
+    hash is the object's own, and every table keyed by faces matches on that.
+    """
 
-    def __init__(self, n: int, indices: tuple[int, ...]) -> None:
-        if not indices:
-            raise ValueError("a face needs at least one vertex")
-        if any(a >= b for a, b in zip(indices, indices[1:])):
-            raise ValueError(f"face indices must be sorted and distinct: {indices}")
-        if indices[0] < 0 or indices[-1] > n:
-            raise ValueError(f"face indices {indices} not within 0..{n}")
-        self.n = n
-        self.indices = indices
-        self.dim = len(indices) - 1
-        self._hash = hash((n, indices))
+    __slots__ = ("n", "indices", "dim")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FaceRef):
-            return NotImplemented
-        return self.n == other.n and self.indices == other.indices
+    def __new__(cls, n: int, indices: tuple[int, ...]) -> FaceRef:
+        return _face(n, indices)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self) -> tuple:
+        return FaceRef, (self.n, self.indices)
 
     def __repr__(self) -> str:
         return f"FaceRef(n={self.n!r}, indices={self.indices!r})"
@@ -103,7 +93,7 @@ class FaceRef:
         """A subface with this face as the parent, from `FaceRef.full(self.dim).all_subfaces()`."""
         if not self.contains(sub):
             raise ValueError(f"{sub} is not a subface of {self}")
-        return _lattice(self.dim)[tuple(self.position(i) for i in sub.indices)]
+        return FaceRef(self.dim, tuple(self.position(i) for i in sub.indices))
 
     def place(self, alpha: Iterable[int]) -> tuple[int, ...]:
         """A face-local exponent tuple as one over the parent's n + 1 vertices."""
@@ -131,19 +121,27 @@ class FaceRef:
         if self.n != other.n:
             raise ValueError(f"{other} and {self} are faces of different simplices")
         common = tuple(i for i in self.indices if i in set(other.indices))
-        return _lattice(self.n)[common] if common else None
+        return FaceRef(self.n, common) if common else None
+
+
+@cache
+def _face(n: int, indices: tuple[int, ...]) -> FaceRef:
+    """The :class:`FaceRef` of a value, checked and built once; a refused face raises and is not kept."""
+    if not indices:
+        raise ValueError("a face needs at least one vertex")
+    if any(a >= b for a, b in zip(indices, indices[1:])):
+        raise ValueError(f"face indices must be sorted and distinct: {indices}")
+    if indices[0] < 0 or indices[-1] > n:
+        raise ValueError(f"face indices {indices} not within 0..{n}")
+    face = object.__new__(FaceRef)
+    face.n, face.indices, face.dim = n, indices, len(indices) - 1
+    return face
 
 
 @cache
 def _full_face(n: int) -> FaceRef:
     """:meth:`FaceRef.full`, built on first use; a negative n raises and is not kept."""
     return FaceRef(n, tuple(range(n + 1)))
-
-
-@cache
-def _lattice(n: int) -> dict[tuple[int, ...], FaceRef]:
-    """The faces of ``FaceRef.full(n).all_subfaces()`` by vertex indices, one object each."""
-    return {f.indices: f for f in _full_face(n).all_subfaces()}
 
 
 def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
@@ -524,18 +522,20 @@ def combination(n: int, k: int, terms: Iterable[tuple[Scalar, PolyForm]]) -> Pol
     a form has another shape and TypeError for an inexact coefficient.
     """
     live: list[tuple[Scalar, PolyForm]] = []
+    r = 0
     for c, w in terms:
         if type(c) is not int:
             c = _exact(c)
-        if w.n != n or (w.k != k and not w.is_zero):
+        if w.n != n or (w.k != k and w.coeffs):
             raise ValueError(f"cannot combine a {w.k}-form on dim {w.n} into a {k}-form on dim {n}")
         if c and w.coeffs:
             live.append((c, w))
+            if w.r > r:
+                r = w.r
     if not live:
         return PolyForm.zero(n, k)
     if len(live) == 1 and live[0][0] == 1:
         return live[0][1]
-    r = max(w.r for _, w in live)
     coeffs: dict[Key, Scalar] = {}
     for c, w in live:
         for key, v in (w.coeffs if w.r == r else w.lift(r).coeffs).items():

@@ -4,7 +4,9 @@ All connectivity is combinatorial; vertex coordinates play no role in the
 barycentric algebra and are not stored.  Cells keep their vertex ids sorted,
 and a face's local indices inside a cell follow that sorted order, so traces
 taken on a shared face from different cells use the same coordinate labels
-automatically.
+automatically.  The face lattice is built one level at a time, on the first
+request for that level: work of form order k reads only the faces of
+dimension >= k.
 
 Mesh files are line oriented::
 
@@ -16,7 +18,7 @@ Ids are base-10 non-negative integers.
 
 from __future__ import annotations
 
-from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 from .forms import FaceRef
@@ -69,6 +71,7 @@ class Triangulation:
                 raise ValueError(f"cell {cell} appears twice")
             seen.add(cell)
         self.n, self.num_vertices, self.cells = n, num_vertices, cells
+        self._levels: dict[int, tuple[GlobalFace, ...]] = {}
         self._classes: dict[tuple[int, ...], tuple[tuple[int, FaceRef], ...]] = {}
 
     def __eq__(self, other: object) -> bool:
@@ -79,33 +82,28 @@ class Triangulation:
     def __hash__(self) -> int:
         return hash((self.n, self.num_vertices, self.cells))
 
-    @cached_property
-    def _lattice(self) -> tuple[tuple[GlobalFace, ...], ...]:
-        """The j-faces for j = 0..n, each level ordered by vertex tuple.
-
-        Built once per triangulation; incidence lists follow cell order.
-        """
-        found: list[dict[tuple[int, ...], list[tuple[int, FaceRef]]]] = [
-            {} for _ in range(self.n + 1)
-        ]
-        local = FaceRef.full(self.n).all_subfaces()
-        for ci, cell in enumerate(self.cells):
-            for fr in local:
-                key = tuple(cell[v] for v in fr.indices)
-                found[fr.dim].setdefault(key, []).append((ci, fr))
-        return tuple(
-            tuple(GlobalFace(key, tuple(level[key])) for key in sorted(level)) for level in found
-        )
-
     def faces(self, j: int) -> list[GlobalFace]:
-        """All distinct j-faces with incidence data, ordered by vertex tuple."""
+        """All distinct j-faces with incidence data, ordered by vertex tuple.
+
+        Level j is built on its first request, once per triangulation: one
+        vertex picker per local j-face, with the cells in the outer loop so
+        that each incidence list follows cell order.
+        """
         if j < 0 or j > self.n:
             raise ValueError(f"face dimension {j} outside 0..{self.n}")
-        return list(self._lattice[j])
+        if j not in self._levels:
+            found: dict = {}
+            pickers = [(itemgetter(*fr.indices), fr) for fr in FaceRef.full(self.n).subfaces(j)]
+            for ci, cell in enumerate(self.cells):
+                for pick, fr in pickers:
+                    found.setdefault(pick(cell), []).append((ci, fr))
+            # a one-index picker returns a bare vertex id, which sorts like its 1-tuple
+            self._levels[j] = tuple(GlobalFace(key if j else (key,), tuple(found[key])) for key in sorted(found))
+        return list(self._levels[j])
 
     def all_faces(self) -> list[GlobalFace]:
         """The whole face lattice, by increasing dimension then vertex tuple."""
-        return [f for level in self._lattice for f in level]
+        return [f for j in range(self.n + 1) for f in self.faces(j)]
 
     def classes(self, face: GlobalFace) -> tuple[tuple[int, FaceRef], ...]:
         """The first (cell, local face) of each class of the face's cells, in incidence order.

@@ -216,11 +216,16 @@ def suite_whitney(max_n: int = 4) -> Iterator[CheckResult]:
         yield CheckResult("whitney", f"n={n}", not bad, bad)
 
 
+def _first_difference(a: PolyForm, b: PolyForm, names: tuple[str, str]) -> str:
+    """The first canonical key where two unequal forms differ, with both coefficients under their names."""
+    ca, cb = (w.lift(max(a.r, b.r)).coeffs for w in (a, b))
+    key = min(key for key in ca.keys() | cb.keys() if ca.get(key, 0) != cb.get(key, 0))
+    return f"at (alpha, sigma) = {key}: {names[0]} {ca.get(key, 0)}, {names[1]} {cb.get(key, 0)}"
+
+
 def _consistency_detail(w: ConsistencyWitness) -> str:
     """The faces of a failed law and the first canonical key where its sides differ, with both coefficients."""
-    lhs, rhs = (side.lift(max(w.lhs.r, w.rhs.r)).coeffs for side in (w.lhs, w.rhs))
-    key = min(key for key in lhs.keys() | rhs.keys() if lhs.get(key, 0) != rhs.get(key, 0))
-    return f"faces {w.f.indices} vs {w.g.indices} at (alpha, sigma) = {key}: lhs {lhs.get(key, 0)}, rhs {rhs.get(key, 0)}"
+    return f"faces {w.f.indices} vs {w.g.indices} {_first_difference(w.lhs, w.rhs, ('lhs', 'rhs'))}"
 
 
 def suite_consistency(max_r: int = 3, max_k: int = 2, dual_r: int = 2) -> Iterator[CheckResult]:
@@ -255,7 +260,8 @@ def suite_decomposition(max_r: int = 3) -> Iterator[CheckResult]:
                     elements = assemble_basis(mesh, family, r, k)
                     witness = verify_single_valued(mesh, elements, k)
                     if witness is not None:
-                        bad = f"multivalued trace on {witness.face.vertices} at k={k}"
+                        where = _first_difference(*witness.traces, ("one trace", "the other"))
+                        bad = f"multivalued trace on {witness.face.vertices} at k={k}, {where}"
                         break
                     report = verify_direct_sum(mesh, elements, family, r, k)
                     if not report.ok:

@@ -80,6 +80,42 @@ def test_assembled_dimension_on_single_cell_matches_space():
     )
 
 
+def test_assembled_dimension_outside_the_orders_is_zero_and_builds_no_level():
+    for k in (-2, -1, 4, 5):
+        t = from_cells(3, TET2.cells)
+        for family in Family:
+            assert assembled_dimension(t, family, 2, k) == 0
+        assert t._levels == {}
+
+
+def test_a_mesh_without_cells_assembles_no_placed_basis():
+    # 4004 local faces of the 12-simplex, those of dimension 2 to 5, carry a zero-trace basis at r = 4, k = 2
+    built = placed_basis.cache_info().currsize
+    assert assemble_basis(from_cells(12, []), Family.FULL, 4, 2) == []
+    assert placed_basis.cache_info().currsize == built
+
+
+def test_order_k_work_builds_no_level_below_k():
+    # the assembled space has generators only on faces of dimension >= k
+    rng = random.Random(43)
+    for dim, m in ((2, 2), (3, 1)):
+        cells = shuffled_grid(rng, dim, m).cells
+        for family, r in ((Family.MINUS, 1), (Family.FULL, 2)):
+            for k in range(dim + 1):
+                t = from_cells(dim, cells)
+                elements = assemble_basis(t, family, r, k)
+                member, _ = seeded_member(elements, rng)
+                for run in (
+                    lambda t: assemble_basis(t, family, r, k),
+                    lambda t: verify_single_valued(t, elements, k),
+                    lambda t: verify_direct_sum(t, elements, family, r, k),
+                    lambda t: decompose(t, family, r, k, member),
+                ):
+                    fresh = from_cells(dim, cells)
+                    run(fresh)
+                    assert min(fresh._levels, default=k) >= k
+
+
 def test_single_valuedness_of_assembled_bases():
     for family in (Family.MINUS, Family.FULL):
         for r in (1, 2, 3):

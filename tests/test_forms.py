@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -9,6 +11,7 @@ from feec.combinat import multiindices
 from feec.forms import (
     FaceRef,
     PolyForm,
+    _face,
     bary_monomial,
     canonicalize,
     combination,
@@ -222,15 +225,33 @@ def test_trace_of_high_order_form_is_zero():
 
 
 def test_face_hash_agrees_with_equality():
+    # one object per value: equality is identity, and the hash is the object's own
     faces = [f for n in (1, 2, 3) for f in FaceRef.full(n).all_subfaces()]
     for f in faces:
-        twin = FaceRef(f.n, f.indices)
-        assert twin == f and hash(twin) == hash(f) == hash((f.n, f.indices))
+        assert FaceRef(f.n, f.indices) is f and hash(FaceRef(f.n, f.indices)) == hash(f)
         assert repr(f) == f"FaceRef(n={f.n}, indices={f.indices})"
+        assert f.subfaces(0) == [FaceRef(f.n, (i,)) for i in f.indices]
+        assert all(s is FaceRef(f.n, s.indices) for j in range(f.dim + 1) for s in f.subfaces(j))
+        for g in faces:
+            if g.n == f.n:
+                common = tuple(i for i in f.indices if i in g.indices)
+                assert f.intersect(g) is (FaceRef(f.n, common) if common else None)
+                if set(g.indices) <= set(f.indices):
+                    assert f.to_local(g) is FaceRef(f.dim, tuple(f.indices.index(i) for i in g.indices))
     assert len(set(faces)) == len(faces)
     assert FaceRef(2, (0, 1)) != FaceRef(3, (0, 1))
     # a face is not a tuple, and does not compare equal to one
     assert FaceRef(2, (0, 1)) != (2, (0, 1)) and not isinstance(FaceRef(2, (0, 1)), tuple)
+    # a refused face raises on every call and is never kept
+    kept = _face.cache_info().currsize
+    for n, indices in [(2, ()), (2, (1, 0)), (2, (0, 3)), (-1, (0,))]:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                FaceRef(n, indices)
+    assert _face.cache_info().currsize == kept
+    # a copy or a round trip through pickle is the interned face
+    f = FaceRef(3, (1, 2))
+    assert copy.copy(f) is f and copy.deepcopy(f) is f and pickle.loads(pickle.dumps(f)) is f
 
 
 def test_whitney_examples():

@@ -2,11 +2,13 @@ import random
 import re
 import time
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from feec import Family, assemble_basis, verify_direct_sum, verify_single_valued
 from feec.cli import main
+from feec.forms import FaceRef
 from feec.mesh import MeshFormatError, Triangulation, from_cells, load, loads
 from feec.verify import builtin_meshes, suite_decomposition
 from helpers import non_manifold_meshes, shuffled_grid
@@ -73,6 +75,35 @@ def test_lattice_is_built_once_in_cell_order():
     levels[1].clear()
     assert all(a is b for a, b in zip(t.faces(0), levels[0]))
     assert len(t.faces(1)) == 6
+
+
+def _lattice_oracle(t, j):
+    """The j-faces by brute force: each cell's (j+1)-subsets of vertex positions, sorted by vertex tuple."""
+    local = FaceRef.full(t.n).subfaces(j)
+    found = {}
+    for ci, cell in enumerate(t.cells):
+        for pos, idx in enumerate(combinations(range(t.n + 1), j + 1)):
+            assert local[pos].indices == idx
+            found.setdefault(tuple(cell[i] for i in idx), []).append((ci, local[pos]))
+    return sorted(found.items())
+
+
+def test_each_level_in_any_request_order_matches_the_brute_force_oracle():
+    rng = random.Random(41)
+    for dim, m in ((2, 3), (3, 2), (4, 1)):
+        grid = shuffled_grid(rng, dim, m)
+        orders = [list(range(dim + 1)), list(range(dim, -1, -1))]
+        orders.append(rng.sample(range(dim + 1), dim + 1))
+        for order in orders:
+            t = from_cells(dim, list(grid.cells))
+            for j in order:
+                got = t.faces(j)
+                want = _lattice_oracle(t, j)
+                assert [(f.vertices, list(f.incidence)) for f in got] == want
+                # the very local-face objects, and vertex tuples even at j = 0
+                assert all(a is b for f, (_, inc) in zip(got, want) for (_, a), (_, b) in zip(f.incidence, inc))
+                assert all(type(f.vertices) is tuple and f.dim == j for f in got)
+            assert t.all_faces() == [f for j in range(dim + 1) for f in t.faces(j)]
 
 
 def test_face_count_bound():

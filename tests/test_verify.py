@@ -121,6 +121,26 @@ def test_suites_that_keep_sweeping_name_their_first_failure(monkeypatch):
     assert tri.detail == "alternating sum nonzero for (0, 1)"
 
 
+def test_a_decomposition_failure_names_the_first_key_where_the_traces_differ(monkeypatch):
+    assemble_basis = verify.assemble_basis
+
+    def doubled_on_one_cell(mesh, family, r, k):
+        # on two-triangles at k = 1, the first element on the shared edge is doubled on its second cell
+        elements = assemble_basis(mesh, family, r, k)
+        if mesh == builtin_meshes()["two-triangles"] and k == 1:
+            i, el = next((i, el) for i, el in enumerate(elements) if len(el.restrictions) == 2)
+            elements[i] = el._replace(restrictions={**el.restrictions, 1: 2 * el.restrictions[1]})
+        return elements
+
+    monkeypatch.setattr(verify, "assemble_basis", doubled_on_one_cell)
+    failed = {res.label: res.detail for res in verify.suite_decomposition(max_r=1) if not res.passed}
+    # the minus element traces to d lambda_1 in the edge's own coordinates, (lambda_0 + lambda_1) d lambda_1 at degree 1
+    assert failed == {
+        "two-triangles minus r=1": "multivalued trace on (1, 2) at k=1, at (alpha, sigma) = ((0, 1), (1,)): one trace 1, the other 2",
+        "two-triangles full r=1": "multivalued trace on (1, 2) at k=1, at (alpha, sigma) = ((0, 1), (1,)): one trace -1, the other -2",
+    }
+
+
 def test_a_consistency_failure_names_the_first_key_where_its_sides_differ():
     f, g = FaceRef(2, (0, 1)), FaceRef(2, (1, 2))
     lhs = canonicalize(1, 1, [((1, 0), (1,), 2), ((0, 1), (1,), Fraction(1, 2))])
