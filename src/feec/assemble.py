@@ -12,33 +12,36 @@ whose traces agree on an immediate coface of a face (the face plus one
 vertex) agree on the face.  Going down from the facets, a face's cells need
 comparing only across the classes that chains of shared immediate cofaces
 leave apart, one representative each (`Triangulation.classes`, walked once
-per face and mesh); a facet's cells are each their own class.  Both checks
-work per face, not per element: an element's trace on a shared face depends
-only on its restriction there, so single-valuedness takes one tuple of
-traces per (column of a group's restrictions, local face) and compares each
-distinct pair of tuples once, and the count builds its rows from one
-per-coordinate table per local face.  The count matches traces by their
-coordinates in the face space's basis, from the table
-`spaces.trace_coordinates` that the consistency proof reads too.  A
+per face and mesh); a facet's cells are each their own class.
+Single-valuedness is proved from the local trace law of the shared placed
+columns, whose traces do not grow with the mesh; only when the law does not
+settle the list does a group scan take one tuple of traces per (column of a
+group's restrictions, local face) and compare each distinct pair once.  The
+count builds its rows from one per-coordinate table per local face and
+matches traces by their coordinates in the face space's basis, from the
+table `spaces.trace_coordinates` that the consistency proof reads too.  A
 member of the assembled space is split into its per-face components by one
 exact coordinate solve per cell against the placed zero-trace bases of all
 the cell's faces, which together are one basis of the cell space.  The
 solve reads the form only on the basis's pivot keys, so its coordinates are
 accepted when the form has no key outside the basis and they agree with it
 on every key that is not a pivot; the cells that share a face must give it
-the same coordinates.
+the same coordinates; a refused cell form is named by the first canonical
+key where it leaves the cell basis.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
+from operator import attrgetter, itemgetter
 from typing import Iterator, NamedTuple
 
 from . import linalg
 from .extension import cell_table, placed_basis
-from .forms import FaceRef, PolyForm, Scalar, combination
+from .forms import FaceRef, Key, PolyForm, Scalar, combination
 from .mesh import GlobalFace, Triangulation
 from .spaces import (
+    CoordinateTable,
     Family,
     GeneratorDescriptor,
     SpaceKind,
@@ -104,28 +107,93 @@ def verify_single_valued(
     Cells agreeing on a shared immediate coface of a face agree on the face,
     so, down from the facets, an element is single-valued exactly when its
     traces agree across the class representatives (:meth:`Triangulation.classes`)
-    of every face of two or more classes.  The check runs on groups: runs of
-    consecutive elements with the same face object and the same cells.  A
-    group's restrictions at a cell form one column, interned by their ids;
-    one tuple of traces is taken per (column, local face), a cell outside the
-    group giving a tuple of zeros, and each distinct pair of tuples is
-    compared once.  A group passes exactly when each of its elements does.
-    Only the first failing group is scanned element by element, in
-    face-lattice order, and its first failing element is scanned again over
-    every shared face and full incidence for the witness (faces away from
-    its cells compare equal zero tuples).
+    of every face of two or more classes.  Agreement is first proved from
+    the local trace law of the shared placed columns (:func:`_law_settles`),
+    whose traces and comparisons do not grow with the mesh; the group scan
+    (:func:`_group_scan`) runs only when the law does not settle the list,
+    and it alone names a witness.
     """
     shared = [f for j in range(k, t.n) for f in t.faces(j) if len(f.incidence) >= 2]
     linked = [reps if len(reps := t.classes(f)) >= 2 else () for f in shared]
+    # the interned columns and their trace tuples live for this one call and hold what they key by id
+    columns: dict[tuple[int, ...], tuple[PolyForm | None, ...]] = {}
+    traces: dict[tuple[int, FaceRef], tuple[PolyForm, ...]] = {}
+    if _law_settles(t, elements, k, linked, columns, traces):
+        return None
+    return _group_scan(elements, k, shared, linked, columns, traces)
+
+
+def _law_settles(
+    t: Triangulation, elements: list[GlobalBasisElement], k: int, linked: list, columns: dict, traces: dict
+) -> bool:
+    """Whether the local trace law of the elements' shared columns proves them single-valued.
+
+    A face group (a run of consecutive elements with one face object) must
+    sit on one of the mesh's own faces of dimension >= k, every element
+    restricted to exactly the face's cells; at each local face fr its
+    restrictions form one column, the very same objects for every group met
+    at fr.  Each column's traces onto each local face g of a class
+    representative in `linked` must then equal one canonical tuple per
+    relative position (g.dim, the positions of fr in g) when fr lies in g,
+    and vanish otherwise.  Cells keep their vertex ids sorted, so a mesh
+    face F lies in a mesh face L exactly when their local faces in a shared
+    cell do, at one relative position in every such cell, and every cell of
+    L holds F: an element's traces onto the representatives of L are all one
+    canonical trace, or all zero.  False means only that the law does not
+    settle the list.  The columns and traces go into the group scan's tables.
+    """
+    own = {id(face) for j in range(k, t.n + 1) for face in t.faces(j)}
+    restrictions = list(map(attrgetter("restrictions"), elements))
+    at: dict[FaceRef, tuple[PolyForm, ...]] = {}
+    start = 0
+    for _, run in groupby(map(id, map(attrgetter("face"), elements))):
+        face, stop = elements[start].face, start + len(list(run))
+        group, start = restrictions[start:stop], stop
+        if id(face) not in own or set(map(len, group)) != {len(face.incidence)}:
+            return False
+        for ci, fr in face.incidence:
+            try:
+                col = tuple(map(itemgetter(ci), group))
+            except KeyError:
+                return False
+            col = columns.setdefault(tuple(map(id, col)), col)
+            if at.setdefault(fr, col) is not col:
+                return False
+    canonical: dict[tuple[int, tuple[int, ...]], tuple[PolyForm, ...]] = {}
+    for g in dict.fromkeys(g for reps in linked for _, g in reps):
+        for fr, col in at.items():
+            tr = traces.get((id(col), g))
+            if tr is None:
+                tr = traces[id(col), g] = tuple(w.trace(g) for w in col)
+            if not g.contains(fr):
+                if not all(w.is_zero for w in tr):
+                    return False
+            elif (first := canonical.setdefault((g.dim, g.to_local(fr).indices), tr)) is not tr and first != tr:
+                return False
+    return True
+
+
+def _group_scan(
+    elements: list[GlobalBasisElement], k: int, shared: list[GlobalFace], linked: list, columns: dict, traces: dict
+) -> SingleValuedWitness | None:
+    """The first element, in list order, whose traces differ on a shared face, or None.
+
+    The scan runs on groups: runs of consecutive elements with the same face
+    object and the same cells.  A group's restrictions at a cell form one
+    column, interned by their ids; one tuple of traces is taken per (column,
+    local face), a cell outside the group giving a tuple of zeros, and each
+    distinct pair of tuples is compared once.  A group passes exactly when
+    each of its elements does.  Only the first failing group is scanned
+    element by element, in face-lattice order, and its first failing
+    element is scanned again over every shared face and full incidence for
+    the witness (faces away from its cells compare equal zero tuples).
+    """
     # by cell, the positions of its shared faces of two or more classes
     faces_of_cell: dict[int, list[int]] = {}
     for pos, face in enumerate(shared):
         if linked[pos]:
             for ci, _ in face.incidence:
                 faces_of_cell.setdefault(ci, []).append(pos)
-    # every table lives for this one call and holds what it keys by id
-    columns: dict[tuple[int, ...], tuple[PolyForm | None, ...]] = {}
-    traces: dict[tuple[int, FaceRef], tuple[PolyForm, ...]] = {}
     agree: dict[tuple[int, int], bool] = {}
 
     def scan(group: list[GlobalBasisElement], full: bool) -> tuple[int, tuple, tuple] | None:
@@ -269,6 +337,24 @@ def verify_direct_sum(
     return DirectSumReport(count, expected, independent, constrained, cells_spanned)
 
 
+def _refused_key(coeffs: dict[Key, Scalar], table: CoordinateTable) -> Key:
+    """The first canonical key where a form that `table` refuses leaves its span.
+
+    That is the first key of the form that the table lacks, or else the first
+    off-pivot key where the form disagrees with the combination of its
+    coordinates read on the pivot keys (:func:`spaces.integer_coordinates`).
+    """
+    columns, off_pivot, den = table
+    outside = [key for key in coeffs if key not in columns and key not in off_pivot]
+    if outside:
+        return min(outside)
+    coords = [0] * len(columns)
+    for key, col in columns.items():
+        for i, a in col:
+            coords[i] += a * coeffs.get(key, 0)
+    return min(key for key, col in off_pivot.items() if sum(coords[i] * c for i, c in col) != den * coeffs.get(key, 0))
+
+
 def decompose(
     t: Triangulation, family: Family, r: int, k: int, piecewise: dict[int, PolyForm]
 ) -> dict[tuple[int, ...], PolyForm]:
@@ -303,9 +389,14 @@ def decompose(
         if degree not in tables:
             tables[degree] = cell_table(zero_kind, n, r, k, degree)
         _, slots, table = tables[degree]
-        coords = coordinates(w.lift(degree), n, k, table)
+        lifted = w.lift(degree)
+        coords = coordinates(lifted, n, k, table)
         if coords is None:
-            raise ValueError(f"form on cell {ci} is not in the {family.value} space of degree {r}")
+            key = _refused_key(lifted.coeffs, table)
+            raise ValueError(
+                f"form on cell {ci} is not in the {family.value} space of degree {r}: "
+                f"it leaves the cell basis at (alpha, sigma) = {key}"
+            )
         split.append({fr: coords[slot] for fr, slot in slots.items()})
         degrees.append(degree)
     components: dict[tuple[int, ...], PolyForm] = {}

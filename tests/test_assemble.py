@@ -25,7 +25,7 @@ from feec.extension import (
     placed_basis,
 )
 from feec.forms import FaceRef, PolyForm, bary_monomial, canonicalize, dlambda, whitney
-from feec.mesh import from_cells
+from feec.mesh import GlobalFace, from_cells
 from feec.spaces import Family, SpaceKind, basis_forms, coordinates, dim_space, membership, realize
 from feec.verify import builtin_meshes, suite_dof
 from helpers import (
@@ -352,6 +352,100 @@ def test_single_valued_work_does_not_grow_with_the_mesh(monkeypatch):
         assert verify_single_valued(mesh, els, 1) is None
         seen.append((counts["__eq__"], counts["trace"]))
     assert seen[0][0] > 0 and seen[0][1] > 0 and seen == [seen[0]] * 3
+
+
+def _spy_law(monkeypatch):
+    """Record each verdict of the trace-law pass with the number of trace tuples it took."""
+    verdicts = []
+    real = assemble._law_settles
+
+    def spy(t, elements, k, linked, columns, traces):
+        verdicts.append((real(t, elements, k, linked, columns, traces), len(traces)))
+        return verdicts[-1][0]
+
+    monkeypatch.setattr(assemble, "_law_settles", spy)
+    return verdicts
+
+
+def test_the_trace_law_settles_assembled_bases(monkeypatch):
+    verdicts = _spy_law(monkeypatch)
+
+    def no_scan(*args):
+        raise AssertionError("the group scan ran on a list the trace law settles")
+
+    monkeypatch.setattr(assemble, "_group_scan", no_scan)
+    rng = random.Random(61)
+    grids = [shuffled_grid(rng, dim, m) for dim, m in ((2, 2), (3, 2), (4, 1))]
+    # cells on a facet and a cell on one vertex: linked faces of two dimensions,
+    # where one position of a vertex reads as a vertex and as an edge or triangle
+    mixed = [from_cells(2, [(0, 1, 2), (1, 2, 3), (0, 4, 5)]), from_cells(3, [(0, 1, 2, 3), (1, 2, 3, 4), (0, 5, 6, 7)])]
+    assert all({f.dim for f in mesh.faces(0) + mesh.faces(mesh.n - 1) if len(mesh.classes(f)) >= 2} == {0, mesh.n - 1}
+               for mesh in mixed)
+    for mesh in grids + mixed + list(NON_MANIFOLD):
+        for family in Family:
+            for r in (1, 2):
+                for k in range(mesh.n + 1):
+                    els = assemble_basis(mesh, family, r, k)
+                    verdicts.clear()
+                    assert verify_single_valued(mesh, els, k) is None
+                    assert [verdict for verdict, _ in verdicts] == [True]
+
+
+def _permuted_columns(mesh, family, r, k):
+    """The assembled basis with each restriction read from the placed column of the next local face of its dimension."""
+    zero_kind = SpaceKind(family, zero_trace=True)
+    cell = FaceRef.full(mesh.n)
+    moved = {}
+    for j in range(k, mesh.n + 1):
+        subs = cell.subfaces(j)
+        for a, fr in enumerate(subs):
+            moved.update(zip(map(id, placed_basis(zero_kind, r, k, fr)), placed_basis(zero_kind, r, k, subs[(a + 1) % len(subs)])))
+    return [el._replace(restrictions={ci: moved[id(w)] for ci, w in el.restrictions.items()})
+            for el in assemble_basis(mesh, family, r, k)]
+
+
+def test_the_trace_law_declines_and_the_scan_names_the_witness(monkeypatch):
+    # a permutation of the placed columns keeps one column per local face, so
+    # only the law can refuse it; a dropped cell is refused before any trace
+    verdicts = _spy_law(monkeypatch)
+    for mesh in (FAN3, TET2, shuffled_grid(random.Random(67), 2, 2), shuffled_grid(random.Random(71), 3, 1)):
+        for family in Family:
+            for r in (1, 2):
+                for k in range(mesh.n):
+                    permuted = _permuted_columns(mesh, family, r, k)
+                    verdicts.clear()
+                    witness = verify_single_valued(mesh, permuted, k)
+                    expected = _exhaustive_witness(mesh, permuted, k)
+                    assert expected is not None and (witness.element, witness.face) == expected
+                    assert [verdict for verdict, _ in verdicts] == [False] and verdicts[0][1]
+
+                    els = assemble_basis(mesh, family, r, k)
+                    i = next(i for i, el in enumerate(els) if len(el.restrictions) >= 2)
+                    last = max(els[i].restrictions)
+                    dropped = list(els)
+                    dropped[i] = els[i]._replace(restrictions={
+                        ci: w for ci, w in els[i].restrictions.items() if ci != last
+                    })
+                    verdicts.clear()
+                    witness = verify_single_valued(mesh, dropped, k)
+                    assert (witness.element, witness.face) == _exhaustive_witness(mesh, dropped, k)
+                    assert witness.element is dropped[i]
+                    assert [verdict for verdict, _ in verdicts] == [False] and not verdicts[0][1]
+
+                    # the whole group moved to a face object whose incidence lacks that
+                    # cell: every column is still a placed one, but the face is not the mesh's
+                    face = els[i].face
+                    foreign = GlobalFace(face.vertices, tuple((ci, fr) for ci, fr in face.incidence if ci != last))
+                    moved = [
+                        el._replace(face=foreign, restrictions={ci: w for ci, w in el.restrictions.items() if ci != last})
+                        if el.face is face else el
+                        for el in els
+                    ]
+                    verdicts.clear()
+                    witness = verify_single_valued(mesh, moved, k)
+                    assert (witness.element, witness.face) == _exhaustive_witness(mesh, moved, k)
+                    assert witness.element.face is foreign
+                    assert [verdict for verdict, _ in verdicts] == [False] and not verdicts[0][1]
 
 
 def test_zero_trace_on_faces_not_containing_owner():
@@ -714,6 +808,45 @@ def test_decompose_refuses_a_cell_perturbed_off_pivot():
                         message = f"form on cell {ci} is not in the {family.value} space of degree {r}"
                         with pytest.raises(ValueError, match=message):
                             decompose(mesh, family, r, k, {**member, ci: bumped})
+
+
+def test_decompose_names_the_first_key_where_a_refused_form_leaves_the_cell_basis():
+    def refusal(mesh, family, r, k, piecewise):
+        with pytest.raises(ValueError) as exc:
+            decompose(mesh, family, r, k, piecewise)
+        return str(exc.value)
+
+    # above degree r: lambda_0^2 on the first cell, stored at degree 2.  The
+    # lifted hats lambda_i (lambda_0 + lambda_1 + lambda_2) pivot on the keys
+    # (0, 0, 2), (0, 1, 1) and (1, 0, 1), where the form reads 0, so its
+    # coordinates are 0 and the first off-pivot key it leaves them on is its own
+    square = bary_monomial(2, (2, 0, 0))
+    assert refusal(TRI2, Family.FULL, 1, 0, {0: square}) == (
+        "form on cell 0 is not in the full space of degree 1: "
+        "it leaves the cell basis at (alpha, sigma) = ((2, 0, 0), ())"
+    )
+    # a key that no canonical form holds (d lambda_0 is not a canonical factor) is one the table lacks
+    stray = PolyForm(2, 1, 1, {((0, 1, 0), (0,)): 1, ((1, 0, 0), (1,)): 1})
+    assert refusal(TRI2, Family.MINUS, 1, 1, {1: stray}).endswith(": it leaves the cell basis at (alpha, sigma) = ((0, 1, 0), (0,))")
+
+    # the off-pivot bumps of the refusal test: the pivot-key coordinates stay
+    # the member's, so the bumped key is the only one where they disagree
+    rng = random.Random(101)
+    for mesh in (FAN3, TET2):
+        n = mesh.n
+        zero_kind = SpaceKind(Family.MINUS, zero_trace=True)
+        for r in (1, 2, 3):
+            for k in range(1, n + 1):
+                table = cell_table(zero_kind, n, r, k, r)[2]
+                els = assemble_basis(mesh, Family.MINUS, r, k)
+                member = _member(els, [rng.randint(-2, 2) for _ in els], n, k)
+                ci = rng.randrange(len(mesh.cells))
+                for key in rng.sample(sorted(table.off_pivot), min(2, len(table.off_pivot))):
+                    bumped = member[ci] + canonicalize(n, k, [(*key, rng.choice((-1, 2)))], degree=r)
+                    assert refusal(mesh, Family.MINUS, r, k, {**member, ci: bumped}) == (
+                        f"form on cell {ci} is not in the minus space of degree {r}: "
+                        f"it leaves the cell basis at (alpha, sigma) = {key}"
+                    )
 
 
 def test_decompose_rejects_keys_that_are_not_cells():

@@ -20,7 +20,9 @@ Under `golden/cli/`:
 * `verify-consistency.json` is the stdout of `feec verify --suite
   consistency --format json` at the default bounds, and `verify-default.json`
   the stdout of `feec verify --format json` at the default bounds (every
-  suite, n = 3, r = 3).
+  suite, n = 3, r = 3);
+* `verify-n4-r2.json` is the stdout of `feec verify -n 4 -r 2 --format
+  json`, every suite on the 4-simplex (172 results).
 """
 
 import io
@@ -121,3 +123,8 @@ def test_verify_plain_matches_golden():
 )
 def test_verify_at_default_bounds_matches_golden(argv, name):
     assert cli_stdout(argv) == (CLI_GOLDEN / name).read_text()
+
+
+def test_verify_on_the_4_simplex_matches_golden():
+    argv = ["verify", "-n", "4", "-r", "2", "--format", "json"]
+    assert cli_stdout(argv) == (CLI_GOLDEN / "verify-n4-r2.json").read_text()
