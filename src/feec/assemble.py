@@ -15,11 +15,12 @@ leave apart, one representative each (`Triangulation.classes`, walked once
 per face and mesh); a facet's cells are each their own class.
 Single-valuedness is proved from the local trace law of the shared placed
 columns, whose traces do not grow with the mesh; only when the law does not
-settle the list does a group scan take one tuple of traces per (column of a
-group's restrictions, local face) and compare each distinct pair once.  The
-count builds its rows from one per-coordinate table per local face and
-matches traces by their coordinates in the face space's basis, from the
-table `spaces.trace_coordinates` that the consistency proof reads too.  A
+settle the list does a plain scan check each element in list order across
+those representatives, tracing each restriction object once per local face,
+and scan the first failing element again over every shared face for the
+witness.  The count builds its rows from one per-coordinate table per local
+face and matches traces by their coordinates in the face space's basis, from
+the table `spaces.trace_coordinates` that the consistency proof reads too.  A
 member of the assembled space is split into its per-face components by one
 exact coordinate solve per cell against the placed zero-trace bases of all
 the cell's faces, which together are one basis of the cell space.  The
@@ -109,23 +110,18 @@ def verify_single_valued(
     traces agree across the class representatives (:meth:`Triangulation.classes`)
     of every face of two or more classes.  Agreement is first proved from
     the local trace law of the shared placed columns (:func:`_law_settles`),
-    whose traces and comparisons do not grow with the mesh; the group scan
-    (:func:`_group_scan`) runs only when the law does not settle the list,
+    whose traces and comparisons do not grow with the mesh; the witness scan
+    (:func:`_first_witness`) runs only when the law does not settle the list,
     and it alone names a witness.
     """
     shared = [f for j in range(k, t.n) for f in t.faces(j) if len(f.incidence) >= 2]
     linked = [reps if len(reps := t.classes(f)) >= 2 else () for f in shared]
-    # the interned columns and their trace tuples live for this one call and hold what they key by id
-    columns: dict[tuple[int, ...], tuple[PolyForm | None, ...]] = {}
-    traces: dict[tuple[int, FaceRef], tuple[PolyForm, ...]] = {}
-    if _law_settles(t, elements, k, linked, columns, traces):
+    if _law_settles(t, elements, k, linked):
         return None
-    return _group_scan(elements, k, shared, linked, columns, traces)
+    return _first_witness(elements, k, shared, linked)
 
 
-def _law_settles(
-    t: Triangulation, elements: list[GlobalBasisElement], k: int, linked: list, columns: dict, traces: dict
-) -> bool:
+def _law_settles(t: Triangulation, elements: list[GlobalBasisElement], k: int, linked: list) -> bool:
     """Whether the local trace law of the elements' shared columns proves them single-valued.
 
     A face group (a run of consecutive elements with one face object) must
@@ -140,10 +136,12 @@ def _law_settles(
     cell do, at one relative position in every such cell, and every cell of
     L holds F: an element's traces onto the representatives of L are all one
     canonical trace, or all zero.  False means only that the law does not
-    settle the list.  The columns and traces go into the group scan's tables.
+    settle the list.
     """
     own = {id(face) for j in range(k, t.n + 1) for face in t.faces(j)}
     restrictions = list(map(attrgetter("restrictions"), elements))
+    # the columns, interned by the ids of the objects they hold for this one call
+    columns: dict[tuple[int, ...], tuple[PolyForm, ...]] = {}
     at: dict[FaceRef, tuple[PolyForm, ...]] = {}
     start = 0
     for _, run in groupby(map(id, map(attrgetter("face"), elements))):
@@ -162,9 +160,7 @@ def _law_settles(
     canonical: dict[tuple[int, tuple[int, ...]], tuple[PolyForm, ...]] = {}
     for g in dict.fromkeys(g for reps in linked for _, g in reps):
         for fr, col in at.items():
-            tr = traces.get((id(col), g))
-            if tr is None:
-                tr = traces[id(col), g] = tuple(w.trace(g) for w in col)
+            tr = tuple(w.trace(g) for w in col)
             if not g.contains(fr):
                 if not all(w.is_zero for w in tr):
                     return False
@@ -173,20 +169,17 @@ def _law_settles(
     return True
 
 
-def _group_scan(
-    elements: list[GlobalBasisElement], k: int, shared: list[GlobalFace], linked: list, columns: dict, traces: dict
+def _first_witness(
+    elements: list[GlobalBasisElement], k: int, shared: list[GlobalFace], linked: list
 ) -> SingleValuedWitness | None:
     """The first element, in list order, whose traces differ on a shared face, or None.
 
-    The scan runs on groups: runs of consecutive elements with the same face
-    object and the same cells.  A group's restrictions at a cell form one
-    column, interned by their ids; one tuple of traces is taken per (column,
-    local face), a cell outside the group giving a tuple of zeros, and each
-    distinct pair of tuples is compared once.  A group passes exactly when
-    each of its elements does.  Only the first failing group is scanned
-    element by element, in face-lattice order, and its first failing
-    element is scanned again over every shared face and full incidence for
-    the witness (faces away from its cells compare equal zero tuples).
+    Each element is checked across the class representatives of the faces
+    of two or more classes at its cells, a cell outside its restrictions
+    giving the zero form.  Only the first failing element is scanned again,
+    over every shared face in lattice order and its full incidence, for the
+    first face where a cell's trace differs from the first cell's.  Each
+    restriction object is traced once per local face.
     """
     # by cell, the positions of its shared faces of two or more classes
     faces_of_cell: dict[int, list[int]] = {}
@@ -194,41 +187,30 @@ def _group_scan(
         if linked[pos]:
             for ci, _ in face.incidence:
                 faces_of_cell.setdefault(ci, []).append(pos)
-    agree: dict[tuple[int, int], bool] = {}
+    # keyed by the ids of the restrictions (None for a cell outside them), which the elements hold for this one call
+    traces: dict[tuple[int, FaceRef], PolyForm] = {}
 
-    def scan(group: list[GlobalBasisElement], full: bool) -> tuple[int, tuple, tuple] | None:
-        """A shared face where the group's trace tuples differ, with two of them; when full, the first in lattice order."""
-        cols = {}
-        for ci in (*group[0].restrictions, None):  # None: any cell outside the group
-            col = tuple(el.restrictions.get(ci) for el in group)
-            cols[ci] = columns.setdefault(tuple(map(id, col)), col)
-        near = range(len(shared)) if full else {pos for ci in cols for pos in faces_of_cell.get(ci, ())}
-        for pos in near:
+    def difference(el: GlobalBasisElement, faces: Iterator) -> tuple[int, PolyForm, PolyForm] | None:
+        """The first position of `faces`, (position, cells) pairs, where the element's traces differ, with two of them."""
+        for pos, cells in faces:
             first = None
-            for ci, fr in shared[pos].incidence if full else linked[pos]:
-                col = cols.get(ci, cols[None])
-                tr = traces.get((id(col), fr))
+            for ci, fr in cells:
+                w = el.restrictions.get(ci)
+                tr = traces.get((id(w), fr))
                 if tr is None:
-                    tr = traces[id(col), fr] = tuple(
-                        PolyForm.zero(fr.dim, k) if w is None else w.trace(fr) for w in col
-                    )
+                    tr = traces[id(w), fr] = PolyForm.zero(fr.dim, k) if w is None else w.trace(fr)
                 if first is None:
                     first = tr
-                elif tr is not first:
-                    same = agree.get((id(first), id(tr)))
-                    if same is None:
-                        same = agree[id(first), id(tr)] = tr == first
-                    if not same:
-                        return pos, first, tr
+                elif tr is not first and tr != first:
+                    return pos, first, tr
         return None
 
-    groups = (list(g) for _, g in groupby(elements, key=lambda el: (id(el.face), el.restrictions.keys())))
-    failing = next((group for group in groups if scan(group, full=False)), None)
-    if failing is None:
-        return None
-    el = next(el for el in failing if scan([el], full=False))
-    pos, first, tr = scan([el], full=True)
-    return SingleValuedWitness(el, shared[pos], (first[0], tr[0]))
+    for el in elements:
+        near = {pos for ci in el.restrictions for pos in faces_of_cell.get(ci, ())}
+        if difference(el, ((pos, linked[pos]) for pos in near)):
+            pos, first, tr = difference(el, enumerate(face.incidence for face in shared))
+            return SingleValuedWitness(el, shared[pos], (first, tr))
+    return None
 
 
 class DirectSumReport(NamedTuple):

@@ -289,8 +289,12 @@ class PolyForm:
     """A polynomial differential k-form on the reference n-simplex.
 
     Instances are immutable by convention; every operation returns a new
-    form.  Construct forms through :func:`canonicalize` or the helper
-    constructors below rather than passing coefficient dictionaries.
+    form.  Equality and `assemble.decompose` rely on one invariant of the
+    stored coefficients: every key (alpha, sigma) has |alpha| = r and sigma
+    strictly increasing within 1..n.  The constructor does not check it, and
+    a form holding another key compares unequal to its canonical equal, so
+    construct forms through :func:`canonicalize` or the helper constructors
+    below rather than passing coefficient dictionaries.
     """
 
     __slots__ = ("n", "k", "r", "coeffs")

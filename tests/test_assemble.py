@@ -205,9 +205,9 @@ def test_first_witness_matches_exhaustive_scan():
 
 
 def test_first_witness_matches_exhaustive_scan_with_shared_restrictions():
-    # the shared placed_basis objects stay, so the trace and comparison tables hit;
-    # a few restrictions become a scaled form or an equal fresh copy, which the
-    # tables must keep apart from the shared object they came from
+    # the shared placed_basis objects stay, so most traces come from objects
+    # seen before; a few restrictions become a scaled form or an equal fresh
+    # copy, which the scan must keep apart from the shared object they came from
     rng = random.Random(29)
     outcomes = set()
     for mesh, family, r, k in [
@@ -243,9 +243,9 @@ def test_first_witness_matches_exhaustive_scan_with_shared_restrictions():
 
 
 def test_group_pass_matches_the_per_element_scan():
-    # the certificate checks runs of elements with one face object and one set
-    # of cells at once; each change below splits, merges or alters those runs,
-    # and the verdict and witness must stay those of the element-by-element scan
+    # each change below splits, merges or alters the runs of elements with one
+    # face object and one set of cells that the trace law reads, and the
+    # verdict and witness must stay those of the element-by-element scan
     rng = random.Random(59)
     outcomes = Counter()
     for mesh, family, r, k in [
@@ -354,16 +354,48 @@ def test_single_valued_work_does_not_grow_with_the_mesh(monkeypatch):
     assert seen[0][0] > 0 and seen[0][1] > 0 and seen == [seen[0]] * 3
 
 
+def test_single_valued_fallback_work_does_not_grow_with_the_mesh(monkeypatch):
+    # the first shared element appended again leaves a valid list that the
+    # trace law declines (its column at each cell is a second one there); the
+    # witness scan traces each restriction object once per local face, and on
+    # the Kuhn grids every size repeats the same objects and local faces
+    counts = Counter()
+    real_trace = PolyForm.trace
+
+    def trace_spy(self, face):
+        counts["trace"] += 1
+        return real_trace(self, face)
+
+    monkeypatch.setattr(PolyForm, "trace", trace_spy)
+    seen = []
+    for m in (2, 3, 4):
+        mesh = from_cells(3, grid_cells(3, m))
+        els = assemble_basis(mesh, Family.FULL, 2, 1)
+        els.append(next(el for el in els if len(el.face.incidence) >= 2))
+        counts.clear()
+        assert verify_single_valued(mesh, els, 1) is None
+        seen.append(counts["trace"])
+    assert seen[0] > 0 and seen == [seen[0]] * 3
+
+
 def _spy_law(monkeypatch):
-    """Record each verdict of the trace-law pass with the number of trace tuples it took."""
+    """Record each verdict of the trace-law pass with the number of traces it took."""
     verdicts = []
-    real = assemble._law_settles
+    taken = Counter()
+    real_law, real_trace = assemble._law_settles, PolyForm.trace
 
-    def spy(t, elements, k, linked, columns, traces):
-        verdicts.append((real(t, elements, k, linked, columns, traces), len(traces)))
-        return verdicts[-1][0]
+    def trace_spy(self, face):
+        taken["trace"] += 1
+        return real_trace(self, face)
 
-    monkeypatch.setattr(assemble, "_law_settles", spy)
+    def law_spy(*args):
+        before = taken["trace"]
+        verdict = real_law(*args)
+        verdicts.append((verdict, taken["trace"] - before))
+        return verdict
+
+    monkeypatch.setattr(PolyForm, "trace", trace_spy)
+    monkeypatch.setattr(assemble, "_law_settles", law_spy)
     return verdicts
 
 
@@ -371,9 +403,9 @@ def test_the_trace_law_settles_assembled_bases(monkeypatch):
     verdicts = _spy_law(monkeypatch)
 
     def no_scan(*args):
-        raise AssertionError("the group scan ran on a list the trace law settles")
+        raise AssertionError("the witness scan ran on a list the trace law settles")
 
-    monkeypatch.setattr(assemble, "_group_scan", no_scan)
+    monkeypatch.setattr(assemble, "_first_witness", no_scan)
     rng = random.Random(61)
     grids = [shuffled_grid(rng, dim, m) for dim, m in ((2, 2), (3, 2), (4, 1))]
     # cells on a facet and a cell on one vertex: linked faces of two dimensions,
@@ -847,6 +879,19 @@ def test_decompose_names_the_first_key_where_a_refused_form_leaves_the_cell_basi
                         f"form on cell {ci} is not in the minus space of degree {r}: "
                         f"it leaves the cell basis at (alpha, sigma) = {key}"
                     )
+
+
+def test_a_hand_built_key_off_the_canonical_shape_breaks_equality_and_decompose():
+    # PolyForm stores its keys as given; d lambda_0 is no canonical factor, so
+    # the hand-built form is unequal to its canonical twin -l1 dl1 - l1 dl2,
+    # and decompose refuses it by that key while it accepts the twin
+    hand_built = PolyForm(2, 1, 1, {((0, 1, 0), (0,)): 1})
+    twin = canonicalize(2, 1, [((0, 1, 0), (0,), 1)], degree=1)
+    assert hand_built != twin
+    assert twin == PolyForm(2, 1, 1, {((0, 1, 0), (1,)): -1, ((0, 1, 0), (2,)): -1})
+    assert decompose(TRI1, Family.FULL, 1, 1, {0: twin})
+    with pytest.raises(ValueError, match=r"leaves the cell basis at \(alpha, sigma\) = \(\(0, 1, 0\), \(0,\)\)"):
+        decompose(TRI1, Family.FULL, 1, 1, {0: hand_built})
 
 
 def test_decompose_rejects_keys_that_are_not_cells():
